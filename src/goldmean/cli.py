@@ -3,9 +3,10 @@
 Every invocation is deterministic: identical argv produces byte-identical
 output.  Three formats are supported everywhere: ``text`` (human-readable),
 ``json`` (one object with keys command/inputs/results/errors) and ``tsv``
-(tab-separated, one record per line).  Exit codes: 0 success, 1 usage
-error, 2 domain error; domain errors print a single ``error: <code>: ...``
-line to stderr and nothing to stdout.
+(tab-separated, one record per line).  The JSON ``errors`` key is reserved
+and always ``[]``.  Exit codes: 0 success, 1 usage error, 2 domain error;
+domain errors print a single ``error: <code>: ...`` line to stderr and
+nothing to stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
 from fractions import Fraction
 
@@ -40,10 +42,15 @@ EXIT_DOMAIN = 2
 
 @dataclass
 class _Output:
+    """A command's records.  JSON prints them, text ``text(record)`` for each
+    and then ``footer``, TSV the ``columns`` a record has (a grid row as is).
+    """
+
     inputs: dict
     records: list
-    text: list[str]
-    tsv_rows: list[list] = field(default_factory=list)
+    text: Callable[..., str]
+    columns: tuple[str, ...]
+    footer: tuple[str, ...] = ()
 
 
 def _truncate_float(value: float, digits: int) -> str:
@@ -65,14 +72,14 @@ def _surd_json(surd: QuadraticSurd) -> dict:
 #: floats this close to zero are a zero root, not a positive one
 _POSITIVE_EPS = 1e-9
 
+_ROOT_COLUMNS = ("value", "bracket_lo", "bracket_hi", "residual")
+
 
 def _root_records(roots: RootSet, digits: int,
-                  exact: list[QuadraticSurd] | None = None) -> tuple[list, list, list]:
-    """Records, text lines and tsv rows for a root set, largest root first."""
-    records, lines, rows = [], [], []
-    descending = list(reversed(roots.roots))
-    for i, rec in enumerate(descending):
-        label = f"x{i + 1}"
+                  exact: list[QuadraticSurd] | None = None) -> list[dict]:
+    """Records for a root set, largest root first."""
+    records = []
+    for i, rec in enumerate(reversed(roots.roots)):
         if exact is not None:
             decimal = to_decimal(exact[i], digits)
             satisfactory = exact[i].sign() > 0
@@ -80,7 +87,7 @@ def _root_records(roots: RootSet, digits: int,
             decimal = _truncate_float(rec.value, digits)
             satisfactory = rec.value > _POSITIVE_EPS
         record = {
-            "label": label,
+            "label": f"x{i + 1}",
             "decimal": decimal,
             "value": rec.value,
             "bracket_lo": rec.bracket[0],
@@ -89,166 +96,136 @@ def _root_records(roots: RootSet, digits: int,
             "iterations": rec.iterations,
             "satisfactory": satisfactory,
         }
-        line = f"{label} = {decimal}"
-        if satisfactory:
-            line += " (satisfactory)"
         if exact is not None:
             record["exact"] = _surd_json(exact[i])
             record["surd"] = str(exact[i])
-            line += f"   [{exact[i]}]"
         records.append(record)
-        lines.append(line)
-        rows.append([rec.value, rec.bracket[0], rec.bracket[1], rec.residual])
-    return records, lines, rows
+    return records
 
 
-def _solver_config(ns) -> SolverConfig:
-    tol = getattr(ns, "tol", None)
-    return SolverConfig(tolerance=tol) if tol is not None else DEFAULT_CONFIG
+def _root_text(record: dict) -> str:
+    mark = " (satisfactory)" if record["satisfactory"] else ""
+    surd = f"   [{record['surd']}]" if "surd" in record else ""
+    return f"{record['label']} = {record['decimal']}{mark}{surd}"
 
 
 def _cmd_solve(ns) -> _Output:
-    cfg = _solver_config(ns)
+    cfg = SolverConfig(tolerance=ns.tol) if ns.tol is not None else DEFAULT_CONFIG
     roots = solve_gm_general(ns.n, ns.m, cfg)
     inputs = {"n": ns.n, "m": ns.m, "tolerance": cfg.tolerance}
-    exact = None
+    exact, footer = None, ()
     if ns.n == 2:
         pair = generalized_gm(ns.m)
         exact = [pair.x1, pair.x2]
         inputs["r"] = 2 * ns.m + 1
-    records, lines, rows = _root_records(roots, ns.digits, exact)
-    if ns.n == 2:
-        lines.append(f"r = {2 * ns.m + 1}")
-    return _Output(inputs, records, lines, rows)
+        footer = (f"r = {inputs['r']}",)
+    records = _root_records(roots, ns.digits, exact)
+    return _Output(inputs, records, _root_text, _ROOT_COLUMNS, footer)
 
 
 def _cmd_mmf(ns) -> _Output:
     spec = TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
     roots = solve_trinomial(spec, DEFAULT_CONFIG)
     inputs = {"n": ns.n, "p": ns.p, "sign": ns.sign, "m": ns.m}
-    records, lines, rows = _root_records(roots, ns.digits)
-    return _Output(inputs, records, lines, rows)
+    return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_COLUMNS)
 
 
 def _cmd_stakhov(ns) -> _Output:
     value = solve_stakhov(ns.n, ns.variant)
-    decimal = _truncate_float(value, ns.digits)
     inputs = {"n": ns.n, "variant": ns.variant}
-    records = [{"decimal": decimal, "value": value}]
-    lines = [f"x = {decimal} (variant {ns.variant})"]
-    return _Output(inputs, records, lines, [[value]])
+    records = [{"decimal": _truncate_float(value, ns.digits), "value": value}]
+    text = f"x = {{decimal}} (variant {ns.variant})".format_map
+    return _Output(inputs, records, text, ("value",))
 
 
 def _cmd_euler(ns) -> _Output:
     roots = solve_euler(ns.a, ns.n, ns.x, ns.mode)
     inputs = {"a": str(ns.a), "n": ns.n, "x": str(ns.x), "mode": ns.mode}
-    records, lines, rows = _root_records(roots, ns.digits)
-    return _Output(inputs, records, lines, rows)
+    return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_COLUMNS)
 
 
 def _cmd_metallic(ns) -> _Output:
     mean = metallic_mean(ns.p, ns.q)
-    decimal = to_decimal(mean, ns.digits)
     inputs = {"p": ns.p, "q": str(ns.q)}
     record = {
-        "decimal": decimal,
+        "decimal": to_decimal(mean, ns.digits),
         "value": float(mean),
         "exact": _surd_json(mean),
         "surd": str(mean),
     }
-    lines = [f"metallic mean (p={ns.p}, q={ns.q}) = {mean} = {decimal}"]
-    row = [float(mean)]
+    footer = ()
     if ns.cf_terms is not None:
         cf = continued_fraction_of(mean, ns.cf_terms)
-        record["cf_initial"] = list(cf.initial)
-        record["cf_period"] = list(cf.period)
-        record["cf_truncated"] = cf.truncated
-        lines.append(f"continued fraction: {cf}")
-        row.extend([",".join(map(str, cf.initial)), ",".join(map(str, cf.period))])
-    return _Output(inputs, [record], lines, [row])
+        record.update(cf_initial=list(cf.initial), cf_period=list(cf.period),
+                      cf_truncated=cf.truncated)
+        footer = (f"continued fraction: {cf}",)
+    text = f"metallic mean (p={ns.p}, q={ns.q}) = {{surd}} = {{decimal}}".format_map
+    return _Output(inputs, [record], text, ("value", "cf_initial", "cf_period"), footer)
 
 
 def _cmd_table1(ns) -> _Output:
-    rows = table_one(ns.rows, ns.side)
     inputs = {"rows": ns.rows, "side": ns.side}
-    records, lines, tsv_rows = [], [], []
-    for row in rows:
-        records.append({"side": row.side, "index": row.index,
-                        "m": row.m, "h": row.h, "r": row.r})
-        lines.append(f"{row.side:>5}  N={row.index}  m={row.m}  h={row.h}  r={row.r}")
-        tsv_rows.append([row.side, row.index, row.m, row.h, row.r])
-    return _Output(inputs, records, lines, tsv_rows)
+    records = [{"side": row.side, "index": row.index, "m": row.m, "h": row.h, "r": row.r}
+               for row in table_one(ns.rows, ns.side)]
+    text = "{side:>5}  N={index}  m={m}  h={h}  r={r}".format_map
+    return _Output(inputs, records, text, ("side", "index", "m", "h", "r"))
 
 
 def _cmd_diophantus(ns) -> _Output:
     inputs = {"count": ns.count}
-    records, lines, tsv_rows = [], [], []
-    for index in range(ns.count):
-        triple = diophantus_triple(index)
-        records.append({"a": triple.a, "b": triple.b, "c": triple.c})
-        lines.append(f"{triple.c}^2 = {triple.b}^2 + {triple.a}^2")
-        tsv_rows.append([triple.a, triple.b, triple.c])
-    return _Output(inputs, records, lines, tsv_rows)
+    records = [{"a": t.a, "b": t.b, "c": t.c}
+               for t in map(diophantus_triple, range(ns.count))]
+    return _Output(inputs, records, "{c}^2 = {b}^2 + {a}^2".format_map, ("a", "b", "c"))
+
+
+def _harmonic_text(record) -> str:
+    if not isinstance(record, dict):
+        return _tsv_row(record, ())
+    if "q" in record:
+        return ("doublet q={q} at ({i1},{j1})/({i2},{j2}) "
+                "-> integer pair ({pair_low}, {pair_high})").format_map(record)
+    k = record["k"]
+    return f"({k} x {k}) + {k} = {record['square_plus_side']} = {k} x {k + 1}"
 
 
 def _cmd_harmonic(ns) -> _Output:
     table = build_table(ns.size)
     inputs = {"size": ns.size, "doublets": ns.doublets, "key": ns.key}
-    records, lines, tsv_rows = [], [], []
+    records: list = []
     if not ns.doublets and ns.key is None:
-        for row in table.cells:
-            records.append(list(row))
-            lines.append("\t".join(str(v) for v in row))
-            tsv_rows.append(list(row))
+        records.extend(table.cells)
     if ns.doublets:
-        for q, pair in cross_check_integer_means(table):
-            k = pair[0]
-            records.append({"k": k, "q": q,
-                            "i1": k, "j1": k + 1, "i2": k + 1, "j2": k,
-                            "pair_low": pair[0], "pair_high": pair[1]})
-            lines.append(
-                f"doublet q={q} at ({k},{k + 1})/({k + 1},{k}) -> integer pair {pair}"
-            )
-            tsv_rows.append([k, q, k, k + 1, k + 1, k, pair[0], pair[1]])
+        for q, (k, high) in cross_check_integer_means(table):
+            records.append({"k": k, "q": q, "i1": k, "j1": k + 1, "i2": k + 1, "j2": k,
+                            "pair_low": k, "pair_high": high})
     if ns.key is not None:
-        for k, square_plus, product in key_rows(ns.key):
-            records.append({"k": k, "square_plus_side": square_plus, "product": product})
-            lines.append(f"({k} x {k}) + {k} = {square_plus} = {k} x {k + 1}")
-            tsv_rows.append([k, square_plus, product])
-    return _Output(inputs, records, lines, tsv_rows)
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "mmf": _cmd_mmf,
-    "stakhov": _cmd_stakhov,
-    "euler": _cmd_euler,
-    "metallic": _cmd_metallic,
-    "table1": _cmd_table1,
-    "diophantus": _cmd_diophantus,
-    "harmonic": _cmd_harmonic,
-}
+        records.extend({"k": k, "square_plus_side": square_plus, "product": product}
+                       for k, square_plus, product in key_rows(ns.key))
+    columns = ("k", "q", "i1", "j1", "i2", "j2", "pair_low", "pair_high",
+               "square_plus_side", "product")
+    return _Output(inputs, records, _harmonic_text, columns)
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _tsv_row(record, columns: tuple[str, ...]) -> str:
+    if not isinstance(record, dict):
+        return "\t".join(map(str, record))
+    return "\t".join(_cell(record[c]) for c in columns if c in record)
 
 
 def _emit(ns, out: _Output) -> None:
     if ns.format == "json":
-        payload = {"command": ns.command, "inputs": out.inputs,
-                   "results": out.records, "errors": []}
-        print(json.dumps(payload))
+        lines = [json.dumps({"command": ns.command, "inputs": out.inputs,
+                             "results": out.records, "errors": []})]
     elif ns.format == "tsv":
-        for row in out.tsv_rows:
-            print("\t".join(_cell(v) for v in row))
+        lines = [_tsv_row(record, out.columns) for record in out.records]
     else:
-        for line in out.text:
-            print(line)
+        lines = [*map(out.text, out.records), *out.footer]
+    for line in lines:
+        print(line)
 
 
 def _positive_int(text: str) -> int:
@@ -302,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common],
                        help="all real roots of x**n + x = m/2")
+    p.set_defaults(handler=_cmd_solve)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_nonneg_int, required=True)
     p.add_argument("--tol", type=_positive_float, default=None,
@@ -309,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mmf", parents=[common],
                        help="all real roots of x**n ± p*x = m/2")
+    p.set_defaults(handler=_cmd_mmf)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--p", type=_positive_int, required=True)
     p.add_argument("--sign", choices=("plus", "minus"), required=True)
@@ -316,11 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stakhov", parents=[common],
                        help="positive root of x**n + x = 1 (a) or x**n + x**(n-1) = 1 (b)")
+    p.set_defaults(handler=_cmd_stakhov)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--variant", choices=("a", "b"), required=True)
 
     p = sub.add_parser("euler", parents=[common],
                        help="solve (a + b**n)/n = x for b")
+    p.set_defaults(handler=_cmd_euler)
     p.add_argument("--a", type=_fraction, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--x", type=_fraction, required=True)
@@ -328,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metallic", parents=[common],
                        help="positive root of x**2 - p*x - q = 0, exact")
+    p.set_defaults(handler=_cmd_metallic)
     p.add_argument("--p", type=_positive_int, required=True)
     p.add_argument("--q", type=_fraction, required=True)
     p.add_argument("--cf-terms", type=_positive_int, default=None,
@@ -335,15 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", parents=[common],
                        help="rows of the two-sided solution table")
+    p.set_defaults(handler=_cmd_table1)
     p.add_argument("--rows", type=_positive_int, required=True)
     p.add_argument("--side", choices=("left", "right", "both"), default="both")
 
     p = sub.add_parser("diophantus", parents=[common],
                        help="Pythagorean triples (2N+1, 2N(N+1), 2N(N+1)+1)")
+    p.set_defaults(handler=_cmd_diophantus)
     p.add_argument("--count", type=_positive_int, required=True)
 
     p = sub.add_parser("harmonic", parents=[common],
                        help="harmonic multiplication table, doublets and key")
+    p.set_defaults(handler=_cmd_harmonic)
     p.add_argument("--size", type=_positive_int, required=True)
     p.add_argument("--doublets", action="store_true",
                    help="list diagonal doublets with their integer mean pairs")
@@ -361,7 +346,7 @@ def run(argv: list[str] | None = None) -> int:
         # argparse already printed usage/help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        out = _HANDLERS[ns.command](ns)
+        out = ns.handler(ns)
     except DomainError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

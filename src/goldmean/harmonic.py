@@ -9,6 +9,7 @@ verifies against the quadratic solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CrossCheckFailed
 from .quadratics import integer_metallic
@@ -16,10 +17,18 @@ from .quadratics import integer_metallic
 
 @dataclass(frozen=True)
 class HarmonicTable:
-    """Multiplication grid: ``cells[i][j] == i * j``."""
+    """Multiplication grid of side ``size``.  ``cell(i, j) == i * j`` is computed
+    when read; :attr:`cells` builds the whole grid once, on first use.
+    """
 
     size: int
-    cells: tuple[tuple[int, ...], ...]
+
+    def cell(self, i: int, j: int) -> int:
+        return i * j
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(i * j for j in range(self.size)) for i in range(self.size))
 
 
 @dataclass(frozen=True)
@@ -34,20 +43,21 @@ class DoubletReport:
 def build_table(size: int) -> HarmonicTable:
     if size < 1:
         raise ValueError("size must be >= 1")
-    cells = tuple(tuple(i * j for j in range(size)) for i in range(size))
-    return HarmonicTable(size, cells)
+    return HarmonicTable(size)
 
 
 def find_doublets(table: HarmonicTable) -> list[DoubletReport]:
     """All diagonal doublets, ascending in q (one per k in 0..size-2).
 
     For k = 0 the doublet is the diagonal-adjacent pair (0,1)/(1,0) only,
-    even though zero fills the whole first row and column.
+    even though zero fills the whole first row and column.  Reads only the
+    2(size - 1) cells flanking the diagonal.
     """
     out = []
     for k in range(table.size - 1):
-        q = table.cells[k][k + 1]
-        assert q == table.cells[k + 1][k] == k * (k + 1), "grid is not i*j"
+        q = table.cell(k, k + 1)
+        if not q == table.cell(k + 1, k) == k * (k + 1):
+            raise CrossCheckFailed(f"grid is not i*j at ({k}, {k + 1})")
         out.append(DoubletReport(k, q, ((k, k + 1), (k + 1, k))))
     return out
 

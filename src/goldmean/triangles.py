@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+from .errors import CrossCheckFailed
 from .quadratics import generalized_gm
 
 Side = Literal["left", "right"]
@@ -57,7 +58,8 @@ def four_k_sequence(count: int) -> list[int]:
     out = [0]
     for k in range(1, count):
         nxt = out[-1] + 4 * k
-        assert nxt == 2 * k * (k + 1), "recurrence and closed form disagree"
+        if nxt != 2 * k * (k + 1):
+            raise CrossCheckFailed(f"recurrence and closed form disagree at N = {k}")
         out.append(nxt)
     return out
 
@@ -93,8 +95,8 @@ def _right_row(index: int) -> TableOneRow:
     row = TableOneRow("right", index, index, index + 1, 2 * index + 1)
     # the roots of x^2 + x = m/2 must reproduce the h and r columns exactly
     pair = generalized_gm(index)
-    assert pair.x1 ** 2 + pair.x2 ** 2 == row.h, "x1^2 + x2^2 != h"
-    assert (abs(pair.x1) + abs(pair.x2)) ** 2 == row.r, "(|x1| + |x2|)^2 != r"
+    if pair.x1 ** 2 + pair.x2 ** 2 != row.h or (abs(pair.x1) + abs(pair.x2)) ** 2 != row.r:
+        raise CrossCheckFailed(f"x1^2 + x2^2 != h or (|x1| + |x2|)^2 != r at N = {index}")
     return row
 
 
@@ -130,9 +132,10 @@ def left_to_right_index(index: int) -> int:
     mapped = 2 * index * (index + 1)
     left = _left_row(index)
     right_at = _right_row(mapped)
-    assert (right_at.m, right_at.h) == (left.m, left.h), "4k mapping broke m/h"
-    assert right_at.r == left.r, "4k mapping broke r"
-    assert left.r == _right_row(index).r ** 2, "left r is not the squared right r"
+    if (right_at.m, right_at.h, right_at.r) != (left.m, left.h, left.r):
+        raise CrossCheckFailed(f"4k mapping broke m, h or r at N = {index}")
+    if left.r != _right_row(index).r ** 2:
+        raise CrossCheckFailed(f"left r is not the squared right r at N = {index}")
     return mapped
 
 

@@ -1,0 +1,125 @@
+"""Golden CLI output: the exact bytes each argv below prints, in every format.
+
+Each case pins the sha256 of the exit code, stdout and stderr, so a change
+to the rendering code that alters one byte of one format fails here.  To
+see what a case prints, run ``PYTHONPATH=src python -m goldmean.cli <argv>``.
+"""
+
+import hashlib
+
+import pytest
+
+from goldmean.cli import run
+
+FORMATS = ("text", "json", "tsv")
+
+#: argv without --format; each runs in all three formats
+COMMANDS = {
+    "solve-n2": ("solve", "--n", "2", "--m", "2"),
+    "solve-n2-digits": ("solve", "--n", "2", "--m", "7", "--digits", "40"),
+    "solve-n3": ("solve", "--n", "3", "--m", "2"),
+    "mmf": ("mmf", "--n", "3", "--p", "2", "--sign", "minus", "--m", "2"),
+    "stakhov": ("stakhov", "--n", "3", "--variant", "b"),
+    "euler": ("euler", "--a", "0", "--n", "2", "--x", "1/2", "--mode", "constrained"),
+    "metallic": ("metallic", "--p", "3", "--q", "7/4", "--digits", "25"),
+    "metallic-cf": ("metallic", "--p", "2", "--q", "5/3", "--cf-terms", "12"),
+    "metallic-cf-integer": ("metallic", "--p", "2", "--q", "1", "--cf-terms", "5"),
+    "metallic-cf-rational": ("metallic", "--p", "1", "--q", "2", "--cf-terms", "4"),
+    "table1": ("table1", "--rows", "5", "--side", "both"),
+    "table1-right": ("table1", "--rows", "3", "--side", "right"),
+    "diophantus": ("diophantus", "--count", "7"),
+    "harmonic-grid": ("harmonic", "--size", "6"),
+    "harmonic-doublets": ("harmonic", "--size", "8", "--doublets"),
+    "harmonic-key": ("harmonic", "--size", "8", "--key", "5"),
+    "harmonic-doublets-key": ("harmonic", "--size", "8", "--doublets", "--key", "5"),
+}
+
+#: argv that fail: a usage error (exit 1) and a domain error (exit 2)
+ERRORS = {
+    "usage-missing-m": ("solve", "--n", "2"),
+    "domain-degenerate": ("mmf", "--n", "1", "--p", "1", "--sign", "minus", "--m", "4"),
+}
+
+GOLDEN = {
+    "diophantus-json": "78caa68fc9856607aa25025aa5e69c8ab5a6f5d66d2da81ff3a9c7fe9965caa3",
+    "diophantus-text": "42039465d536fcd6e6358813a5a1de2afd9f7d223de09a8f2d7f764d3ee5ef1a",
+    "diophantus-tsv": "80182f420523aab718fe55f41f7346b6aa4b2110eb8b89bf2b1b350f0063f830",
+    "domain-degenerate": "7aaff4306af062bdac0380bc70ba6bc431106ce6cd43b6ffb93b0f3d0f957e5c",
+    "euler-json": "4540a57cc1f28f55b4e4a67d9dd023a3f3001d3acad4c732daacd9086830470d",
+    "euler-text": "35ca8ddd287ff259a8af5bacedd5c7e148b27ebe493e2433d1c09d08eee9c361",
+    "euler-tsv": "549130dcb54ac908eaaedddb64c45ddcc0a80af0a48c0821f00f50bbd5679a63",
+    "harmonic-doublets-json": "c5ac9b3ce4074b6fb50b4f986f0677dbec469b7feabfe6019ea0b03a9d455d7f",
+    "harmonic-doublets-key-json": "8324f6d1af13a6eab0e1d80ecea681cfdd58447b89783dfb06137c9eb41b592f",
+    "harmonic-doublets-key-text": "c288f9f16d6beff8955cbf3ef0db627814a501e4fc12f57c823833ffa8fd5f41",
+    "harmonic-doublets-key-tsv": "372f964d4588258e1e79b98b330160993b951f53424310e16b4e2c821e5a79dc",
+    "harmonic-doublets-text": "bbb13fc259278096a2e10c61832b00021c731d69745f16560acc61f37ece566b",
+    "harmonic-doublets-tsv": "a69f902e38261ecda541d9ed7a8e0173a1012bee80d5648faf496f903431da11",
+    "harmonic-grid-json": "afa804fdce5f3c2fe6df267606b3d031c8cb10125c9702f5d14b5aa7e1cd1903",
+    "harmonic-grid-text": "0b28e107b6666964898df010e1ebeb0036e61c2e1b438bf3344df85b84b7a37b",
+    "harmonic-grid-tsv": "0b28e107b6666964898df010e1ebeb0036e61c2e1b438bf3344df85b84b7a37b",
+    "harmonic-key-json": "dd3ebc0b21da314cca6a82dccde082a00f7d99d595398fad107db417fcf8ccb6",
+    "harmonic-key-text": "fd6d6056abfabde06c1859743a8bda2f096bd84d70c32d2d38be29daf3e4906d",
+    "harmonic-key-tsv": "7bd961fef3a622bf9a5d704ce3e30a8d50acff9a1de0b095368139a65cc66150",
+    "metallic-cf-integer-json": "6f779f442c4c56fc1e1ae3870050076ed4a43ec0f9e4bc7e03421ba9ab8220f2",
+    "metallic-cf-integer-text": "531d6de75bcc9e975ccc5c356f680244261d42c158334e9f7d2780b1504dcdca",
+    "metallic-cf-integer-tsv": "845de083c5d08b7a702ccb365aed7d09f8626cdb18745e614a0798e7d6286c0f",
+    "metallic-cf-json": "67875f7fec45288bef275a47db3c77d68e5b3bc0f3b3ee97b4de70903dd317c2",
+    "metallic-cf-rational-json": "f42c7911d455c490ea0914ba5778d01043dd8d326e0ac83c05216dff145b172b",
+    "metallic-cf-rational-text": "3b4fa5f103948b3f30897767fbdcb3324962f4514e6eba75dfbef804a040c858",
+    "metallic-cf-rational-tsv": "09f6e73ca938c7771256213ad7017905275f2560ab56a63f66841e1030dc1c1d",
+    "metallic-cf-text": "80c00a0e73fee9f1604f38e8bb8598da4c0fcb433addca73b803286b4111a09a",
+    "metallic-cf-tsv": "0270e91da7b385605fea48f4930ad4badbc41ec838144b8630f8b75b1f032b7a",
+    "metallic-json": "173596736c038a740677e2cbae65abd8de0584e8c5396f0ccd9f9972db4daeac",
+    "metallic-text": "f2b1d4700cf4068ef387cbf36b4f8707c036de2e4b21abaa5a028720827241ba",
+    "metallic-tsv": "9eeb19a48f7d00f2e049a663342251c6d3b6996d69ab9e793bbd69585b30f7ad",
+    "mmf-json": "ca36c8d4bf34cd7fdc0d3b11a25908635bf1759954a24873dd47adc9ddc18cd5",
+    "mmf-text": "3c4a344f6b5044d98b3aabfb1509f595085e1a19c79a343344316bf8e5fb70cc",
+    "mmf-tsv": "620731b2b6006d3de74bd0f0b46748fe49625a62a40ba24099582265419cd74d",
+    "solve-n2-digits-json": "0b2eb88c8f217790aaafba9451fde422f063a2cf726e7eb692908db53d2bc3ea",
+    "solve-n2-digits-text": "7a16ffebb2ca18782143cfe49cbd74702feb19a0ef440e3e9a189c078dde264d",
+    "solve-n2-digits-tsv": "c1a1a2bb87ddf8d9300a806d36ea836518365575913bfcb5bd1ba8440d0bdc4f",
+    "solve-n2-json": "11b195b865262040b389f2cee7208b3ae64abf27fec883b4c04669a20bd2e63c",
+    "solve-n2-text": "4e0d4b74c32b34a59d21eab9653e26d91f4c3f6f2b66431f0b6db85ad62a3ead",
+    "solve-n2-tsv": "549130dcb54ac908eaaedddb64c45ddcc0a80af0a48c0821f00f50bbd5679a63",
+    "solve-n3-json": "b4ca3f3b35f5bd15eb7b2dd60b65a0f967374e82cb8a454582e9a41e59e9b77e",
+    "solve-n3-text": "8351e3a0ebd7159e11d4cebba51d5efd71b7b5f29ee12f6c197b13692d4828c5",
+    "solve-n3-tsv": "7c8c6c561a673441ee6b176a747099b02553f9641328a2b375e92a0958b9956a",
+    "stakhov-json": "a839ed24692f6e509f8b6a8bc9f7cd386b95101f1074cfa1ab7cc1c3c29603d7",
+    "stakhov-text": "59586fbc3bdae62bccb2ea54fa49630d9831c4b6c8870286222f7bcae409c13c",
+    "stakhov-tsv": "acb566e030aac371f47174542e3b60c849c2a2121f8a82409a40692b2bc1182c",
+    "table1-json": "d079dcfb2d062d674baae3f1fd75c6eac0bb317f10370f1534c47dae116a0fe1",
+    "table1-right-json": "ebf5f25f2344babf10ee1f072fd82a4154c3def99f8c74fb72ce4e713629f1e0",
+    "table1-right-text": "83ed81b6838a83d4d5a5f4910efe9a68ef37ac8975c1143225c627bae173190b",
+    "table1-right-tsv": "de26c0699fd9d69e87464ee7666ea31c8d4bb0d602afabab3f38aeec0e316e30",
+    "table1-text": "6619b2d958c1b3b6ea4dae610295fb55063c10295c8fe57c9b95ae1ecbc8f10e",
+    "table1-tsv": "5b8c52c31cb5a8df14ca5adf6d3d44f8f739ecba679aa9d4c1fab2eac2f5f444",
+    "usage-missing-m": "778de5e7fea50e62a540c6bba33ad5724196115ff8ec765f1412287e439f9207",
+}
+
+
+def _cases():
+    for name, argv in COMMANDS.items():
+        for fmt in FORMATS:
+            yield f"{name}-{fmt}", argv + ("--format", fmt)
+    yield from ERRORS.items()
+
+
+CASES = dict(_cases())
+
+
+def digest(code: int, out: str, err: str) -> str:
+    blob = f"{code}\n{out}\x00{err}".encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys, monkeypatch):
+    # argparse wraps its usage line to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(list(CASES[name]))
+    captured = capsys.readouterr()
+    assert digest(code, captured.out, captured.err) == GOLDEN[name]
+
+
+def test_every_case_is_pinned():
+    assert sorted(GOLDEN) == sorted(CASES)

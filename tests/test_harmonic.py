@@ -1,10 +1,12 @@
 """Multiplication grid, diagonal doublets and the integer-mean cross-check."""
 
+import tracemalloc
 from math import isqrt
 
 import pytest
 
 from goldmean import build_table, cross_check_integer_means, find_doublets, key_rows
+from goldmean.cli import run
 
 
 class TestBuildTable:
@@ -88,3 +90,26 @@ class TestCrossCheck:
         assert lookup[20] == (4, 5)
         assert lookup[2] == (1, 2)
         assert lookup[0] == (0, 1)
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOnlyThePrintedGridIsBuilt:
+    """Doublets and key rows read O(size) cells; a 1000 x 1000 grid takes about 40 MB."""
+
+    LIMIT = 2 * 1024 * 1024
+
+    def test_cross_check_reads_only_flanking_cells(self):
+        assert peak_bytes(lambda: cross_check_integer_means(build_table(1000))) < self.LIMIT
+
+    def test_cli_doublets_and_key(self, capsys):
+        argv = ["harmonic", "--size", "1000", "--doublets", "--key", "5"]
+        assert peak_bytes(lambda: run(argv)) < self.LIMIT
+        assert len(capsys.readouterr().out.splitlines()) == 999 + 6

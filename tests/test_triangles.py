@@ -1,15 +1,21 @@
 """Triangle catalog: triples, the two-sided table, 4k mapping, triplet classes."""
 
+from fractions import Fraction
+
 import pytest
 
 from goldmean import (
+    CrossCheckFailed,
     PythagoreanTriple,
+    QuadraticSurd,
+    RootPair,
     classify_triplet,
     diophantus_triple,
     four_k_sequence,
     left_to_right_index,
     table_one,
 )
+from goldmean import triangles
 
 BOX_TRIPLES = [(1, 0, 1), (3, 4, 5), (5, 12, 13), (7, 24, 25),
                (9, 40, 41), (11, 60, 61), (13, 84, 85)]
@@ -113,6 +119,23 @@ class TestLeftToRightMapping:
             assert 2 * mapped + 1 == left.r                  # right row M: r = 2M+1
             right_same = table_one(index + 1, "right")[index]
             assert left.r == right_same.r ** 2
+
+
+class TestInvariantsRaise:
+    """A broken invariant raises CrossCheckFailed, which ``python -O`` keeps."""
+
+    @pytest.fixture
+    def wrong_roots(self, monkeypatch):
+        wrong = RootPair(QuadraticSurd(1), QuadraticSurd(1), Fraction(0))
+        monkeypatch.setattr(triangles, "generalized_gm", lambda m: wrong)
+
+    def test_table_one_right_side(self, wrong_roots):
+        with pytest.raises(CrossCheckFailed):
+            table_one(2, "right")
+
+    def test_left_to_right_index(self, wrong_roots):
+        with pytest.raises(CrossCheckFailed):
+            left_to_right_index(1)
 
 
 class TestTripletClassification:

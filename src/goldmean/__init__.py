@@ -10,6 +10,7 @@ from .errors import (
     CrossCheckFailed,
     DegenerateIdentity,
     DomainError,
+    InputTooLarge,
     MixedRadicands,
     NoConvergence,
     NonPositive,
@@ -61,6 +62,7 @@ from .trinomials import (
     solve_gm_general,
     solve_stakhov,
     solve_trinomial,
+    stakhov_decimal,
 )
 
 __version__ = "0.1.0"
@@ -73,6 +75,7 @@ __all__ = [
     "DomainError",
     "DoubletReport",
     "HarmonicTable",
+    "InputTooLarge",
     "MixedRadicands",
     "NoConvergence",
     "NonPositive",
@@ -107,6 +110,7 @@ __all__ = [
     "solve_quadratic",
     "solve_stakhov",
     "solve_trinomial",
+    "stakhov_decimal",
     "surd_compare",
     "table_one",
     "to_decimal",

@@ -16,7 +16,6 @@ import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from decimal import ROUND_DOWN, Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -33,6 +32,7 @@ from .trinomials import (
     solve_gm_general,
     solve_stakhov,
     solve_trinomial,
+    stakhov_decimal,
 )
 
 EXIT_OK = 0
@@ -53,12 +53,6 @@ class _Output:
     footer: tuple[str, ...] = ()
 
 
-def _truncate_float(value: float, digits: int) -> str:
-    """Decimal rendering of a float, truncated toward zero."""
-    quantum = Decimal(1).scaleb(-digits)
-    return str(Decimal(value).quantize(quantum, rounding=ROUND_DOWN))
-
-
 def _surd_json(surd: QuadraticSurd) -> dict:
     return {
         "a_num": surd.rat.numerator,
@@ -69,9 +63,6 @@ def _surd_json(surd: QuadraticSurd) -> dict:
     }
 
 
-#: floats this close to zero are a zero root, not a positive one
-_POSITIVE_EPS = 1e-9
-
 _ROOT_COLUMNS = ("value", "bracket_lo", "bracket_hi", "residual")
 
 
@@ -81,11 +72,9 @@ def _root_records(roots: RootSet, digits: int,
     records = []
     for i, rec in enumerate(reversed(roots.roots)):
         if exact is not None:
-            decimal = to_decimal(exact[i], digits)
-            satisfactory = exact[i].sign() > 0
+            decimal, sign = to_decimal(exact[i], digits), exact[i].sign()
         else:
-            decimal = _truncate_float(rec.value, digits)
-            satisfactory = rec.value > _POSITIVE_EPS
+            decimal, sign = roots.truncate(rec, digits)
         record = {
             "label": f"x{i + 1}",
             "decimal": decimal,
@@ -94,7 +83,7 @@ def _root_records(roots: RootSet, digits: int,
             "bracket_hi": rec.bracket[1],
             "residual": rec.residual,
             "iterations": rec.iterations,
-            "satisfactory": satisfactory,
+            "satisfactory": sign > 0,
         }
         if exact is not None:
             record["exact"] = _surd_json(exact[i])
@@ -133,7 +122,7 @@ def _cmd_mmf(ns) -> _Output:
 def _cmd_stakhov(ns) -> _Output:
     value = solve_stakhov(ns.n, ns.variant)
     inputs = {"n": ns.n, "variant": ns.variant}
-    records = [{"decimal": _truncate_float(value, ns.digits), "value": value}]
+    records = [{"decimal": stakhov_decimal(ns.n, ns.variant, value, ns.digits), "value": value}]
     text = f"x = {{decimal}} (variant {ns.variant})".format_map
     return _Output(inputs, records, text, ("value",))
 

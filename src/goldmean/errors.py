@@ -41,6 +41,12 @@ class DegenerateIdentity(DomainError):
     code = "degenerate-identity"
 
 
+class InputTooLarge(DomainError):
+    """An input or root beyond the float range of the first refinement stage."""
+
+    code = "input-too-large"
+
+
 class NoConvergence(RuntimeError):
     """Root refinement exhausted its iteration budget (internal failure)."""
 

@@ -348,13 +348,21 @@ def to_decimal(value, digits: int) -> str:
     Negative values are truncated toward zero, so ``(-1-sqrt(5))/2`` at
     7 digits renders as ``-1.6180339``.
     """
-    if not isinstance(digits, int) or not 1 <= digits <= 1000:
-        raise ValueError("digits must be an integer in 1..1000")
+    _check_digits(digits)
     v = _require_surd(value)
     negative = v.sign() < 0
     if negative:
         v = -v
-    scaled = _floor_scaled(v, digits + 2) // 100
+    return _decimal_text(negative, _floor_scaled(v, digits + 2) // 100, digits)
+
+
+def _check_digits(digits) -> None:
+    if not isinstance(digits, int) or not 1 <= digits <= 1000:
+        raise ValueError("digits must be an integer in 1..1000")
+
+
+def _decimal_text(negative: bool, scaled: int, digits: int) -> str:
+    """``[-]whole.frac`` of ``scaled / 10**digits``; a negative value may print as ``-0.000...``."""
     whole, frac = divmod(scaled, 10 ** digits)
     text = f"{whole}.{frac:0{digits}d}"
     return f"-{text}" if negative else text

@@ -4,22 +4,23 @@ The derivative of ``f(x) = x**n + s*p*x**e - m/2`` (e = 1 or n-1) is a
 binomial, so its real zeros are known in closed form.  Between consecutive
 critical points f is strictly monotone; each sign change there brackets
 exactly one root, and every real root is either such a sign change or an
-exact zero at a critical point.  Brackets are refined by bisection with a
-Newton step that is accepted only while it stays inside the bracket, which
-keeps convergence unconditional.
+exact zero at a critical point.  Signs of f there are decided exactly.
 
-Roots are binary64 floats; exact closed forms live in :mod:`goldmean.quadratics`.
+Brackets are refined to binary64 diagnostics by bisection with a
+safeguarded Newton step; printed digits come from :meth:`RootSet.truncate`,
+which decides them by exact sign tests on the decimal grid.  Exact closed
+forms live in :mod:`goldmean.quadratics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .errors import DegenerateIdentity, NoConvergence, NoRealRoot
+from .errors import DegenerateIdentity, InputTooLarge, NoConvergence, NoRealRoot
 from .quadratics import Sign, sign_value
-from .surds import _as_fraction
+from .surds import _as_fraction, _check_digits, _decimal_text, _sgn, to_decimal
 
 LowerExponent = Literal["one", "n_minus_one"]
 
@@ -64,25 +65,23 @@ class TrinomialSpec:
         return Fraction(self.m, 2)
 
 
+#: float refinement steps per bracket before :class:`NoConvergence`
+_MAX_ITERATIONS = 200
+#: geometric factor of the outward bracket search
+_BRACKET_GROWTH = 2.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Refinement knobs.
-
-    ``tolerance`` bounds the scaled residual |f(x)| / (1 + |x|**n);
-    ``bracket_growth`` is the geometric factor for outward bracket search.
+    """Refinement tolerance: a float root is accepted once its scaled residual
+    |f(x)| / (1 + |x|**n) is at most ``tolerance``.
     """
 
     tolerance: float = 1e-12
-    max_iterations: int = 200
-    bracket_growth: float = 2.0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.bracket_growth > 1:
-            raise ValueError("bracket_growth must be > 1")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -92,26 +91,15 @@ DEFAULT_CONFIG = SolverConfig()
 class RootRecord:
     """One certified root: value, enclosing bracket, |f(value)|, iterations.
 
-    Roots known in closed form carry the degenerate bracket (value, value)
-    and zero iterations.
+    Roots known exactly keep their Fraction in ``exact`` and carry the
+    degenerate bracket (value, value) and zero iterations.
     """
 
     value: float
     bracket: tuple[float, float]
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """All real roots, ascending.  ``exhaustive`` asserts completeness."""
-
-    roots: tuple[RootRecord, ...]
-    exhaustive: bool = True
-
-    @property
-    def values(self) -> list[float]:
-        return [r.value for r in self.roots]
+    exact: Optional[Fraction] = None
 
 
 class _Poly:
@@ -129,107 +117,145 @@ class _Poly:
     def __call__(self, x: float) -> float:
         return x ** self.n + self.c * x ** self.e - self._rhs_f
 
-    def exact(self, x: Fraction) -> Fraction:
-        return x ** self.n + self.c * x ** self.e - self.rhs
+    def sign(self, x) -> int:
+        """Exact sign of f(x) for an int, float or Fraction x, on integers."""
+        p, q = x.as_integer_ratio()
+        n, e, rhs = self.n, self.e, self.rhs
+        s = q.bit_length() - 1  # powers of a float's denominator are shifts
+        qd, qe = (1 << s * (n - e), 1 << s * e) if q == 1 << s else (q ** (n - e), q ** e)
+        # f(p/q) * q**n
+        value = rhs.denominator * p ** e * (p ** (n - e) + self.c * qd) - rhs.numerator * qe * qd
+        return _sgn(value)
 
     def deriv(self, x: float) -> float:
-        if self.e == 0:
-            return self.n * x ** (self.n - 1)
         return self.n * x ** (self.n - 1) + self.c * self.e * x ** (self.e - 1)
 
+    def truncate(self, guess: float, lo: float, hi: float, digits: int) -> tuple[str, int]:
+        """The root x in [lo, hi] truncated toward zero to ``digits`` places, and its sign.
 
-def _sgn_f(value: float) -> int:
-    return (value > 0.0) - (value < 0.0)
+        f must be monotone on [lo, hi] with x its only root there.  k =
+        floor(x*N), N = 10**digits, is decided by exact sign tests of f at
+        grid points k/N: Newton steps from ``guess`` under the safeguard of
+        :func:`_refine`, so the cost grows with log(digits).
+        """
+        _check_digits(digits)
+        scale = 10 ** digits
+        n, e = self.n, self.e
+        den, wide = self.rhs.denominator, scale ** (n - e)
+        mid, top = den * self.c * wide, self.rhs.numerator * wide * scale ** e
+
+        def at(k: int) -> tuple[int, int]:
+            """f(k/N) * den * N**n and its derivative in k."""
+            low = k ** (e - 1) if e > 1 else 1       # k**(e-1)
+            ke = low * k if e else 1                 # k**e
+            kn1 = ke if e == n - 1 else k ** (n - 1)  # k**(n-1)
+            return den * kn1 * k + mid * ke - top, den * n * kn1 + mid * e * low
+
+        # a/N < lo <= x < b/N, so every k strictly between lies in [lo, hi]
+        lo_p, lo_q = lo.as_integer_ratio()
+        hi_p, hi_q = hi.as_integer_ratio()
+        g_p, g_q = guess.as_integer_ratio()
+        a, b = (lo_p * scale - 1) // lo_q, hi_p * scale // hi_q + 1
+        k, hit, orient = g_p * scale // g_q, False, 0
+        step = older = b - a
+        while b - a > 1:
+            if not a < k < b:
+                k = (a + b) // 2
+            value, slope = at(k)
+            # +1 where f rises through x; f' is 0 in [lo, hi] only at a critical end
+            orient = orient or _sgn(slope) or self.sign(hi) or -self.sign(lo)
+            value, slope = orient * value, orient * slope
+            if value == 0:
+                a, b, hit = k, k + 1, True
+                break
+            if value < 0:
+                a = k
+            else:
+                b = k
+            # aim just past the Newton estimate, onto the other side of x
+            nxt = k + (-value) // slope + (value < 0) if slope > 0 else a
+            if not (a < nxt < b and 2 * abs(nxt - k) <= older):
+                nxt = (a + b) // 2
+            older, step, k = step, abs(nxt - k), nxt
+        if a >= 0:
+            return _decimal_text(False, a, digits), 1 if a or not hit else 0
+        return _decimal_text(True, -a if hit else -a - 1, digits), -1
 
 
-def _int_kth_root(m: int, k: int) -> Optional[int]:
-    """Exact integer k-th root of m >= 0, or None."""
-    if m < 2:
-        return m
-    r = round(m ** (1.0 / k))
-    while r ** k > m:
-        r -= 1
-    while (r + 1) ** k <= m:
-        r += 1
-    return r if r ** k == m else None
+@dataclass(frozen=True)
+class RootSet:
+    """All real roots of ``poly``, ascending."""
+
+    roots: tuple[RootRecord, ...]
+    poly: _Poly = field(repr=False, compare=False)
+
+    @property
+    def values(self) -> list[float]:
+        return [r.value for r in self.roots]
+
+    def truncate(self, record: RootRecord, digits: int) -> tuple[str, int]:
+        """``record``'s root truncated toward zero to ``digits`` exact places, and its sign."""
+        if record.exact is not None:
+            return to_decimal(record.exact, digits), _sgn(record.exact)
+        return self.poly.truncate(record.value, *record.bracket, digits)
 
 
-def _fraction_kth_root(value: Fraction, k: int) -> Optional[Fraction]:
-    """Exact k-th root of a non-negative Fraction, or None."""
-    num = _int_kth_root(value.numerator, k)
-    if num is None:
-        return None
-    den = _int_kth_root(value.denominator, k)
-    if den is None:
-        return None
-    return Fraction(num, den)
+def _critical_signs(poly: _Poly) -> list[tuple[float, Optional[Fraction], int]]:
+    """Real zeros of f', ascending, as (float, exact value or None, exact sign of f there).
 
-
-def _kth_root(value: Fraction, k: int) -> tuple[float, Optional[Fraction]]:
-    """Real k-th root as (float, exact-if-rational).  Odd k accepts any sign."""
-    negative = value < 0
-    mag = -value if negative else value
-    exact = _fraction_kth_root(mag, k)
-    if exact is not None:
-        exact = -exact if negative else exact
-        return float(exact), exact
-    approx = float(mag) ** (1.0 / k)
-    return (-approx if negative else approx), None
-
-
-def _critical_points(n: int, c: int, e: int) -> list[tuple[float, Optional[Fraction]]]:
-    """Real zeros of f', ascending, with exact values where rational.
-
-    f'(x) = n*x**(n-1) + c*e*x**(e-1) has at most two real zeros for these
-    families, so f has at most three monotone pieces.
+    The exact value is given whenever f is 0 there.  f'(x) = n*x**(n-1) +
+    c*e*x**(e-1) has at most two real zeros for these families, so f has at
+    most three monotone pieces.
     """
-    if e == 1:
-        k = n - 1
-        target = Fraction(-c, n)  # x**k = target
-        if k % 2 == 1:
-            return [_kth_root(target, k)]
-        if target <= 0:
-            return []
-        pos_f, pos_x = _kth_root(target, k)
-        neg_x = -pos_x if pos_x is not None else None
-        return [(-pos_f, neg_x), (pos_f, pos_x)]
-    # e = n - 1 >= 2: f' = x**(n-2) * (n*x + c*(n-1))
-    star = Fraction(-c * (n - 1), n)
-    points = [(float(star), star)]
-    if n >= 3:
-        points.append((0.0, Fraction(0)))
-    points.sort(key=lambda pair: pair[0])
+    n, c, e, rhs = poly.n, poly.c, poly.e, poly.rhs
+    if e == n - 1 and n >= 3:
+        # f' = x**(n-2) * (n*x + c*(n-1))
+        stars = sorted((Fraction(-c * (n - 1), n), Fraction(0)))
+        return [(float(x), x, poly.sign(x)) for x in stars]
+    k = n - 1  # e = 1: x**k = -c/n
+    if k % 2 == 0 and c >= 0:
+        return []
+    r = (abs(c) / n) ** (1.0 / k)
+    points = []
+    for side in (-1, 1) if k % 2 == 0 else (-_sgn(c) or 1,):
+        # there f(x) = c*(n-1)/n * x - rhs; same-sign terms compare as k-th powers
+        lead = side * _sgn(c)
+        if lead != _sgn(rhs):
+            s = lead or -_sgn(rhs)
+        else:
+            s = lead * _sgn((abs(c) * k * rhs.denominator) ** k * abs(c)
+                            - abs(rhs.numerator) ** k * n ** n)
+        exact = (rhs * n / (c * k) if c else Fraction(0)) if s == 0 else None
+        points.append((side * r, exact, s))
     return points
 
 
-def _expand(poly: _Poly, anchor: float, direction: int, inner_sign: int,
-            cfg: SolverConfig) -> float:
-    """Walk outward geometrically until f changes sign (or hits zero)."""
+def _expand(poly: _Poly, anchor: float, direction: int, inner_sign: int) -> float:
+    """Walk outward geometrically until f changes sign (or hits zero), confirmed exactly."""
     step = 1.0
     for _ in range(600):
         x = anchor + direction * step
-        if _sgn_f(poly(x)) != inner_sign:
+        if inner_sign * poly(x) <= 0.0 and poly.sign(x) != inner_sign:
             return x
-        step *= cfg.bracket_growth
+        step *= _BRACKET_GROWTH
     raise NoConvergence("outward bracket search failed")
 
 
-def _pull_off(poly: _Poly, lo: float, hi: float) -> float:
-    """Point strictly inside (lo, hi) where f keeps the sign of f(lo)."""
-    s_lo = _sgn_f(poly(lo))
+def _pull_off(poly: _Poly, lo: float, hi: float, s_lo: int) -> float:
+    """Point strictly inside (lo, hi) where f keeps its sign ``s_lo`` at lo, confirmed exactly."""
     width = hi - lo
     shrink = 0.5
     for _ in range(60):
         x = lo + width * shrink
-        if _sgn_f(poly(x)) == s_lo:
+        if s_lo * poly(x) > 0.0 and poly.sign(x) == s_lo:
             return x
         shrink *= 0.5
     return lo
 
 
-def _seeds(n: int, c: int, e: int, rhs: Fraction,
-           cfg: SolverConfig) -> tuple[list, list[tuple[float, float]]]:
+def _seeds(poly: _Poly) -> tuple[list[Fraction], list[tuple[float, float]]]:
     """Complete root isolation: (exact roots, sign-change brackets)."""
+    n, c, e, rhs = poly.n, poly.c, poly.e, poly.rhs
     if n == 1:
         if e == 1:
             coefficient = 1 + c
@@ -240,56 +266,48 @@ def _seeds(n: int, c: int, e: int, rhs: Fraction,
             return [Fraction(rhs, coefficient)], []
         return [rhs - c], []
 
-    poly = _Poly(n, c, e, rhs)
-    exact_roots: list = []
-    marks: list[tuple[float, int]] = []
-    for fval, exact in _critical_points(n, c, e):
-        if exact is not None:
-            value = poly.exact(exact)
-            s = (value > 0) - (value < 0)
-            if s == 0:
-                exact_roots.append(exact)
-        else:
-            value = poly(fval)
-            if abs(value) <= cfg.tolerance * (1.0 + abs(fval) ** n):
-                s = 0
-                exact_roots.append(fval)
-            else:
-                s = _sgn_f(value)
-        marks.append((fval, s))
-
+    points = _critical_signs(poly)
+    exact_roots = [exact for _, exact, s in points if s == 0]
+    marks = [(fval, s) for fval, _, s in points]
     brackets: list[tuple[float, float]] = []
     if not marks:
-        # no critical points: strictly increasing (n odd, c > 0, e = 1)
-        at_zero = poly.exact(Fraction(0))
+        # no critical points: strictly increasing (n odd, c >= 0, e = 1)
+        at_zero = poly.sign(0)
         if at_zero == 0:
             exact_roots.append(Fraction(0))
         elif at_zero < 0:
-            brackets.append((0.0, _expand(poly, 0.0, +1, -1, cfg)))
+            brackets.append((0.0, _expand(poly, 0.0, +1, -1)))
         else:
-            brackets.append((_expand(poly, 0.0, -1, +1, cfg), 0.0))
+            brackets.append((_expand(poly, 0.0, -1, +1), 0.0))
     else:
         left_infinity = 1 if n % 2 == 0 else -1
         first_x, first_s = marks[0]
         if first_s not in (0, left_infinity):
-            brackets.append((_expand(poly, first_x, -1, first_s, cfg), first_x))
+            brackets.append((_expand(poly, first_x, -1, first_s), first_x))
         for (xa, sa), (xb, sb) in zip(marks, marks[1:]):
             if sa != 0 and sb != 0 and sa != sb:
                 brackets.append((xa, xb))
         last_x, last_s = marks[-1]
         if last_s not in (0, 1):
-            brackets.append((last_x, _expand(poly, last_x, +1, last_s, cfg)))
+            brackets.append((last_x, _expand(poly, last_x, +1, last_s)))
 
-    # roots are interior, so shared endpoints can be pulled apart
+    # roots are interior, so shared endpoints (critical points) can be pulled apart
+    signs = dict(marks)
     for i in range(1, len(brackets)):
         lo, hi = brackets[i]
         if lo == brackets[i - 1][1]:
-            brackets[i] = (_pull_off(poly, lo, hi), hi)
+            brackets[i] = (_pull_off(poly, lo, hi, signs[lo]), hi)
     return exact_roots, brackets
 
 
-def _refine(poly: _Poly, lo: float, hi: float, cfg: SolverConfig) -> tuple[float, float, int]:
-    """Hybrid bisection/Newton inside a sign-change bracket."""
+def _refine(poly: _Poly, lo: float, hi: float, tolerance: float) -> tuple[float, float, int]:
+    """Bisection with a safeguarded Newton step inside a sign-change bracket.
+
+    A Newton step is taken only when it lands inside the bracket and is at
+    most half the step before the previous one (the rule of Numerical
+    Recipes' ``rtsafe``), so a steep convex piece is bisected rather than
+    walked down in steps of about x/n.
+    """
     f_lo = poly(lo)
     if f_lo == 0.0:
         return lo, 0.0, 0
@@ -297,41 +315,44 @@ def _refine(poly: _Poly, lo: float, hi: float, cfg: SolverConfig) -> tuple[float
         return hi, 0.0, 0
     negative_left = f_lo < 0.0
     x = 0.5 * (lo + hi)
-    for iteration in range(1, cfg.max_iterations + 1):
+    step = older = hi - lo
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         fx = poly(x)
-        if abs(fx) <= cfg.tolerance * (1.0 + abs(x) ** poly.n):
+        if abs(fx) <= tolerance * (1.0 + abs(x) ** poly.n):
             return x, abs(fx), iteration
         if (fx < 0.0) == negative_left:
             lo = x
         else:
             hi = x
         slope = poly.deriv(x)
-        if slope != 0.0:
-            candidate = x - fx / slope
-            if lo < candidate < hi:
-                x = candidate
-                continue
-        x = 0.5 * (lo + hi)
+        nxt = x - fx / slope if slope != 0.0 else lo
+        if not (lo < nxt < hi and 2.0 * abs(nxt - x) <= older):
+            nxt = 0.5 * (lo + hi)
+        older, step, x = step, abs(nxt - x), nxt
     raise NoConvergence(
-        f"no root to tolerance {cfg.tolerance} within {cfg.max_iterations} iterations"
+        f"no root to tolerance {tolerance} within {_MAX_ITERATIONS} iterations"
     )
 
 
 def _solve(n: int, c: int, e: int, rhs: Fraction, cfg: SolverConfig) -> RootSet:
-    exact_roots, brackets = _seeds(n, c, e, rhs, cfg)
-    poly = _Poly(n, c, e, rhs)
-    records = []
-    for root in exact_roots:
-        fv = float(root)
-        records.append(RootRecord(fv, (fv, fv), abs(poly(fv)), 0))
-    for lo, hi in brackets:
-        value, residual, iterations = _refine(poly, lo, hi, cfg)
-        records.append(RootRecord(value, (lo, hi), residual, iterations))
+    try:
+        poly = _Poly(n, c, e, rhs)
+        exact_roots, brackets = _seeds(poly)
+        records = []
+        for root in exact_roots:
+            fv = float(root)
+            records.append(RootRecord(fv, (fv, fv), abs(poly(fv)), 0, root))
+        for lo, hi in brackets:
+            value, residual, iterations = _refine(poly, lo, hi, cfg.tolerance)
+            records.append(RootRecord(value, (lo, hi), residual, iterations))
+    except OverflowError as exc:
+        raise InputTooLarge("values of the equation exceed the float range (about 1.8e308) "
+                            "of the first refinement stage") from exc
     records.sort(key=lambda record: record.value)
     for record in records:
         if record.residual > cfg.tolerance * (1.0 + abs(record.value) ** n):
             raise NoConvergence(f"residual contract violated at x = {record.value}")
-    return RootSet(tuple(records), exhaustive=True)
+    return RootSet(tuple(records), poly)
 
 
 def isolate_real_roots(spec: TrinomialSpec,
@@ -341,27 +362,21 @@ def isolate_real_roots(spec: TrinomialSpec,
     Exactly-known roots (at critical points, or from the linear cases)
     appear as degenerate (value, value) brackets.
     """
-    exact_roots, brackets = _seeds(spec.n, spec.signed_p, spec.exponent, spec.rhs, cfg)
-    out = [(float(r), float(r)) for r in exact_roots] + brackets
-    out.sort()
-    return out
+    return [record.bracket for record in solve_trinomial(spec, cfg).roots]
 
 
 def solve_trinomial(spec: TrinomialSpec, cfg: SolverConfig = DEFAULT_CONFIG) -> RootSet:
     """Every real root of ``x**n + s*p*x**e = m/2``, certified.
 
     Raises :class:`DegenerateIdentity` when the x terms cancel (n = 1,
-    minus sign, p = 1), since silence there would mask a modeling mistake.
+    minus sign, p = 1), since silence there would mask a modeling mistake,
+    and :class:`InputTooLarge` when the float stage overflows.
     """
     return _solve(spec.n, spec.signed_p, spec.exponent, spec.rhs, cfg)
 
 
 def solve_gm_general(n: int, m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> RootSet:
     """Every real root of the generalized golden-mean equation ``x**n + x = m/2``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
     return solve_trinomial(TrinomialSpec(n=n, p=1, p_sign="plus", m=m), cfg)
 
 
@@ -383,12 +398,22 @@ def solve_stakhov(n: int, variant: str = "a", cfg: SolverConfig = DEFAULT_CONFIG
     return value
 
 
+def stakhov_decimal(n: int, variant: str, value: float, digits: int) -> str:
+    """The root ``value`` of :func:`solve_stakhov`, truncated to ``digits`` exact places.
+
+    The root lies in [0, 1], where both left sides increase: that is its bracket.
+    """
+    poly = _Poly(n, 1, 1 if variant == "a" else n - 1, Fraction(1))
+    return poly.truncate(value, 0.0, 1.0, digits)[0]
+
+
 def solve_euler(a, n: int, x, mode: str = "constrained",
                 cfg: SolverConfig = DEFAULT_CONFIG) -> RootSet:
     """Solve ``(a + b**n)/n = x`` for b.
 
     direct mode: all real b with ``b**n = n*x - a`` (one or two values by
-    parity; raises :class:`NoRealRoot` for an even n and negative target).
+    parity; raises :class:`NoRealRoot` for an even n and negative target),
+    solved as the trinomial ``b**n + 0*b = n*x - a``.
 
     constrained mode: sets a = b and solves ``b**n + b = n*x`` with the
     trinomial machinery; at n = 2, x = 1/2 this is exactly the golden-mean
@@ -402,45 +427,7 @@ def solve_euler(a, n: int, x, mode: str = "constrained",
         return _solve(n, 1, 1, n * x, cfg)
     if mode != "direct":
         raise ValueError(f"mode must be 'direct' or 'constrained', got {mode!r}")
-
     target = n * x - a
     if n % 2 == 0 and target < 0:
         raise NoRealRoot(f"b**{n} = {target} has no real solution")
-    if target == 0:
-        return RootSet((RootRecord(0.0, (0.0, 0.0), 0.0, 0),), exhaustive=True)
-
-    magnitude = -target if target < 0 else target
-    exact = _fraction_kth_root(magnitude, n)
-    if exact is not None:
-        root_f = float(exact)
-        iterations = 0
-    else:
-        root_f, iterations = _float_kth_root(float(magnitude), n)
-    target_f = float(target)
-
-    def record(value: float) -> RootRecord:
-        residual = abs(value ** n - target_f)
-        return RootRecord(value, (value, value), residual, iterations)
-
-    if n % 2 == 1:
-        roots = (record(root_f if target > 0 else -root_f),)
-    else:
-        roots = (record(-root_f), record(root_f))
-    return RootSet(roots, exhaustive=True)
-
-
-def _float_kth_root(t: float, k: int) -> tuple[float, int]:
-    """Newton-polished positive k-th root of t > 0."""
-    r = t ** (1.0 / k)
-    iterations = 0
-    for _ in range(8):
-        err = r ** k - t
-        if err == 0.0:
-            break
-        step = err / (k * r ** (k - 1))
-        nxt = r - step
-        iterations += 1
-        if nxt == r:
-            break
-        r = nxt
-    return r, iterations
+    return _solve(n, 0, 1, target, cfg)

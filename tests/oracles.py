@@ -2,8 +2,9 @@
 
 Everything here is deliberately separate from the library code paths it
 checks: plain bisection, naive float continued fractions, truncation via
-the decimal module, numpy grid sign counting, and exact polynomial gcd
-over Fractions for multiple-root detection.
+the decimal module, numpy grid sign counting, exact polynomial gcd
+over Fractions for multiple-root detection, and mpmath's polynomial roots
+at 250 digits.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from decimal import ROUND_DOWN, Decimal
 from fractions import Fraction
 from math import floor, isqrt
 
+import mpmath
 import numpy as np
 
 GRID = np.linspace(-10.0, 10.0, 20001)  # step 1e-3
@@ -101,3 +103,39 @@ def has_multiple_root(n: int, c: int, e: int, rhs: Fraction) -> bool:
     while b:
         a, b = b, _poly_mod(a, b)
     return len(a) > 1
+
+
+#: working precision of the mpmath oracles, in decimal digits
+MP_DIGITS = 250
+
+
+def mp_real_roots(n: int, c, e: int, rhs) -> list:
+    """Real roots of x**n + c*x**e - rhs, descending, from mpmath.polyroots.
+
+    Only for polynomials without repeated roots (see has_multiple_root).
+    """
+    with mpmath.workdps(MP_DIGITS):
+        coeffs = [mpmath.mpf(0)] * (n + 1)  # highest degree first
+        coeffs[0] += 1
+        coeffs[n - e] += mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
+        coeffs[n] -= mpmath.mpf(Fraction(rhs).numerator) / Fraction(rhs).denominator
+        if n == 1:
+            return [-coeffs[1] / coeffs[0]]
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=2 * MP_DIGITS)
+        tiny = mpmath.mpf(10) ** (-MP_DIGITS // 2)
+        return sorted((mpmath.re(r) for r in roots if abs(mpmath.im(r)) < tiny), reverse=True)
+
+
+def truncate_mpf(x, digits: int) -> str:
+    """``x`` truncated toward zero to ``digits`` places.
+
+    A value within 1e-40 grid steps of a grid point is taken to be on it, so
+    exact roots that polyroots returns with a last-digit error truncate right.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        scaled = abs(x) * mpmath.mpf(10) ** digits
+        nearest = mpmath.nint(scaled)
+        on_grid = abs(scaled - nearest) < mpmath.mpf(10) ** -40
+        whole = int(nearest) if on_grid else int(mpmath.floor(scaled))
+        text = f"{whole // 10 ** digits}.{whole % 10 ** digits:0{digits}d}"
+        return f"-{text}" if x < 0 and not (on_grid and whole == 0) else text

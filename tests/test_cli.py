@@ -57,6 +57,18 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0 and "usage" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "2", "--m", "1" + "0" * 400),
+        ("euler", "--a", "0", "--n", "2", "--x", "1" + "0" * 400, "--mode", "direct"),
+        ("mmf", "--n", "3", "--p", "1" + "0" * 400, "--sign", "plus", "--m", "2"),
+    ])
+    def test_input_too_large(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input-too-large:")
+        assert err.count("\n") == 1
+
     def test_euler_no_real_root(self, capsys):
         code, out, err = invoke(capsys, "euler", "--a", "5", "--n", "2",
                                 "--x", "1", "--mode", "direct")

@@ -1,0 +1,121 @@
+"""Every printed trinomial digit is exact: the CLI against 250-digit mpmath oracles.
+
+Covers the commands whose roots are not quadratic surds: solve (n != 2),
+mmf, stakhov and both euler modes.  Each printed decimal must equal the
+oracle root truncated toward zero, at widths from 1 to 200 digits.
+"""
+
+import json
+import random
+import time
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from goldmean.cli import run
+from goldmean.trinomials import _critical_signs, _Poly
+from oracles import has_multiple_root, mp_real_roots, truncate_mpf
+
+DIGITS = (1, 10, 16, 29, 40, 200)
+
+
+def _cases():
+    """(argv, (n, c, e, rhs)) for each command, without repeated roots."""
+    for n in (1, 3, 4, 5, 7):
+        for m in (0, 1, 2, 7, 100):
+            yield ["solve", "--n", str(n), "--m", str(m)], (n, 1, 1, Fraction(m, 2))
+    for n in (1, 3, 4, 6):
+        for p in (1, 2, 5):
+            for sign in ("plus", "minus"):
+                for m in (0, 1, 9):
+                    if n == 1 and p == 1 and sign == "minus":
+                        continue
+                    c = p if sign == "plus" else -p
+                    yield (["mmf", "--n", str(n), "--p", str(p), "--sign", sign, "--m", str(m)],
+                           (n, c, 1, Fraction(m, 2)))
+    for n in range(1, 8):
+        yield ["stakhov", "--n", str(n), "--variant", "a"], (n, 1, 1, Fraction(1))
+        yield ["stakhov", "--n", str(n), "--variant", "b"], (n, 1, n - 1, Fraction(1))
+    for a, n, x in (("0", 2, "1"), ("1", 3, "2"), ("-1/3", 4, "5/7"), ("2", 5, "-3"),
+                    ("0", 6, "1/2"), ("0", 3, "9"), ("0", 2, "1/2"), ("7", 1, "2"), ("2", 4, "1/2")):
+        yield (["euler", f"--a={a}", "--n", str(n), f"--x={x}", "--mode", "direct"],
+               (n, 0, 1, n * Fraction(x) - Fraction(a)))
+    for a, n, x in (("0", 2, "1/2"), ("0", 3, "1/3"), ("5", 5, "7/3"), ("0", 4, "0"), ("0", 1, "3")):
+        yield (["euler", f"--a={a}", "--n", str(n), f"--x={x}", "--mode", "constrained"],
+               (n, 1, 1, n * Fraction(x)))
+
+
+CASES = [(argv, poly) for argv, poly in _cases() if not has_multiple_root(*poly)]
+
+
+@pytest.mark.parametrize("argv,poly", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+def test_printed_digits_match_mpmath(argv, poly, capsys):
+    roots = mp_real_roots(*poly)
+    if argv[0] == "stakhov":
+        roots = [r for r in roots if r >= 0]
+    for digits in DIGITS:
+        assert run(argv + ["--format", "json", "--digits", str(digits)]) == 0
+        printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
+        assert printed == [truncate_mpf(r, digits) for r in roots], digits
+
+
+def _critical_cases(seed=7, count=400):
+    """Seeded (n, c, rhs) of the e = 1 family, half with f nearly 0 at a critical point.
+
+    The fixed cases have rational critical points, three of them double roots.
+    """
+    yield from ((3, -3, Fraction(2)), (3, -12, Fraction(16)), (5, -5, Fraction(4)),
+                (4, -32, Fraction(7, 2)), (2, 3, Fraction(-9, 4)), (4, 0, Fraction(0)))
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 40)
+        c = rng.choice((1, -1)) * rng.randint(1, 60)
+        m = rng.randint(0, 1000)
+        if i % 2:
+            # m/2 near c*(n-1)/n * x* puts f(x*) close to zero
+            star = abs(c / n) ** (1 / (n - 1)) * (-1 if c > 0 else 1)
+            m = max(0, round(2 * c * (n - 1) / n * star) + rng.randint(-1, 1))
+        yield n, c, Fraction(m, 2)
+
+
+def test_signs_at_critical_points_match_mpmath():
+    checked = zeros = 0
+    with mpmath.workdps(100):
+        for n, c, rhs in _critical_cases():
+            for fval, exact, sign in _critical_signs(_Poly(n, c, 1, rhs)):
+                star = mpmath.root(mpmath.mpf(abs(c)) / n, n - 1) * (1 if fval > 0 else -1)
+                value = star ** n + c * star - mpmath.mpf(rhs.numerator) / rhs.denominator
+                if abs(value) < mpmath.mpf(10) ** -80:
+                    assert sign == 0 and exact is not None
+                    assert abs(mpmath.mpf(exact.numerator) / exact.denominator - star) < 1e-80
+                    zeros += 1
+                else:
+                    assert sign == (1 if value > 0 else -1), (n, c, rhs)
+                checked += 1
+    assert checked > 300 and zeros >= 4
+
+
+class TestPinned:
+    def _text(self, capsys, *argv):
+        assert run(list(argv)) == 0
+        return capsys.readouterr().out
+
+    def test_cubic_at_sixteen_digits(self, capsys):
+        out = self._text(capsys, "solve", "--n", "3", "--m", "2", "--digits", "16")
+        assert out == "x1 = 0.6823278038280193 (satisfactory)\n"
+
+    def test_zero_root_prints_fixed_notation(self, capsys):
+        out = self._text(capsys, "mmf", "--n", "5", "--p", "3", "--sign", "minus", "--m", "0")
+        assert "x2 = 0.0000000000\n" in out
+
+    def test_root_on_a_bracket_end(self, capsys):
+        # x**9 + x = 2 has the root 1, which the outward search lands on exactly
+        out = self._text(capsys, "solve", "--n", "9", "--m", "4")
+        assert out == "x1 = 1.0000000000 (satisfactory)\n"
+
+    def test_degree_300_at_1000_digits(self, capsys):
+        start = time.perf_counter()
+        out = self._text(capsys, "solve", "--n", "300", "--m", "1000", "--digits", "1000")
+        assert time.perf_counter() - start < 10.0
+        assert out.startswith("x1 = 1.0209244569877836491")

@@ -42,7 +42,9 @@ class DegenerateIdentity(DomainError):
 
 
 class InputTooLarge(DomainError):
-    """An input or root beyond the float range of the first refinement stage."""
+    """An input or root beyond the float range of the first refinement stage, or a
+    radicand above the bound of square-free splitting (``surds.MAX_RADICAND``).
+    """
 
     code = "input-too-large"
 

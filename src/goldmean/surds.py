@@ -16,24 +16,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, sqrt
 
-from .errors import MixedRadicands, NonPositive
+from .errors import InputTooLarge, MixedRadicands, NonPositive
 
 #: The exact scalar used throughout the library.
 Rational = Fraction
+
+#: Largest radicand the public constructor normalizes (about 0.1 s of trial division).
+MAX_RADICAND = 10 ** 18
+
+_ZERO = Fraction(0)
 
 
 def _split_square(n: int) -> tuple[int, int]:
     """Return ``(root, free)`` with ``n == root**2 * free`` and ``free`` square-free.
 
-    Trial division up to sqrt(n); radicands in this library stay small.
+    Trial division only while f**3 <= rest, so the cost is O(n**(1/3)).  The
+    cofactor left then has at most two prime factors, all above f, so it is
+    1, p, p*q or p**2, and it is a square exactly when ``isqrt(rest)**2 == rest``.
     """
-    root, free, f = 1, n, 2
-    while f * f <= free:
-        while free % (f * f) == 0:
-            free //= f * f
-            root *= f
-        f += 1
-    return root, free
+    root = free = 1
+    rest, f = n, 2
+    while f * f * f <= rest:
+        if rest % f == 0:
+            k = 0
+            while rest % f == 0:
+                rest //= f
+                k += 1
+            root *= f ** (k >> 1)
+            if k & 1:
+                free *= f
+        f += 1 if f == 2 else 2
+    r = isqrt(rest)
+    if r * r == rest:
+        return root * r, free
+    return root, free * rest
 
 
 def _sgn(x) -> int:
@@ -67,10 +83,14 @@ def _sign_pair(a: Fraction, b: Fraction, d: int) -> int:
 class QuadraticSurd:
     """Immutable exact value ``rat + coeff*sqrt(radicand)``.
 
-    The constructor normalizes: square factors of the radicand are pulled
-    into the coefficient, a perfect-square radicand is folded into the
-    rational part, and zero is always stored as ``(0, 0, 0)``.  After
-    normalization the triple is canonical, so equality is component-wise.
+    The public constructor and :meth:`sqrt` normalize: square factors of the
+    radicand are pulled into the coefficient, a perfect-square radicand is
+    folded into the rational part, and zero is always stored as ``(0, 0, 0)``.
+    They raise :class:`InputTooLarge` for a radicand above
+    :data:`MAX_RADICAND`.  After normalization the triple is canonical, so
+    equality is component-wise.  Field operations keep the square-free
+    radicand of their operands, so their results are canonical already and
+    are built without another split.
 
     Arithmetic stays inside one quadratic field; combining two irrational
     values with different radicands raises :class:`MixedRadicands`.
@@ -87,21 +107,40 @@ class QuadraticSurd:
         if d < 0:
             raise ValueError("radicand must be non-negative")
         if b == 0 or d == 0:
-            b, d = Fraction(0), 0
+            b, d = _ZERO, 0
+        elif d > MAX_RADICAND:
+            raise InputTooLarge(f"radicand {d} exceeds the bound {MAX_RADICAND} "
+                                "of square-free splitting")
         else:
             root, free = _split_square(d)
             b *= root
             d = free
             if d == 1:
                 a += b
-                b, d = Fraction(0), 0
+                b, d = _ZERO, 0
         self._rat = a
         self._coeff = b
         self._radicand = d
 
     @classmethod
+    def _canonical(cls, rat: Fraction, coeff: Fraction, d: int) -> "QuadraticSurd":
+        """The value ``rat + coeff*sqrt(d)`` for a square-free ``d`` other than 1, or 0.
+
+        Only a zero ``coeff`` is folded; the radicand is not split again.
+        """
+        self = object.__new__(cls)
+        if coeff == 0:
+            coeff, d = _ZERO, 0
+        self._rat, self._coeff, self._radicand = rat, coeff, d
+        return self
+
+    @classmethod
     def sqrt(cls, value) -> "QuadraticSurd":
-        """Exact square root of a non-negative rational."""
+        """Exact square root of a non-negative rational.
+
+        Raises :class:`InputTooLarge` when numerator times denominator
+        exceeds :data:`MAX_RADICAND`.
+        """
         q = _as_fraction(value)
         if q < 0:
             raise ValueError("square root of a negative rational is not real")
@@ -124,7 +163,7 @@ class QuadraticSurd:
         return self._coeff == 0
 
     def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self._rat, -self._coeff, self._radicand)
+        return QuadraticSurd._canonical(self._rat, -self._coeff, self._radicand)
 
     def sign(self) -> int:
         """-1, 0 or +1, decided exactly."""
@@ -146,12 +185,12 @@ class QuadraticSurd:
         if other is None:
             return NotImplemented
         d = self._joint_radicand(other)
-        return QuadraticSurd(self._rat + other._rat, self._coeff + other._coeff, d)
+        return QuadraticSurd._canonical(self._rat + other._rat, self._coeff + other._coeff, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd(-self._rat, -self._coeff, self._radicand)
+        return QuadraticSurd._canonical(-self._rat, -self._coeff, self._radicand)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -172,7 +211,7 @@ class QuadraticSurd:
         d = self._joint_radicand(other)
         rat = self._rat * other._rat + self._coeff * other._coeff * d
         coeff = self._rat * other._coeff + self._coeff * other._rat
-        return QuadraticSurd(rat, coeff, d)
+        return QuadraticSurd._canonical(rat, coeff, d)
 
     __rmul__ = __mul__
 
@@ -186,7 +225,7 @@ class QuadraticSurd:
         # multiply by the conjugate; the norm a^2 - b^2 d is a nonzero rational
         norm = other._rat * other._rat - other._coeff * other._coeff * d
         num = self * other.conjugate()
-        return QuadraticSurd(num._rat / norm, num._coeff / norm, num._radicand)
+        return QuadraticSurd._canonical(num._rat / norm, num._coeff / norm, num._radicand)
 
     def __rtruediv__(self, other):
         other = _coerce(other)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf, nextafter
 from typing import Literal, Optional
 
 from .errors import DegenerateIdentity, InputTooLarge, NoConvergence, NoRealRoot
@@ -74,7 +75,8 @@ _BRACKET_GROWTH = 2.0
 @dataclass(frozen=True)
 class SolverConfig:
     """Refinement tolerance: a float root is accepted once its scaled residual
-    |f(x)| / (1 + |x|**n) is at most ``tolerance``.
+    |f(x)| / (1 + |x|**n) is at most ``tolerance``, or once its bracket is two
+    adjacent floats.
     """
 
     tolerance: float = 1e-12
@@ -303,10 +305,12 @@ def _seeds(poly: _Poly) -> tuple[list[Fraction], list[tuple[float, float]]]:
 def _refine(poly: _Poly, lo: float, hi: float, tolerance: float) -> tuple[float, float, int]:
     """Bisection with a safeguarded Newton step inside a sign-change bracket.
 
-    A Newton step is taken only when it lands inside the bracket and is at
-    most half the step before the previous one (the rule of Numerical
-    Recipes' ``rtsafe``), so a steep convex piece is bisected rather than
-    walked down in steps of about x/n.
+    Stops once the scaled residual is within ``tolerance`` or the bracket is
+    two adjacent floats, where no float lies closer to the root.  A Newton
+    step is taken only when it lands inside the bracket and is at most half
+    the step before the previous one (the rule of Numerical Recipes'
+    ``rtsafe``), so a steep convex piece is bisected rather than walked down
+    in steps of about x/n.
     """
     f_lo = poly(lo)
     if f_lo == 0.0:
@@ -318,7 +322,8 @@ def _refine(poly: _Poly, lo: float, hi: float, tolerance: float) -> tuple[float,
     step = older = hi - lo
     for iteration in range(1, _MAX_ITERATIONS + 1):
         fx = poly(x)
-        if abs(fx) <= tolerance * (1.0 + abs(x) ** poly.n):
+        # x is an end of the bracket only once lo and hi are adjacent floats
+        if abs(fx) <= tolerance * (1.0 + abs(x) ** poly.n) or not lo < x < hi:
             return x, abs(fx), iteration
         if (fx < 0.0) == negative_left:
             lo = x
@@ -332,6 +337,12 @@ def _refine(poly: _Poly, lo: float, hi: float, tolerance: float) -> tuple[float,
     raise NoConvergence(
         f"no root to tolerance {tolerance} within {_MAX_ITERATIONS} iterations"
     )
+
+
+def _sign_change_at_ulp(poly: _Poly, x: float) -> bool:
+    """Whether f changes sign in binary64 between x and one of its neighbouring floats."""
+    s = _sgn(poly(x))
+    return any(_sgn(poly(nextafter(x, side))) != s for side in (-inf, inf))
 
 
 def _solve(n: int, c: int, e: int, rhs: Fraction, cfg: SolverConfig) -> RootSet:
@@ -350,7 +361,8 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, cfg: SolverConfig) -> RootSet:
                             "of the first refinement stage") from exc
     records.sort(key=lambda record: record.value)
     for record in records:
-        if record.residual > cfg.tolerance * (1.0 + abs(record.value) ** n):
+        if (record.residual > cfg.tolerance * (1.0 + abs(record.value) ** n)
+                and not _sign_change_at_ulp(poly, record.value)):
             raise NoConvergence(f"residual contract violated at x = {record.value}")
     return RootSet(tuple(records), poly)
 

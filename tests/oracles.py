@@ -1,10 +1,10 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately separate from the library code paths it
-checks: plain bisection, naive float continued fractions, truncation via
-the decimal module, numpy grid sign counting, exact polynomial gcd
-over Fractions for multiple-root detection, and mpmath's polynomial roots
-at 250 digits.
+checks: plain bisection, full factorization by trial division up to the
+square root, naive float continued fractions, truncation via the decimal
+module, numpy grid sign counting, exact polynomial gcd over Fractions for
+multiple-root detection, and mpmath's polynomial roots at 250 digits.
 """
 
 from __future__ import annotations
@@ -51,6 +51,26 @@ def truncate_float(value: float, digits: int) -> str:
     """Decimal rendering truncated toward zero (independent of the library)."""
     quantum = Decimal(1).scaleb(-digits)
     return str(Decimal(value).quantize(quantum, rounding=ROUND_DOWN))
+
+
+def split_square_reference(n: int) -> tuple[int, int]:
+    """``(root, free)`` with ``n == root**2 * free``, free square-free, from a full
+    factorization by trial division up to sqrt(n).
+    """
+    exponents: dict[int, int] = {}
+    rest, p = n, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            rest //= p
+        p += 1
+    if rest > 1:
+        exponents[rest] = exponents.get(rest, 0) + 1
+    root = free = 1
+    for p, k in exponents.items():
+        root *= p ** (k // 2)
+        free *= p ** (k % 2)
+    return root, free
 
 
 def sqrt_decimal_string(whole: int, radicand: int, digits: int) -> str:

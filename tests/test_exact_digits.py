@@ -119,3 +119,16 @@ class TestPinned:
         out = self._text(capsys, "solve", "--n", "300", "--m", "1000", "--digits", "1000")
         assert time.perf_counter() - start < 10.0
         assert out.startswith("x1 = 1.0209244569877836491")
+
+    @pytest.mark.parametrize("argv,poly", [
+        (["solve", "--n", "3", "--m", "2", "--tol", "1e-300"], (3, 1, 1, Fraction(1))),
+        (["mmf", "--n", "3", "--p", "1000000", "--sign", "minus", "--m", "1000000"],
+         (3, -1000000, 1, Fraction(500000))),
+    ])
+    def test_tolerance_below_float_noise(self, capsys, argv, poly):
+        # the float bracket closes to adjacent floats before the residual meets the tolerance
+        roots = mp_real_roots(*poly)
+        for digits in (10, 30):
+            assert run(argv + ["--format", "json", "--digits", str(digits)]) == 0
+            printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
+            assert printed == [truncate_mpf(r, digits) for r in roots], digits

@@ -1,21 +1,30 @@
 """Exact surd arithmetic, decimal rendering and continued fractions."""
 
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldmean import (
+    InputTooLarge,
     MixedRadicands,
     NonPositive,
     QuadraticSurd,
     continued_fraction_of,
+    generalized_gm,
     metallic_mean,
     surd_compare,
     to_decimal,
 )
-from oracles import float_cf_terms
+from goldmean import surds
+from goldmean.cli import run
+from goldmean.surds import MAX_RADICAND, _split_square
+from oracles import float_cf_terms, split_square_reference, truncate_mpf
 
 GOLDEN = QuadraticSurd(Fraction(-1, 2), Fraction(1, 2), 5)       # (-1+sqrt5)/2
 GOLDEN_CONJ = QuadraticSurd(Fraction(-1, 2), Fraction(-1, 2), 5)  # (-1-sqrt5)/2
@@ -248,3 +257,111 @@ class TestPresentation:
     def test_hash_matches_rational_when_rational(self):
         assert hash(QuadraticSurd(3)) == hash(3)
         assert QuadraticSurd(0, 2, 9) == 6
+
+
+def _primes(lo: int, hi: int) -> list[int]:
+    sieve = bytearray([1]) * hi
+    sieve[:2] = b"\x00\x00"
+    for f in range(2, int(hi ** 0.5) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytearray(len(range(f * f, hi, f)))
+    return [p for p in range(lo, hi) if sieve[p]]
+
+
+#: each crafted product below has a prime factor above its cube root, left to the cofactor test
+_BIG_PRIMES = _primes(1000, 60000)
+_big = st.sampled_from(_BIG_PRIMES)
+_CRAFTED = st.one_of(
+    st.integers(1, 10 ** 9),
+    st.builds(lambda p: p * p, _big),
+    st.builds(lambda p, q: p * q, _big, _big),
+    st.builds(lambda p, q: p * p * q, _big, _big),
+    st.builds(lambda r, p: r * p * p, st.integers(1, 999), _big),
+)
+
+
+class TestSplitSquare:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_CRAFTED)
+    def test_matches_trial_division_to_the_square_root(self, n):
+        root, free = _split_square(n)
+        assert root * root * free == n
+        assert (root, free) == split_square_reference(n)
+
+    @pytest.mark.parametrize("n,expected", [
+        (1, (1, 1)),
+        (999983 * 1000003, (1, 999983 * 1000003)),
+        (999983 ** 2, (999983, 1)),
+        (12 * 999983 ** 2, (2 * 999983, 3)),
+        (999983 ** 2 * 1000003, (999983, 1000003)),
+        (10 ** 18 - 11, (1, 10 ** 18 - 11)),                   # prime
+        (999999937 * 1000000007, (1, 999999937 * 1000000007)),  # two primes near 1e9
+        ((10 ** 9 + 7) ** 2, (10 ** 9 + 7, 1)),
+        (2 ** 59, (2 ** 29, 2)),
+    ])
+    def test_crafted_near_the_bound(self, n, expected):
+        assert _split_square(n) == expected
+
+
+class TestNoSplitInFieldOperations:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen: list[int] = []
+        real = surds._split_square
+        monkeypatch.setattr(surds, "_split_square", lambda n: seen.append(n) or real(n))
+        return seen
+
+    def test_field_operations_make_no_split(self, calls):
+        x = QuadraticSurd(Fraction(1, 3), Fraction(2, 7), 4000000007)
+        y = QuadraticSurd(Fraction(-5, 2), Fraction(1, 9), 4000000007)
+        assert calls == [4000000007, 4000000007]
+        calls.clear()
+        results = [x + y, x - y, x * y, x / y, x ** 5, x ** -3, x.conjugate(), -x,
+                   x + 1, 2 * x, Fraction(1, 2) - x, 3 / x, x * x.conjugate()]
+        assert calls == []
+        assert results[-1].is_rational and results[2] * results[3] == x * x
+
+    def test_metallic_mean_splits_once(self, calls):
+        mean = metallic_mean(1, 10 ** 9)
+        assert calls == [4 * 10 ** 9 + 1]
+        assert mean.radicand == 4 * 10 ** 9 + 1
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 4, 12, 10 ** 6, 10 ** 15])
+    def test_generalized_gm_splits_once(self, calls, m):
+        generalized_gm(m)
+        assert calls == [2 * m + 1]
+
+
+class TestRadicandBound:
+    def test_constructor_and_sqrt_reject_above_the_bound(self):
+        with pytest.raises(InputTooLarge):
+            QuadraticSurd(0, 1, MAX_RADICAND + 1)
+        with pytest.raises(InputTooLarge):
+            QuadraticSurd.sqrt(Fraction(MAX_RADICAND + 1, 1))
+        with pytest.raises(InputTooLarge):
+            QuadraticSurd.sqrt(Fraction(10 ** 9 + 1, 10 ** 9))  # numerator times denominator
+
+    def test_the_bound_itself_is_normalized(self):
+        assert QuadraticSurd(0, 1, MAX_RADICAND) == 10 ** 9
+        prime = QuadraticSurd.sqrt(10 ** 18 - 11)
+        assert (prime.coeff, prime.radicand) == (1, 10 ** 18 - 11)
+
+    def test_zero_coefficient_needs_no_split(self):
+        assert QuadraticSurd(5, 0, MAX_RADICAND * 10) == 5
+
+    def test_cli_reports_input_too_large(self, capsys):
+        assert run(["metallic", "--p", "1", "--q", "1e20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: input-too-large:")
+        assert captured.err.count("\n") == 1
+
+    def test_cli_large_radicand_is_exact(self, capsys):
+        start = time.perf_counter()
+        assert run(["metallic", "--p", "1", "--q", "1e14", "--digits", "40"]) == 0
+        assert time.perf_counter() - start < 1.0
+        with mpmath.workdps(80):
+            mean = (1 + mpmath.sqrt(mpmath.mpf(4 * 10 ** 14 + 1))) / 2
+            expected = truncate_mpf(mean, 40)
+        assert capsys.readouterr().out == (
+            f"metallic mean (p=1, q=100000000000000) = (1 + √400000000000001)/2 = {expected}\n")

@@ -52,10 +52,9 @@ from .triangles import (
     table_one,
 )
 from .trinomials import (
-    DEFAULT_CONFIG,
+    TOLERANCE,
     RootRecord,
     RootSet,
-    SolverConfig,
     TrinomialSpec,
     isolate_real_roots,
     solve_euler,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ContinuedFraction",
     "CrossCheckFailed",
-    "DEFAULT_CONFIG",
     "DegenerateIdentity",
     "DomainError",
     "DoubletReport",
@@ -88,7 +86,7 @@ __all__ = [
     "RootPair",
     "RootRecord",
     "RootSet",
-    "SolverConfig",
+    "TOLERANCE",
     "TableOneRow",
     "TrinomialSpec",
     "TripletClass",

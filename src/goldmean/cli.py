@@ -18,15 +18,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InputTooLarge
 from .harmonic import build_table, cross_check_integer_means, key_rows
 from .quadratics import generalized_gm, metallic_mean
-from .surds import QuadraticSurd, continued_fraction_of, to_decimal
-from .triangles import diophantus_triple, table_one
+from .surds import MAX_DIGITS, QuadraticSurd, continued_fraction_of, to_decimal
+from .triangles import MAX_TRIPLES, diophantus_triple, table_one
 from .trinomials import (
-    DEFAULT_CONFIG,
+    TOLERANCE,
     RootSet,
-    SolverConfig,
     TrinomialSpec,
     solve_euler,
     solve_gm_general,
@@ -99,9 +98,8 @@ def _root_text(record: dict) -> str:
 
 
 def _cmd_solve(ns) -> _Output:
-    cfg = SolverConfig(tolerance=ns.tol) if ns.tol is not None else DEFAULT_CONFIG
-    roots = solve_gm_general(ns.n, ns.m, cfg)
-    inputs = {"n": ns.n, "m": ns.m, "tolerance": cfg.tolerance}
+    roots = solve_gm_general(ns.n, ns.m, tolerance=ns.tol)
+    inputs = {"n": ns.n, "m": ns.m, "tolerance": ns.tol}
     exact, footer = None, ()
     if ns.n == 2:
         pair = generalized_gm(ns.m)
@@ -114,7 +112,7 @@ def _cmd_solve(ns) -> _Output:
 
 def _cmd_mmf(ns) -> _Output:
     spec = TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
-    roots = solve_trinomial(spec, DEFAULT_CONFIG)
+    roots = solve_trinomial(spec)
     inputs = {"n": ns.n, "p": ns.p, "sign": ns.sign, "m": ns.m}
     return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_COLUMNS)
 
@@ -161,6 +159,8 @@ def _cmd_table1(ns) -> _Output:
 
 
 def _cmd_diophantus(ns) -> _Output:
+    if ns.count > MAX_TRIPLES:
+        raise InputTooLarge(f"count {ns.count} exceeds the bound {MAX_TRIPLES}")
     inputs = {"count": ns.count}
     records = [{"a": t.a, "b": t.b, "c": t.c}
                for t in map(diophantus_triple, range(ns.count))]
@@ -231,13 +231,6 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -247,8 +240,8 @@ def _fraction(text: str) -> Fraction:
 
 def _digits(text: str) -> int:
     value = int(text)
-    if not 1 <= value <= 1000:
-        raise argparse.ArgumentTypeError("digits must be in 1..1000")
+    if not 1 <= value <= MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"digits must be in 1..{MAX_DIGITS}")
     return value
 
 
@@ -271,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_nonneg_int, required=True)
-    p.add_argument("--tol", type=_positive_float, default=None,
-                   help="scaled residual tolerance (default 1e-12)")
+    p.add_argument("--tol", type=float, default=TOLERANCE,
+                   help=f"scaled residual tolerance (default {TOLERANCE})")
 
     p = sub.add_parser("mmf", parents=[common],
                        help="all real roots of x**n ± p*x = m/2")

@@ -42,8 +42,8 @@ class DegenerateIdentity(DomainError):
 
 
 class InputTooLarge(DomainError):
-    """An input or root beyond the float range of the first refinement stage, or a
-    radicand above the bound of square-free splitting (``surds.MAX_RADICAND``).
+    """An input or root beyond the float range of the first refinement stage, or an
+    input above a documented bound: ``surds.MAX_RADICAND`` or a catalog size bound.
     """
 
     code = "input-too-large"

@@ -11,8 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CrossCheckFailed
+from .errors import CrossCheckFailed, InputTooLarge
 from .quadratics import integer_metallic
+
+#: Largest grid :attr:`HarmonicTable.cells` builds (about 1.2 s and 200 MB at the bound).
+MAX_GRID_SIZE = 2000
+#: Largest size the doublet scan and largest K the key rows take (O(size) records).
+MAX_SIZE = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,8 @@ class HarmonicTable:
 
     @cached_property
     def cells(self) -> tuple[tuple[int, ...], ...]:
+        if self.size > MAX_GRID_SIZE:
+            raise InputTooLarge(f"grid size {self.size} exceeds the bound {MAX_GRID_SIZE}")
         return tuple(tuple(i * j for j in range(self.size)) for i in range(self.size))
 
 
@@ -53,6 +60,8 @@ def find_doublets(table: HarmonicTable) -> list[DoubletReport]:
     even though zero fills the whole first row and column.  Reads only the
     2(size - 1) cells flanking the diagonal.
     """
+    if table.size > MAX_SIZE:
+        raise InputTooLarge(f"size {table.size} exceeds the doublet bound {MAX_SIZE}")
     out = []
     for k in range(table.size - 1):
         q = table.cell(k, k + 1)
@@ -66,6 +75,8 @@ def key_rows(k_max: int) -> list[tuple[int, int, int]]:
     """Rows (k, k^2 + k, k*(k+1)) with the two expressions computed independently."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
+    if k_max > MAX_SIZE:
+        raise InputTooLarge(f"key {k_max} exceeds the bound {MAX_SIZE}")
     out = []
     for k in range(k_max + 1):
         square_plus = k * k + k

@@ -23,6 +23,8 @@ Rational = Fraction
 
 #: Largest radicand the public constructor normalizes (about 0.1 s of trial division).
 MAX_RADICAND = 10 ** 18
+#: Most fractional digits a decimal rendering may ask for.
+MAX_DIGITS = 1000
 
 _ZERO = Fraction(0)
 
@@ -382,22 +384,21 @@ def _floor_scaled(v: QuadraticSurd, k: int) -> int:
 def to_decimal(value, digits: int) -> str:
     """Decimal expansion truncated (not rounded) to ``digits`` fractional digits.
 
-    Every emitted digit is exact: the value is scaled by two guard digits,
-    floored with an integer square root, and the guard digits dropped.
-    Negative values are truncated toward zero, so ``(-1-sqrt(5))/2`` at
-    7 digits renders as ``-1.6180339``.
+    Every emitted digit is exact: ``value * 10**digits`` is floored with an
+    integer square root.  Negative values are truncated toward zero, so
+    ``(-1-sqrt(5))/2`` at 7 digits renders as ``-1.6180339``.
     """
     _check_digits(digits)
     v = _require_surd(value)
     negative = v.sign() < 0
     if negative:
         v = -v
-    return _decimal_text(negative, _floor_scaled(v, digits + 2) // 100, digits)
+    return _decimal_text(negative, _floor_scaled(v, digits), digits)
 
 
 def _check_digits(digits) -> None:
-    if not isinstance(digits, int) or not 1 <= digits <= 1000:
-        raise ValueError("digits must be an integer in 1..1000")
+    if not isinstance(digits, int) or not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be an integer in 1..{MAX_DIGITS}")
 
 
 def _decimal_text(negative: bool, scaled: int, digits: int) -> str:

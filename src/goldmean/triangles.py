@@ -11,10 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .errors import CrossCheckFailed
+from .errors import CrossCheckFailed, InputTooLarge
 from .quadratics import generalized_gm
 
 Side = Literal["left", "right"]
+
+#: Most rows :func:`table_one` builds (a right-side row costs about 0.3 ms).
+MAX_ROWS = 10 ** 4
+#: Most triples the ``diophantus`` command lists (about 4 µs each).
+MAX_TRIPLES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,8 @@ def table_one(rows: int, side: str = "both") -> list[TableOneRow]:
     """
     if rows < 1:
         raise ValueError("rows must be >= 1")
+    if rows > MAX_ROWS:
+        raise InputTooLarge(f"rows {rows} exceeds the bound {MAX_ROWS}")
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be 'left', 'right' or 'both', got {side!r}")
     out: list[TableOneRow] = []

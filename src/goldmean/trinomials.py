@@ -23,8 +23,6 @@ from .errors import DegenerateIdentity, InputTooLarge, NoConvergence, NoRealRoot
 from .quadratics import Sign, sign_value
 from .surds import _as_fraction, _check_digits, _decimal_text, _sgn, to_decimal
 
-LowerExponent = Literal["one", "n_minus_one"]
-
 
 @dataclass(frozen=True)
 class TrinomialSpec:
@@ -38,7 +36,7 @@ class TrinomialSpec:
     p: int = 1
     p_sign: Sign = "plus"
     m: int = 0
-    lower_exponent: LowerExponent = "one"
+    lower_exponent: Literal["one", "n_minus_one"] = "one"
 
     def __post_init__(self):
         if self.n < 1:
@@ -66,27 +64,13 @@ class TrinomialSpec:
         return Fraction(self.m, 2)
 
 
+#: default tolerance: a float root is accepted once its scaled residual
+#: |f(x)| / (1 + |x|**n) is at most this, or once its bracket is two adjacent floats
+TOLERANCE = 1e-12
 #: float refinement steps per bracket before :class:`NoConvergence`
 _MAX_ITERATIONS = 200
 #: geometric factor of the outward bracket search
 _BRACKET_GROWTH = 2.0
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Refinement tolerance: a float root is accepted once its scaled residual
-    |f(x)| / (1 + |x|**n) is at most ``tolerance``, or once its bracket is two
-    adjacent floats.
-    """
-
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -345,7 +329,9 @@ def _sign_change_at_ulp(poly: _Poly, x: float) -> bool:
     return any(_sgn(poly(nextafter(x, side))) != s for side in (-inf, inf))
 
 
-def _solve(n: int, c: int, e: int, rhs: Fraction, cfg: SolverConfig) -> RootSet:
+def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) -> RootSet:
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
     try:
         poly = _Poly(n, c, e, rhs)
         exact_roots, brackets = _seeds(poly)
@@ -354,57 +340,60 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, cfg: SolverConfig) -> RootSet:
             fv = float(root)
             records.append(RootRecord(fv, (fv, fv), abs(poly(fv)), 0, root))
         for lo, hi in brackets:
-            value, residual, iterations = _refine(poly, lo, hi, cfg.tolerance)
+            value, residual, iterations = _refine(poly, lo, hi, tolerance)
             records.append(RootRecord(value, (lo, hi), residual, iterations))
     except OverflowError as exc:
         raise InputTooLarge("values of the equation exceed the float range (about 1.8e308) "
                             "of the first refinement stage") from exc
     records.sort(key=lambda record: record.value)
     for record in records:
-        if (record.residual > cfg.tolerance * (1.0 + abs(record.value) ** n)
+        if (record.residual > tolerance * (1.0 + abs(record.value) ** n)
                 and not _sign_change_at_ulp(poly, record.value)):
             raise NoConvergence(f"residual contract violated at x = {record.value}")
     return RootSet(tuple(records), poly)
 
 
-def isolate_real_roots(spec: TrinomialSpec,
-                       cfg: SolverConfig = DEFAULT_CONFIG) -> list[tuple[float, float]]:
+def isolate_real_roots(spec: TrinomialSpec) -> list[tuple[float, float]]:
     """Disjoint brackets, one per real root, covering every real root.
 
     Exactly-known roots (at critical points, or from the linear cases)
     appear as degenerate (value, value) brackets.
     """
-    return [record.bracket for record in solve_trinomial(spec, cfg).roots]
+    return [record.bracket for record in solve_trinomial(spec).roots]
 
 
-def solve_trinomial(spec: TrinomialSpec, cfg: SolverConfig = DEFAULT_CONFIG) -> RootSet:
+def solve_trinomial(spec: TrinomialSpec, *, tolerance: float = TOLERANCE) -> RootSet:
     """Every real root of ``x**n + s*p*x**e = m/2``, certified.
+
+    ``tolerance`` bounds each float root's scaled residual (see :data:`TOLERANCE`);
+    one that is not positive (or NaN) raises ``ValueError``.
 
     Raises :class:`DegenerateIdentity` when the x terms cancel (n = 1,
     minus sign, p = 1), since silence there would mask a modeling mistake,
     and :class:`InputTooLarge` when the float stage overflows.
     """
-    return _solve(spec.n, spec.signed_p, spec.exponent, spec.rhs, cfg)
+    return _solve(spec.n, spec.signed_p, spec.exponent, spec.rhs, tolerance)
 
 
-def solve_gm_general(n: int, m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> RootSet:
+def solve_gm_general(n: int, m: int, *, tolerance: float = TOLERANCE) -> RootSet:
     """Every real root of the generalized golden-mean equation ``x**n + x = m/2``."""
-    return solve_trinomial(TrinomialSpec(n=n, p=1, p_sign="plus", m=m), cfg)
+    return solve_trinomial(TrinomialSpec(n=n, p=1, p_sign="plus", m=m), tolerance=tolerance)
 
 
-def solve_stakhov(n: int, variant: str = "a", cfg: SolverConfig = DEFAULT_CONFIG) -> float:
+def _stakhov_spec(n: int, variant: str) -> TrinomialSpec:
+    """``x**n + x = 1`` (variant a) or ``x**n + x**(n-1) = 1`` (variant b)."""
+    if variant not in ("a", "b"):
+        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
+    return TrinomialSpec(n=n, m=2, lower_exponent="one" if variant == "a" else "n_minus_one")
+
+
+def solve_stakhov(n: int, variant: str = "a") -> float:
     """Unique non-negative root of ``x**n + x = 1`` (a) or ``x**n + x**(n-1) = 1`` (b).
 
     Both left sides are strictly increasing for x >= 0, so the root is
     unique; variant b at n = 1 degenerates to x + 1 = 1 with root 0.
     """
-    if variant not in ("a", "b"):
-        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    lower: LowerExponent = "one" if variant == "a" else "n_minus_one"
-    roots = solve_trinomial(
-        TrinomialSpec(n=n, p=1, p_sign="plus", m=2, lower_exponent=lower), cfg
-    )
-    value = roots.roots[-1].value
+    value = solve_trinomial(_stakhov_spec(n, variant)).roots[-1].value
     if value < 0:
         raise NoConvergence("expected a non-negative root")
     return value
@@ -415,12 +404,12 @@ def stakhov_decimal(n: int, variant: str, value: float, digits: int) -> str:
 
     The root lies in [0, 1], where both left sides increase: that is its bracket.
     """
-    poly = _Poly(n, 1, 1 if variant == "a" else n - 1, Fraction(1))
+    spec = _stakhov_spec(n, variant)
+    poly = _Poly(spec.n, spec.signed_p, spec.exponent, spec.rhs)
     return poly.truncate(value, 0.0, 1.0, digits)[0]
 
 
-def solve_euler(a, n: int, x, mode: str = "constrained",
-                cfg: SolverConfig = DEFAULT_CONFIG) -> RootSet:
+def solve_euler(a, n: int, x, mode: str = "constrained") -> RootSet:
     """Solve ``(a + b**n)/n = x`` for b.
 
     direct mode: all real b with ``b**n = n*x - a`` (one or two values by
@@ -436,10 +425,10 @@ def solve_euler(a, n: int, x, mode: str = "constrained",
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode == "constrained":
-        return _solve(n, 1, 1, n * x, cfg)
+        return _solve(n, 1, 1, n * x)
     if mode != "direct":
         raise ValueError(f"mode must be 'direct' or 'constrained', got {mode!r}")
     target = n * x - a
     if n % 2 == 0 and target < 0:
         raise NoRealRoot(f"b**{n} = {target} has no real solution")
-    return _solve(n, 0, 1, target, cfg)
+    return _solve(n, 0, 1, target)

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,11 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "solve", "--n", "0", "--m", "2")
         assert code == 1
 
+    def test_tolerance_must_be_positive(self, capsys):
+        code, out, err = invoke(capsys, "solve", "--n", "3", "--m", "2", "--tol", "nan")
+        assert code == 1 and out == ""
+        assert err == "error: invalid-argument: tolerance must be positive\n"
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == 0 and "usage" in out
@@ -74,6 +80,40 @@ class TestExitCodes:
                                 "--x", "1", "--mode", "direct")
         assert code == 2 and out == ""
         assert "no-real-root" in err
+
+
+class TestCatalogBounds:
+    """Each catalog size one above its bound exits 2 at once; the bounds are
+    rows 10^4, count 10^6, printed grid 2000, and 10^5 for --doublets and --key."""
+
+    @pytest.mark.parametrize("argv", [
+        ("table1", "--rows", "10001", "--side", "left"),
+        ("table1", "--rows", "100000000"),
+        ("diophantus", "--count", "1000001"),
+        ("harmonic", "--size", "2001"),
+        ("harmonic", "--size", "2001", "--format", "tsv"),
+        ("harmonic", "--size", "100001", "--doublets"),
+        ("harmonic", "--size", "5", "--key", "100001"),
+    ])
+    def test_above_the_bound(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input-too-large:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, lines", [
+        (("table1", "--rows", "10000", "--side", "left"), 10000),
+        (("harmonic", "--size", "5", "--key", "100000", "--format", "tsv"), 100001),
+        # the size bounds only the grid and the doublets, not the key rows
+        (("harmonic", "--size", "100000000", "--key", "3"), 4),
+    ])
+    def test_at_the_bound(self, capsys, argv, lines):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == lines
 
 
 class TestDeterminism:

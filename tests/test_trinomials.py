@@ -8,7 +8,6 @@ import pytest
 from goldmean import (
     DegenerateIdentity,
     NoRealRoot,
-    SolverConfig,
     TrinomialSpec,
     generalized_gm,
     isolate_real_roots,
@@ -16,6 +15,7 @@ from goldmean import (
     solve_gm_general,
     solve_stakhov,
     solve_trinomial,
+    stakhov_decimal,
 )
 from oracles import bisect_root, grid_sign_changes, has_multiple_root
 
@@ -146,8 +146,10 @@ class TestSolveTrinomial:
         solve_gm_general(300, 1000)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tolerance=0.0)
+        spec = TrinomialSpec(n=3, m=2)
+        for tolerance in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                solve_trinomial(spec, tolerance=tolerance)
         with pytest.raises(ValueError):
             TrinomialSpec(n=0)
 
@@ -163,6 +165,11 @@ class TestGmGeneral:
 
     def test_m0(self):
         assert solve_gm_general(2, 0).values == pytest.approx([-1.0, 0.0], abs=1e-12)
+
+    def test_tolerance_keyword(self):
+        (record,) = solve_gm_general(3, 2, tolerance=1e-6).roots
+        x = record.value
+        assert abs(x ** 3 + x - 1) <= 1e-6 * (1 + abs(x) ** 3)
 
     def test_agrees_with_closed_form(self):
         for m in range(0, 21):
@@ -191,6 +198,10 @@ class TestStakhov:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             solve_stakhov(2, "c")
+
+    def test_decimal_rejects_unknown_variant(self):
+        with pytest.raises(ValueError):
+            stakhov_decimal(3, "c", SUPERGOLDENISH, 10)
 
 
 class TestEuler:

@@ -12,7 +12,6 @@ nothing to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -207,6 +206,7 @@ def _tsv_row(record, columns: tuple[str, ...]) -> str:
 
 def _emit(ns, out: _Output) -> None:
     if ns.format == "json":
+        import json  # only this format needs it, so a cold start skips it
         lines = [json.dumps({"command": ns.command, "inputs": out.inputs,
                              "results": out.records, "errors": []})]
     elif ns.format == "tsv":
@@ -319,11 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first run(), then reused
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, dispatch, emit; returns the process exit code."""
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage/help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

@@ -54,6 +54,10 @@ def _split_square(n: int) -> tuple[int, int]:
     return root, free * rest
 
 
+def _too_large(d: int) -> InputTooLarge:
+    return InputTooLarge(f"radicand {d} exceeds the bound {MAX_RADICAND} of square-free splitting")
+
+
 def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -88,11 +92,11 @@ class QuadraticSurd:
     The public constructor and :meth:`sqrt` normalize: square factors of the
     radicand are pulled into the coefficient, a perfect-square radicand is
     folded into the rational part, and zero is always stored as ``(0, 0, 0)``.
-    They raise :class:`InputTooLarge` for a radicand above
-    :data:`MAX_RADICAND`.  After normalization the triple is canonical, so
-    equality is component-wise.  Field operations keep the square-free
-    radicand of their operands, so their results are canonical already and
-    are built without another split.
+    They raise :class:`InputTooLarge` for a radicand (for :meth:`sqrt`, a
+    numerator or denominator) above :data:`MAX_RADICAND`.  After
+    normalization the triple is canonical, so equality is component-wise.
+    Field operations keep the square-free radicand of their operands, so
+    their results are canonical already and are built without another split.
 
     Arithmetic stays inside one quadratic field; combining two irrational
     values with different radicands raises :class:`MixedRadicands`.
@@ -111,8 +115,7 @@ class QuadraticSurd:
         if b == 0 or d == 0:
             b, d = _ZERO, 0
         elif d > MAX_RADICAND:
-            raise InputTooLarge(f"radicand {d} exceeds the bound {MAX_RADICAND} "
-                                "of square-free splitting")
+            raise _too_large(d)
         else:
             root, free = _split_square(d)
             b *= root
@@ -140,13 +143,21 @@ class QuadraticSurd:
     def sqrt(cls, value) -> "QuadraticSurd":
         """Exact square root of a non-negative rational.
 
-        Raises :class:`InputTooLarge` when numerator times denominator
-        exceeds :data:`MAX_RADICAND`.
+        The numerator and the denominator are split separately: for coprime
+        ``n = a**2*s`` and ``d = b**2*t``, ``sqrt(n/d) = a/(b*t) * sqrt(s*t)``,
+        and ``s*t`` is square-free.  Raises :class:`InputTooLarge` when the
+        numerator or the denominator exceeds :data:`MAX_RADICAND`.
         """
         q = _as_fraction(value)
         if q < 0:
             raise ValueError("square root of a negative rational is not real")
-        return cls(0, Fraction(1, q.denominator), q.numerator * q.denominator)
+        if max(q.numerator, q.denominator) > MAX_RADICAND:
+            raise _too_large(max(q.numerator, q.denominator))
+        a, s = _split_square(q.numerator)
+        b, t = _split_square(q.denominator) if q.denominator > 1 else (1, 1)
+        if s * t == 1:
+            return cls._canonical(Fraction(a, b), _ZERO, 0)
+        return cls._canonical(_ZERO, Fraction(a, b * t), s * t)
 
     @property
     def rat(self) -> Fraction:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from goldmean import cli
 from goldmean.cli import run
 
 
@@ -128,6 +129,28 @@ class TestDeterminism:
         _, first, _ = invoke(capsys, *argv)
         _, second, _ = invoke(capsys, *argv)
         assert first == second
+
+
+class TestOneParserPerProcess:
+    def test_three_runs_build_one_parser(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        for argv in (["solve", "--n", "3", "--m", "2"], ["stakhov", "--n", "3", "--variant", "a"],
+                     ["diophantus", "--count", "0"]):
+            run(argv)
+        assert len(built) <= 1
+
+    def test_no_state_leaks_between_runs(self, capsys):
+        first = invoke(capsys, "solve", "--n", "3", "--m", "2")
+        assert first[0] == 0
+        assert invoke(capsys, "solve", "--n", "0")[0] == 1
+        assert invoke(capsys, "--help")[0] == 0
+        assert invoke(capsys, "mmf", "--n", "1", "--p", "1", "--sign", "minus", "--m", "4")[0] == 2
+        assert invoke(capsys, "solve", "--n", "3", "--m", "2", "--tol", "1e-6",
+                      "--format", "json")[0] == 0
+        assert invoke(capsys, "solve", "--n", "3", "--m", "2") == first
 
 
 def parse_json(out):

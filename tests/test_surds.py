@@ -339,12 +339,24 @@ class TestRadicandBound:
         with pytest.raises(InputTooLarge):
             QuadraticSurd.sqrt(Fraction(MAX_RADICAND + 1, 1))
         with pytest.raises(InputTooLarge):
-            QuadraticSurd.sqrt(Fraction(10 ** 9 + 1, 10 ** 9))  # numerator times denominator
+            QuadraticSurd.sqrt(Fraction(1, MAX_RADICAND + 1))
 
     def test_the_bound_itself_is_normalized(self):
         assert QuadraticSurd(0, 1, MAX_RADICAND) == 10 ** 9
         prime = QuadraticSurd.sqrt(10 ** 18 - 11)
         assert (prime.coeff, prime.radicand) == (1, 10 ** 18 - 11)
+
+    def test_sqrt_bounds_numerator_and_denominator_separately(self):
+        root = QuadraticSurd.sqrt(Fraction(10 ** 9 + 1, 10 ** 9))
+        assert root * root == Fraction(10 ** 9 + 1, 10 ** 9)
+        assert (root.coeff, root.radicand) == (Fraction(1, 10 ** 5), 10 ** 10 + 10)
+
+    @given(st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_sqrt_is_the_surd_of_the_joint_radicand(self, q):
+        joint = QuadraticSurd(0, Fraction(1, q.denominator), q.numerator * q.denominator)
+        root = QuadraticSurd.sqrt(q)
+        assert (root.rat, root.coeff, root.radicand) == (joint.rat, joint.coeff, joint.radicand)
 
     def test_zero_coefficient_needs_no_split(self):
         assert QuadraticSurd(5, 0, MAX_RADICAND * 10) == 5
@@ -365,3 +377,11 @@ class TestRadicandBound:
             expected = truncate_mpf(mean, 40)
         assert capsys.readouterr().out == (
             f"metallic mean (p=1, q=100000000000000) = (1 + √400000000000001)/2 = {expected}\n")
+
+    def test_cli_small_rational_q_is_exact(self, capsys):
+        # p^2 + 4q = 2500000001/2500000000: each part fits the bound, their product does not
+        assert run(["metallic", "--p", "1", "--q", "1/10000000000", "--digits", "40"]) == 0
+        with mpmath.workdps(80):
+            mean = (1 + mpmath.sqrt(1 + 4 / mpmath.mpf(10 ** 10))) / 2
+            expected = truncate_mpf(mean, 40)
+        assert capsys.readouterr().out.endswith(f" = {expected}\n")

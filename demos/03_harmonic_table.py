@@ -16,7 +16,7 @@ print("The grid (doublet cells marked with *):")
 doublet_cells = set()
 for report in find_doublets(table):
     doublet_cells.update(report.positions)
-for i, row in enumerate(table.cells):
+for i, row in enumerate(table.rows()):
     cells = []
     for j, value in enumerate(row):
         mark = "*" if (i, j) in doublet_cells else " "

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DomainError, InputTooLarge
 from .harmonic import build_table, cross_check_integer_means, key_rows
@@ -40,12 +41,13 @@ EXIT_DOMAIN = 2
 
 @dataclass
 class _Output:
-    """A command's records.  JSON prints them, text ``text(record)`` for each
-    and then ``footer``, TSV the ``columns`` a record has (a grid row as is).
+    """A command's records, made as they are read.  JSON prints them as one
+    list, text ``text(record)`` for each and then ``footer``, TSV the
+    ``columns`` a record has (a grid row as is).
     """
 
     inputs: dict
-    records: list
+    records: Iterable
     text: Callable[..., str]
     columns: tuple[str, ...]
     footer: tuple[str, ...] = ()
@@ -151,8 +153,8 @@ def _cmd_metallic(ns) -> _Output:
 
 def _cmd_table1(ns) -> _Output:
     inputs = {"rows": ns.rows, "side": ns.side}
-    records = [{"side": row.side, "index": row.index, "m": row.m, "h": row.h, "r": row.r}
-               for row in table_one(ns.rows, ns.side)]
+    records = ({"side": row.side, "index": row.index, "m": row.m, "h": row.h, "r": row.r}
+               for row in table_one(ns.rows, ns.side))
     text = "{side:>5}  N={index}  m={m}  h={h}  r={r}".format_map
     return _Output(inputs, records, text, ("side", "index", "m", "h", "r"))
 
@@ -161,8 +163,8 @@ def _cmd_diophantus(ns) -> _Output:
     if ns.count > MAX_TRIPLES:
         raise InputTooLarge(f"count {ns.count} exceeds the bound {MAX_TRIPLES}")
     inputs = {"count": ns.count}
-    records = [{"a": t.a, "b": t.b, "c": t.c}
-               for t in map(diophantus_triple, range(ns.count))]
+    records = ({"a": t.a, "b": t.b, "c": t.c}
+               for t in map(diophantus_triple, range(ns.count)))
     return _Output(inputs, records, "{c}^2 = {b}^2 + {a}^2".format_map, ("a", "b", "c"))
 
 
@@ -179,18 +181,16 @@ def _harmonic_text(record) -> str:
 def _cmd_harmonic(ns) -> _Output:
     table = build_table(ns.size)
     inputs = {"size": ns.size, "doublets": ns.doublets, "key": ns.key}
-    records: list = []
-    if not ns.doublets and ns.key is None:
-        records.extend(table.cells)
-    if ns.doublets:
-        for q, (k, high) in cross_check_integer_means(table):
-            records.append({"k": k, "q": q, "i1": k, "j1": k + 1, "i2": k + 1, "j2": k,
-                            "pair_low": k, "pair_high": high})
-    if ns.key is not None:
-        records.extend({"k": k, "square_plus_side": square_plus, "product": product}
-                       for k, square_plus, product in key_rows(ns.key))
     columns = ("k", "q", "i1", "j1", "i2", "j2", "pair_low", "pair_high",
                "square_plus_side", "product")
+    if not ns.doublets and ns.key is None:
+        return _Output(inputs, table.rows(), _harmonic_text, columns)
+    doublets = cross_check_integer_means(table) if ns.doublets else []
+    keys = key_rows(ns.key) if ns.key is not None else []
+    records = chain(({"k": k, "q": q, "i1": k, "j1": k + 1, "i2": k + 1, "j2": k,
+                      "pair_low": k, "pair_high": high} for q, (k, high) in doublets),
+                    ({"k": k, "square_plus_side": square_plus, "product": product}
+                     for k, square_plus, product in keys))
     return _Output(inputs, records, _harmonic_text, columns)
 
 
@@ -207,14 +207,14 @@ def _tsv_row(record, columns: tuple[str, ...]) -> str:
 def _emit(ns, out: _Output) -> None:
     if ns.format == "json":
         import json  # only this format needs it, so a cold start skips it
-        lines = [json.dumps({"command": ns.command, "inputs": out.inputs,
-                             "results": out.records, "errors": []})]
+        print(json.dumps({"command": ns.command, "inputs": out.inputs,
+                          "results": list(out.records), "errors": []}))
     elif ns.format == "tsv":
-        lines = [_tsv_row(record, out.columns) for record in out.records]
+        for record in out.records:
+            print(_tsv_row(record, out.columns))
     else:
-        lines = [*map(out.text, out.records), *out.footer]
-    for line in lines:
-        print(line)
+        for line in chain(map(out.text, out.records), out.footer):
+            print(line)
 
 
 def _positive_int(text: str) -> int:

@@ -8,13 +8,13 @@ verifies against the quadratic solver.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CrossCheckFailed, InputTooLarge
 from .quadratics import integer_metallic
 
-#: Largest grid :attr:`HarmonicTable.cells` builds (about 1.2 s and 200 MB at the bound).
+#: Largest grid :meth:`HarmonicTable.rows` yields (about 1 s to print at the bound).
 MAX_GRID_SIZE = 2000
 #: Largest size the doublet scan and largest K the key rows take (O(size) records).
 MAX_SIZE = 10 ** 5
@@ -23,7 +23,7 @@ MAX_SIZE = 10 ** 5
 @dataclass(frozen=True)
 class HarmonicTable:
     """Multiplication grid of side ``size``.  ``cell(i, j) == i * j`` is computed
-    when read; :attr:`cells` builds the whole grid once, on first use.
+    when read; :meth:`rows` yields the grid one row at a time.
     """
 
     size: int
@@ -31,11 +31,11 @@ class HarmonicTable:
     def cell(self, i: int, j: int) -> int:
         return i * j
 
-    @cached_property
-    def cells(self) -> tuple[tuple[int, ...], ...]:
+    def rows(self) -> Iterator[tuple[int, ...]]:
+        """The grid's rows, each built when it is read; the bound is checked at the call."""
         if self.size > MAX_GRID_SIZE:
             raise InputTooLarge(f"grid size {self.size} exceeds the bound {MAX_GRID_SIZE}")
-        return tuple(tuple(i * j for j in range(self.size)) for i in range(self.size))
+        return (tuple(i * j for j in range(self.size)) for i in range(self.size))
 
 
 @dataclass(frozen=True)

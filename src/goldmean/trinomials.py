@@ -71,6 +71,8 @@ TOLERANCE = 1e-12
 _MAX_ITERATIONS = 200
 #: geometric factor of the outward bracket search
 _BRACKET_GROWTH = 2.0
+#: largest degree n; at n = 1000, printing 1000 exact digits takes up to about 9 s
+MAX_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class _Poly:
     __slots__ = ("n", "c", "e", "rhs", "_rhs_f")
 
     def __init__(self, n: int, c: int, e: int, rhs: Fraction):
+        if n > MAX_DEGREE:
+            raise InputTooLarge(f"degree {n} exceeds the bound {MAX_DEGREE}")
         self.n = n
         self.c = c
         self.e = e
@@ -252,30 +256,21 @@ def _seeds(poly: _Poly) -> tuple[list[Fraction], list[tuple[float, float]]]:
             return [Fraction(rhs, coefficient)], []
         return [rhs - c], []
 
-    points = _critical_signs(poly)
+    # with no critical points f is strictly increasing (n odd, c >= 0, e = 1): walk from 0
+    points = _critical_signs(poly) or [(0.0, Fraction(0), poly.sign(0))]
     exact_roots = [exact for _, exact, s in points if s == 0]
     marks = [(fval, s) for fval, _, s in points]
     brackets: list[tuple[float, float]] = []
-    if not marks:
-        # no critical points: strictly increasing (n odd, c >= 0, e = 1)
-        at_zero = poly.sign(0)
-        if at_zero == 0:
-            exact_roots.append(Fraction(0))
-        elif at_zero < 0:
-            brackets.append((0.0, _expand(poly, 0.0, +1, -1)))
-        else:
-            brackets.append((_expand(poly, 0.0, -1, +1), 0.0))
-    else:
-        left_infinity = 1 if n % 2 == 0 else -1
-        first_x, first_s = marks[0]
-        if first_s not in (0, left_infinity):
-            brackets.append((_expand(poly, first_x, -1, first_s), first_x))
-        for (xa, sa), (xb, sb) in zip(marks, marks[1:]):
-            if sa != 0 and sb != 0 and sa != sb:
-                brackets.append((xa, xb))
-        last_x, last_s = marks[-1]
-        if last_s not in (0, 1):
-            brackets.append((last_x, _expand(poly, last_x, +1, last_s)))
+    left_infinity = 1 if n % 2 == 0 else -1
+    first_x, first_s = marks[0]
+    if first_s not in (0, left_infinity):
+        brackets.append((_expand(poly, first_x, -1, first_s), first_x))
+    for (xa, sa), (xb, sb) in zip(marks, marks[1:]):
+        if sa != 0 and sb != 0 and sa != sb:
+            brackets.append((xa, xb))
+    last_x, last_s = marks[-1]
+    if last_s not in (0, 1):
+        brackets.append((last_x, _expand(poly, last_x, +1, last_s)))
 
     # roots are interior, so shared endpoints (critical points) can be pulled apart
     signs = dict(marks)
@@ -370,7 +365,8 @@ def solve_trinomial(spec: TrinomialSpec, *, tolerance: float = TOLERANCE) -> Roo
 
     Raises :class:`DegenerateIdentity` when the x terms cancel (n = 1,
     minus sign, p = 1), since silence there would mask a modeling mistake,
-    and :class:`InputTooLarge` when the float stage overflows.
+    and :class:`InputTooLarge` when n exceeds :data:`MAX_DEGREE` or the
+    float stage overflows.
     """
     return _solve(spec.n, spec.signed_p, spec.exponent, spec.rhs, tolerance)
 

@@ -68,9 +68,14 @@ class TestExitCodes:
         ("solve", "--n", "2", "--m", "1" + "0" * 400),
         ("euler", "--a", "0", "--n", "2", "--x", "1" + "0" * 400, "--mode", "direct"),
         ("mmf", "--n", "3", "--p", "1" + "0" * 400, "--sign", "plus", "--m", "2"),
+        # degrees above trinomials.MAX_DEGREE; solving them takes 40 s or more
+        ("mmf", "--n", "10000001", "--p", "3", "--sign", "minus", "--m", "3"),
+        ("euler", "--a", "0", "--n", "1000000", "--x", "1/1000000", "--mode", "direct"),
     ])
     def test_input_too_large(self, capsys, argv):
+        start = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert err.startswith("error: input-too-large:")
@@ -110,6 +115,7 @@ class TestCatalogBounds:
         (("harmonic", "--size", "5", "--key", "100000", "--format", "tsv"), 100001),
         # the size bounds only the grid and the doublets, not the key rows
         (("harmonic", "--size", "100000000", "--key", "3"), 4),
+        (("solve", "--n", "1000", "--m", "3"), 2),
     ])
     def test_at_the_bound(self, capsys, argv, lines):
         code, out, _ = invoke(capsys, *argv)

@@ -1,6 +1,8 @@
 """Multiplication grid, diagonal doublets and the integer-mean cross-check."""
 
+import os
 import tracemalloc
+from contextlib import redirect_stdout
 from math import isqrt
 
 import pytest
@@ -11,19 +13,19 @@ from goldmean.cli import run
 
 class TestBuildTable:
     def test_sample_cells(self):
-        table = build_table(10)
-        assert table.cells[3][4] == 12
-        assert table.cells[9][9] == 81
+        cells = list(build_table(10).rows())
+        assert cells[3][4] == 12
+        assert cells[9][9] == 81
 
     def test_single_cell(self):
-        assert build_table(1).cells == ((0,),)
+        assert list(build_table(1).rows()) == [(0,)]
 
     def test_symmetry_and_zero_row(self):
-        table = build_table(10)
+        cells = list(build_table(10).rows())
         for i in range(10):
-            assert table.cells[0][i] == 0
+            assert cells[0][i] == 0
             for j in range(10):
-                assert table.cells[i][j] == table.cells[j][i]
+                assert cells[i][j] == cells[j][i]
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -102,7 +104,8 @@ def peak_bytes(fn):
 
 
 class TestOnlyThePrintedGridIsBuilt:
-    """Doublets and key rows read O(size) cells; a 1000 x 1000 grid takes about 40 MB."""
+    """Doublets and key rows read O(size) cells, and a printed grid or triangle list is
+    written one record at a time; a whole 1000 x 1000 grid would take about 40 MB."""
 
     LIMIT = 2 * 1024 * 1024
 
@@ -113,3 +116,12 @@ class TestOnlyThePrintedGridIsBuilt:
         argv = ["harmonic", "--size", "1000", "--doublets", "--key", "5"]
         assert peak_bytes(lambda: run(argv)) < self.LIMIT
         assert len(capsys.readouterr().out.splitlines()) == 999 + 6
+
+    @pytest.mark.parametrize("argv", [
+        ["harmonic", "--size", "1000", "--format", "tsv"],
+        ["diophantus", "--count", "100000", "--format", "tsv"],
+    ])
+    def test_text_and_tsv_are_written_as_they_are_made(self, argv):
+        # capsys would hold the whole output in memory, so it goes to the null device
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            assert peak_bytes(lambda: run(argv)) < self.LIMIT

@@ -7,6 +7,7 @@ import pytest
 
 from goldmean import (
     DegenerateIdentity,
+    InputTooLarge,
     NoRealRoot,
     TrinomialSpec,
     generalized_gm,
@@ -17,6 +18,7 @@ from goldmean import (
     solve_trinomial,
     stakhov_decimal,
 )
+from goldmean.trinomials import MAX_DEGREE
 from oracles import bisect_root, grid_sign_changes, has_multiple_root
 
 PLASTICISH = bisect_root(lambda x: x ** 3 + x - 1, 0.0, 1.0)       # x^3 + x = 1
@@ -241,3 +243,18 @@ class TestEuler:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             solve_euler(0, 2, 1, "sideways")
+
+
+class TestDegreeBound:
+    """Every path that builds the polynomial refuses a degree above MAX_DEGREE."""
+
+    @pytest.mark.parametrize("call", [
+        lambda n: solve_trinomial(TrinomialSpec(n=n, p=3, p_sign="minus", m=3)),
+        lambda n: solve_euler(0, n, Fraction(1, n), "direct"),
+        lambda n: solve_euler(0, n, 1, "constrained"),
+        lambda n: stakhov_decimal(n, "a", 0.5, 10),
+        lambda n: solve_stakhov(n, "b"),
+    ])
+    def test_above_the_bound(self, call):
+        with pytest.raises(InputTooLarge):
+            call(MAX_DEGREE + 1)

@@ -12,6 +12,7 @@ nothing to stdout.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -345,7 +346,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; see "Note on SIGPIPE" in Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

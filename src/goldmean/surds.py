@@ -1,11 +1,12 @@
 """Exact arithmetic on rationals and quadratic surds.
 
 A :class:`QuadraticSurd` is the value ``rat + coeff*sqrt(radicand)`` with
-rational ``rat``/``coeff`` and a square-free integer radicand.  Every
-closed-form root in this library lives in such a field, so sums, products
-and comparisons can be decided by integer arithmetic alone, never by
-floating point.  The module also provides digit-exact decimal rendering
-and the periodic continued-fraction expansion of quadratic irrationals.
+rational ``rat``/``coeff`` and a square-free integer radicand, held as the
+integers of ``(p + q*sqrt(d))/den``.  Every closed-form root in this library
+lives in such a field, so sums, products and comparisons are decided by
+integer arithmetic alone, never by floating point.  The module also
+provides digit-exact decimal rendering and the periodic continued-fraction
+expansion of quadratic irrationals.
 
 Values are immutable; every operation returns a new value.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, sqrt
+from math import gcd, isqrt, lcm, sqrt
 
 from .errors import InputTooLarge, MixedRadicands, NonPositive
 
@@ -25,8 +26,6 @@ Rational = Fraction
 MAX_RADICAND = 10 ** 18
 #: Most fractional digits a decimal rendering may ask for.
 MAX_DIGITS = 1000
-
-_ZERO = Fraction(0)
 
 
 def _split_square(n: int) -> tuple[int, int]:
@@ -68,7 +67,7 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _sign_pair(a: Fraction, b: Fraction, d: int) -> int:
+def _sign_pair(a: int, b: int, d: int) -> int:
     """Exact sign of ``a + b*sqrt(d)`` for square-free d (or d == 0)."""
     if b == 0 or d == 0:
         return _sgn(a)
@@ -89,14 +88,19 @@ def _sign_pair(a: Fraction, b: Fraction, d: int) -> int:
 class QuadraticSurd:
     """Immutable exact value ``rat + coeff*sqrt(radicand)``.
 
+    It is stored as four integers ``(p, q, den, d)`` meaning
+    ``(p + q*sqrt(d))/den``, with ``gcd(p, q, den) == 1``, ``den > 0`` and
+    ``q == 0`` exactly when ``d == 0``; the rationals ``rat = p/den`` and
+    ``coeff = q/den`` are built only when they are read.
+
     The public constructor and :meth:`sqrt` normalize: square factors of the
     radicand are pulled into the coefficient, a perfect-square radicand is
-    folded into the rational part, and zero is always stored as ``(0, 0, 0)``.
+    folded into the rational part, and zero is always stored with ``d == 0``.
     They raise :class:`InputTooLarge` for a radicand (for :meth:`sqrt`, a
     numerator or denominator) above :data:`MAX_RADICAND`.  After
-    normalization the triple is canonical, so equality is component-wise.
+    normalization the form is canonical, so equality is component-wise.
     Field operations keep the square-free radicand of their operands, so
-    their results are canonical already and are built without another split.
+    their results only cancel one gcd and are built without another split.
 
     Arithmetic stays inside one quadratic field; combining two irrational
     values with different radicands raises :class:`MixedRadicands`.
@@ -104,7 +108,7 @@ class QuadraticSurd:
     repeated squaring).
     """
 
-    __slots__ = ("_rat", "_coeff", "_radicand")
+    __slots__ = ("_p", "_q", "_den", "_d")
 
     def __init__(self, rat=0, coeff=0, radicand: int = 0):
         a = _as_fraction(rat)
@@ -113,7 +117,7 @@ class QuadraticSurd:
         if d < 0:
             raise ValueError("radicand must be non-negative")
         if b == 0 or d == 0:
-            b, d = _ZERO, 0
+            b, d = 0, 0
         elif d > MAX_RADICAND:
             raise _too_large(d)
         else:
@@ -122,21 +126,26 @@ class QuadraticSurd:
             d = free
             if d == 1:
                 a += b
-                b, d = _ZERO, 0
-        self._rat = a
-        self._coeff = b
-        self._radicand = d
+                b, d = 0, 0
+        # a and b are in lowest terms, so over their lcm p, q and den share no factor
+        den = lcm(a.denominator, b.denominator)
+        self._p = a.numerator * (den // a.denominator)
+        self._q = b.numerator * (den // b.denominator)
+        self._den, self._d = den, d
 
     @classmethod
-    def _canonical(cls, rat: Fraction, coeff: Fraction, d: int) -> "QuadraticSurd":
-        """The value ``rat + coeff*sqrt(d)`` for a square-free ``d`` other than 1, or 0.
+    def _canonical(cls, p: int, q: int, den: int, d: int) -> "QuadraticSurd":
+        """``(p + q*sqrt(d))/den`` for den != 0 and a square-free d other than 1, or 0.
 
-        Only a zero ``coeff`` is folded; the radicand is not split again.
+        One gcd is cancelled and a zero ``q`` is folded; d is not split again.
         """
         self = object.__new__(cls)
-        if coeff == 0:
-            coeff, d = _ZERO, 0
-        self._rat, self._coeff, self._radicand = rat, coeff, d
+        if q == 0:
+            d = 0
+        g = gcd(p, q, den)
+        if den < 0:
+            g = -g
+        self._p, self._q, self._den, self._d = p // g, q // g, den // g, d
         return self
 
     @classmethod
@@ -156,54 +165,54 @@ class QuadraticSurd:
         a, s = _split_square(q.numerator)
         b, t = _split_square(q.denominator) if q.denominator > 1 else (1, 1)
         if s * t == 1:
-            return cls._canonical(Fraction(a, b), _ZERO, 0)
-        return cls._canonical(_ZERO, Fraction(a, b * t), s * t)
+            return cls._canonical(a, 0, b, 0)
+        return cls._canonical(0, a, b * t, s * t)
 
     @property
     def rat(self) -> Fraction:
-        return self._rat
+        return Fraction(self._p, self._den)
 
     @property
     def coeff(self) -> Fraction:
-        return self._coeff
+        return Fraction(self._q, self._den)
 
     @property
     def radicand(self) -> int:
-        return self._radicand
+        return self._d
 
     @property
     def is_rational(self) -> bool:
-        return self._coeff == 0
+        return self._q == 0
 
     def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd._canonical(self._rat, -self._coeff, self._radicand)
+        return QuadraticSurd._canonical(self._p, -self._q, self._den, self._d)
 
     def sign(self) -> int:
         """-1, 0 or +1, decided exactly."""
-        return _sign_pair(self._rat, self._coeff, self._radicand)
+        return _sign_pair(self._p, self._q, self._d)
 
     # -- field arithmetic ------------------------------------------------
 
     def _joint_radicand(self, other: "QuadraticSurd") -> int:
-        if self._radicand == 0:
-            return other._radicand
-        if other._radicand in (0, self._radicand):
-            return self._radicand
-        raise MixedRadicands(
-            f"cannot combine sqrt({self._radicand}) with sqrt({other._radicand})"
-        )
+        if self._d == 0:
+            return other._d
+        if other._d in (0, self._d):
+            return self._d
+        raise MixedRadicands(f"cannot combine sqrt({self._d}) with sqrt({other._d})")
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
         d = self._joint_radicand(other)
-        return QuadraticSurd._canonical(self._rat + other._rat, self._coeff + other._coeff, d)
+        m, n = self._den, other._den
+        return QuadraticSurd._canonical(self._p * n + other._p * m,
+                                        self._q * n + other._q * m, m * n, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd._canonical(-self._rat, -self._coeff, self._radicand)
+        return QuadraticSurd._canonical(-self._p, -self._q, self._den, self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -222,9 +231,9 @@ class QuadraticSurd:
         if other is None:
             return NotImplemented
         d = self._joint_radicand(other)
-        rat = self._rat * other._rat + self._coeff * other._coeff * d
-        coeff = self._rat * other._coeff + self._coeff * other._rat
-        return QuadraticSurd._canonical(rat, coeff, d)
+        a, b, c, e = self._p, self._q, other._p, other._q
+        return QuadraticSurd._canonical(a * c + b * e * d, a * e + b * c,
+                                        self._den * other._den, d)
 
     __rmul__ = __mul__
 
@@ -232,13 +241,15 @@ class QuadraticSurd:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if other.sign() == 0:
-            raise ZeroDivisionError("division by zero surd")
         d = self._joint_radicand(other)
-        # multiply by the conjugate; the norm a^2 - b^2 d is a nonzero rational
-        norm = other._rat * other._rat - other._coeff * other._coeff * d
-        num = self * other.conjugate()
-        return QuadraticSurd._canonical(num._rat / norm, num._coeff / norm, num._radicand)
+        a, b, c, e = self._p, self._q, other._p, other._q
+        # multiply by the conjugate; the norm c^2 - e^2 d is zero only for zero
+        norm = c * c - e * e * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero surd")
+        n = other._den
+        return QuadraticSurd._canonical((a * c - b * e * d) * n, (b * c - a * e) * n,
+                                        self._den * norm, d)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -250,15 +261,13 @@ class QuadraticSurd:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return (QuadraticSurd(1) / self) ** (-exponent)
-        out = QuadraticSurd(1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
+            return (1 / self) ** (-exponent)
+        out, base = _coerce(1), self
+        while exponent:
+            if exponent & 1:
                 out = out * base
             base = base * base
-            k >>= 1
+            exponent >>= 1
         return out
 
     def __abs__(self):
@@ -271,16 +280,12 @@ class QuadraticSurd:
         if other is None:
             return NotImplemented
         # canonical form makes equality component-wise, even across fields
-        return (
-            self._rat == other._rat
-            and self._coeff == other._coeff
-            and self._radicand == other._radicand
-        )
+        return (self._p, self._q, self._den, self._d) == (other._p, other._q, other._den, other._d)
 
     def __hash__(self):
-        if self._coeff == 0:
-            return hash(self._rat)
-        return hash((self._rat, self._coeff, self._radicand))
+        if self._q == 0:
+            return hash(self.rat)  # equal to the hash of the equal int or Fraction
+        return hash((self._p, self._q, self._den, self._d))
 
     def __lt__(self, other):
         c = _compare_or_none(self, other)
@@ -301,27 +306,26 @@ class QuadraticSurd:
     # -- conversions -----------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self._rat) + float(self._coeff) * sqrt(self._radicand)
+        # int / int is correctly rounded, as float(rat) and float(coeff) are
+        return self._p / self._den + self._q / self._den * sqrt(self._d)
 
     def __bool__(self) -> bool:
-        return self.sign() != 0
+        return self._p != 0 or self._q != 0
 
     def __repr__(self) -> str:
-        return f"QuadraticSurd({self._rat!r}, {self._coeff!r}, {self._radicand})"
+        return f"QuadraticSurd({self.rat!r}, {self.coeff!r}, {self._d})"
 
     def __str__(self) -> str:
-        if self._coeff == 0:
-            return str(self._rat)
-        den = lcm(self._rat.denominator, self._coeff.denominator)
-        n_rat = int(self._rat * den)
-        n_co = int(self._coeff * den)
-        mag = "" if abs(n_co) == 1 else str(abs(n_co))
-        surd_txt = f"{mag}√{self._radicand}"
-        if n_rat == 0:
-            body = surd_txt if n_co > 0 else f"-{surd_txt}"
+        p, q, den = self._p, self._q, self._den
+        if q == 0:
+            return str(p) if den == 1 else f"{p}/{den}"
+        mag = "" if abs(q) == 1 else str(abs(q))
+        surd_txt = f"{mag}√{self._d}"
+        if p == 0:
+            body = surd_txt if q > 0 else f"-{surd_txt}"
         else:
-            op = "+" if n_co > 0 else "-"
-            body = f"{n_rat} {op} {surd_txt}"
+            op = "+" if q > 0 else "-"
+            body = f"{p} {op} {surd_txt}"
         return body if den == 1 else f"({body})/{den}"
 
 
@@ -329,7 +333,7 @@ def _coerce(value) -> QuadraticSurd | None:
     if isinstance(value, QuadraticSurd):
         return value
     if isinstance(value, (int, Fraction)):
-        return QuadraticSurd(value)
+        return QuadraticSurd._canonical(value.numerator, 0, value.denominator, 0)
     return None
 
 
@@ -356,13 +360,12 @@ def surd_compare(lhs, rhs) -> int:
     """
     x = _require_surd(lhs)
     y = _require_surd(rhs)
-    if x._radicand == y._radicand or x._radicand == 0 or y._radicand == 0:
-        d = x._radicand or y._radicand
-        return _sign_pair(x._rat - y._rat, x._coeff - y._coeff, d)
-    # sign of (A + B*sqrt(d)) - C*sqrt(e) with B, C != 0 and d != e
-    a = x._rat - y._rat
-    b, d = x._coeff, x._radicand
-    c, e = y._coeff, y._radicand
+    # the sign of lhs - rhs is that of den_x*den_y*(lhs - rhs) = a + b*sqrt(d) - c*sqrt(e)
+    a = x._p * y._den - y._p * x._den
+    b, d = x._q * y._den, x._d
+    c, e = y._q * x._den, y._d
+    if d == e or d == 0 or e == 0:
+        return _sign_pair(a, b - c, d or e)
     s_left = _sign_pair(a, b, d)
     s_right = _sgn(c)
     if s_left != s_right:
@@ -377,12 +380,9 @@ def surd_compare(lhs, rhs) -> int:
 
 def _floor_scaled(v: QuadraticSurd, k: int) -> int:
     """``floor(v * 10**k)`` for v >= 0, exact via integer square root."""
-    a, b, d = v.rat, v.coeff, v.radicand
     scale = 10 ** k
-    den = a.denominator * b.denominator
-    whole = a.numerator * scale * b.denominator
-    radical = b.numerator * scale * a.denominator
-    big = radical * radical * d
+    whole, radical, den = v._p * scale, v._q * scale, v._den
+    big = radical * radical * v._d
     t = isqrt(big)
     if radical >= 0:
         # sqrt(big) lies in [t, t+1) and no integer sits strictly inside
@@ -476,30 +476,19 @@ def continued_fraction_of(value, max_terms: int) -> ContinuedFraction:
 
     if v.is_rational:
         terms: list[int] = []
-        x = v.rat
-        truncated = False
+        num, den = v._p, v._den
         while True:
-            whole = x.numerator // x.denominator
+            whole, rest = divmod(num, den)
             terms.append(whole)
-            rest = x - whole
             if rest == 0:
-                break
+                return ContinuedFraction(tuple(terms), (), False)
             if len(terms) >= max_terms:
-                truncated = True
-                break
-            x = 1 / rest
-        return ContinuedFraction(tuple(terms), (), truncated)
+                return ContinuedFraction(tuple(terms), (), True)
+            num, den = den, rest
 
     # write v = (P + sqrt(N)) / Q with Q | (N - P^2)
-    a, b, d = v.rat, v.coeff, v.radicand
-    den = a.denominator * b.denominator
-    u = a.numerator * b.denominator
-    w = b.numerator * a.denominator
-    big_n = w * w * d
-    if w > 0:
-        big_p, big_q = u, den
-    else:
-        big_p, big_q = -u, -den
+    s = _sgn(v._q)
+    big_p, big_q, big_n = s * v._p, s * v._den, v._q * v._q * v._d
     if (big_n - big_p * big_p) % big_q != 0:
         big_p *= abs(big_q)
         big_n *= big_q * big_q

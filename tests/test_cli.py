@@ -1,6 +1,9 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -121,6 +124,21 @@ class TestCatalogBounds:
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert out.count("\n") == lines
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_ends_quietly(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "goldmean.cli", "diophantus", "--count", "100000"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=path))
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err
 
 
 class TestDeterminism:

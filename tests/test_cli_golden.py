@@ -25,6 +25,12 @@ COMMANDS = {
     "metallic-cf": ("metallic", "--p", "2", "--q", "5/3", "--cf-terms", "12"),
     "metallic-cf-integer": ("metallic", "--p", "2", "--q", "1", "--cf-terms", "5"),
     "metallic-cf-rational": ("metallic", "--p", "1", "--q", "2", "--cf-terms", "4"),
+    # surd shapes: parts over denominators 2 and 100000, a 24-term period,
+    # a rational expansion cut short (13/8 = [1; 1, 1, 1, 2]) and a zero root
+    "metallic-tiny-q": ("metallic", "--p", "1", "--q", "1/10000000000", "--digits", "40"),
+    "metallic-cf-long-period": ("metallic", "--p", "7", "--q", "3/11", "--cf-terms", "40"),
+    "metallic-cf-truncated-rational": ("metallic", "--p", "1", "--q", "65/64", "--cf-terms", "2"),
+    "solve-n2-zero-root": ("solve", "--n", "2", "--m", "0"),
     "table1": ("table1", "--rows", "5", "--side", "both"),
     "table1-right": ("table1", "--rows", "3", "--side", "right"),
     "diophantus": ("diophantus", "--count", "7"),
@@ -64,13 +70,22 @@ GOLDEN = {
     "metallic-cf-integer-text": "531d6de75bcc9e975ccc5c356f680244261d42c158334e9f7d2780b1504dcdca",
     "metallic-cf-integer-tsv": "845de083c5d08b7a702ccb365aed7d09f8626cdb18745e614a0798e7d6286c0f",
     "metallic-cf-json": "67875f7fec45288bef275a47db3c77d68e5b3bc0f3b3ee97b4de70903dd317c2",
+    "metallic-cf-long-period-json": "98ba142e525422355aefef6891865c47ce4957e491440e3b1cdc47fa6574b932",
+    "metallic-cf-long-period-text": "fc9ab0633a25778435dac413185b85d9663a0b8f62ccd07e85a0f015aa8874a0",
+    "metallic-cf-long-period-tsv": "c32428045ba622933ae1ec8d0902788f12bfdd8847dbde9d3202cf9a428be43d",
     "metallic-cf-rational-json": "f42c7911d455c490ea0914ba5778d01043dd8d326e0ac83c05216dff145b172b",
     "metallic-cf-rational-text": "3b4fa5f103948b3f30897767fbdcb3324962f4514e6eba75dfbef804a040c858",
     "metallic-cf-rational-tsv": "09f6e73ca938c7771256213ad7017905275f2560ab56a63f66841e1030dc1c1d",
     "metallic-cf-text": "80c00a0e73fee9f1604f38e8bb8598da4c0fcb433addca73b803286b4111a09a",
+    "metallic-cf-truncated-rational-json": "76078f54e6de7847c62e22c1cbc47d527ea8f7cdcfda71e3258ae844627e7378",
+    "metallic-cf-truncated-rational-text": "c716bdb722ca59d63d2441cfe10d1c4f6a6ec505e31bd936aad03d96ce4cd87a",
+    "metallic-cf-truncated-rational-tsv": "3e496560cdcda312e2441ab3ea53ef9ae64a3b97990b244b699c6ace2f975861",
     "metallic-cf-tsv": "0270e91da7b385605fea48f4930ad4badbc41ec838144b8630f8b75b1f032b7a",
     "metallic-json": "173596736c038a740677e2cbae65abd8de0584e8c5396f0ccd9f9972db4daeac",
     "metallic-text": "f2b1d4700cf4068ef387cbf36b4f8707c036de2e4b21abaa5a028720827241ba",
+    "metallic-tiny-q-json": "fe33ea044907e9c50360e2eba9ffe9112dc9534005672fa828886bf0336d20a3",
+    "metallic-tiny-q-text": "0eed436baaafdc0901789dd162945ab2b72fc48a29ed6d0a7bc9ca26b5235923",
+    "metallic-tiny-q-tsv": "9a8f84a73cbd7360d5f4e6947143eafa29510cecf824fbebdf9467183034a470",
     "metallic-tsv": "9eeb19a48f7d00f2e049a663342251c6d3b6996d69ab9e793bbd69585b30f7ad",
     "mmf-json": "ca36c8d4bf34cd7fdc0d3b11a25908635bf1759954a24873dd47adc9ddc18cd5",
     "mmf-text": "3c4a344f6b5044d98b3aabfb1509f595085e1a19c79a343344316bf8e5fb70cc",
@@ -81,6 +96,9 @@ GOLDEN = {
     "solve-n2-json": "11b195b865262040b389f2cee7208b3ae64abf27fec883b4c04669a20bd2e63c",
     "solve-n2-text": "4e0d4b74c32b34a59d21eab9653e26d91f4c3f6f2b66431f0b6db85ad62a3ead",
     "solve-n2-tsv": "549130dcb54ac908eaaedddb64c45ddcc0a80af0a48c0821f00f50bbd5679a63",
+    "solve-n2-zero-root-json": "0d1f0d766f0e90d2fc6a85d86032016f4bc79667e1fd1f9f0b25ef17dfaefc6f",
+    "solve-n2-zero-root-text": "56e89d4d9f00f693c8e2369bfc1b4f67a5d9cf412b78a3bf02295336f9b8d657",
+    "solve-n2-zero-root-tsv": "13f910b857012b5929e5efbf84806fb1a476bdd6ec660e24c2e7056810d5df5d",
     "solve-n3-json": "b4ca3f3b35f5bd15eb7b2dd60b65a0f967374e82cb8a454582e9a41e59e9b77e",
     "solve-n3-text": "8351e3a0ebd7159e11d4cebba51d5efd71b7b5f29ee12f6c197b13692d4828c5",
     "solve-n3-tsv": "7c8c6c561a673441ee6b176a747099b02553f9641328a2b375e92a0958b9956a",

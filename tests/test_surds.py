@@ -244,6 +244,37 @@ class TestContinuedFractions:
         assert cf.terms(6) == [2, 2, 2, 2, 2, 2]
 
 
+_RATS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+
+
+@st.composite
+def _surds_by_route(draw):
+    """A surd from the constructor, from ``sqrt`` or from a chain of ``+ - * / **``."""
+    d = draw(st.sampled_from([2, 3, 5, 8, 12, 50, 1001]))
+    leaf = st.one_of(
+        st.builds(QuadraticSurd, _RATS, _RATS, st.just(d)),
+        st.builds(lambda k, m: QuadraticSurd.sqrt(Fraction(d * k * k, m * m)),
+                  st.integers(0, 30), st.integers(1, 30)),
+        _RATS.map(QuadraticSurd),
+    )
+    x = draw(leaf)
+    for op in draw(st.lists(st.sampled_from("+-*/^"), max_size=5)):
+        if op == "^":
+            k = draw(st.integers(-3, 3))
+            x = x ** k if x or k >= 0 else x
+            continue
+        y = draw(leaf)
+        if op == "+":
+            x = x + y
+        elif op == "-":
+            x = x - y
+        elif op == "*":
+            x = x * y
+        elif y:
+            x = x / y
+    return x
+
+
 class TestPresentation:
     def test_str_forms(self):
         assert str(GOLDEN) == "(-1 + √5)/2"
@@ -257,6 +288,16 @@ class TestPresentation:
     def test_hash_matches_rational_when_rational(self):
         assert hash(QuadraticSurd(3)) == hash(3)
         assert QuadraticSurd(0, 2, 9) == 6
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_surds_by_route())
+    def test_every_route_gives_the_canonical_value(self, x):
+        rebuilt = QuadraticSurd(x.rat, x.coeff, x.radicand)
+        assert rebuilt == x
+        assert hash(rebuilt) == hash(x)
+        if x.is_rational:
+            assert hash(x) == hash(x.rat)
+        assert eval(repr(x), {"QuadraticSurd": QuadraticSurd, "Fraction": Fraction}) == x
 
 
 def _primes(lo: int, hi: int) -> list[int]:

@@ -15,9 +15,9 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import DomainError, InputTooLarge
 from .harmonic import build_table, cross_check_integer_means, key_rows
@@ -39,9 +39,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
+#: Largest decimal exponent, in magnitude, a rational argument may carry
+#: (``Fraction`` builds 10**exponent, which takes seconds near 10**7).
+MAX_EXPONENT = 1000
 
-@dataclass
-class _Output:
+
+class _Output(NamedTuple):
     """A command's records, made as they are read.  JSON prints them as one
     list, text ``text(record)`` for each and then ``footer``, TSV the
     ``columns`` a record has (a grid row as is).
@@ -233,6 +236,11 @@ def _nonneg_int(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+        raise argparse.ArgumentTypeError(
+            f"decimal exponent must be at most {MAX_EXPONENT} in magnitude: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -9,7 +9,7 @@ verifies against the quadratic solver.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CrossCheckFailed, InputTooLarge
 from .quadratics import integer_metallic
@@ -20,8 +20,7 @@ MAX_GRID_SIZE = 2000
 MAX_SIZE = 10 ** 5
 
 
-@dataclass(frozen=True)
-class HarmonicTable:
+class HarmonicTable(NamedTuple):
     """Multiplication grid of side ``size``.  ``cell(i, j) == i * j`` is computed
     when read; :meth:`rows` yields the grid one row at a time.
     """
@@ -38,8 +37,7 @@ class HarmonicTable:
         return (tuple(i * j for j in range(self.size)) for i in range(self.size))
 
 
-@dataclass(frozen=True)
-class DoubletReport:
+class DoubletReport(NamedTuple):
     """One diagonal doublet: value q = k(k+1) at (k, k+1) and (k+1, k)."""
 
     k: int

@@ -7,10 +7,10 @@ and detection of the integer metallic means ``q = k(k+1)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .errors import NoRealRoots
 from .surds import QuadraticSurd, _as_fraction
@@ -28,27 +28,24 @@ def sign_value(p_sign: str) -> int:
         raise ValueError(f"p_sign must be 'plus' or 'minus', got {p_sign!r}") from None
 
 
-@dataclass(frozen=True)
-class QuadraticSpec:
+class QuadraticSpec(namedtuple("QuadraticSpec", "p q p_sign")):
     """The equation ``x**2 + s*p*x - q = 0`` with s = +1 ('plus') or -1 ('minus')."""
 
-    p: int
-    q: Fraction
-    p_sign: Sign = "plus"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __new__(cls, p: int, q, p_sign: Sign = "plus"):
+        if p < 1:
             raise ValueError("p must be a positive integer")
-        object.__setattr__(self, "q", _as_fraction(self.q))
-        sign_value(self.p_sign)
+        q = _as_fraction(q)
+        sign_value(p_sign)
+        return super().__new__(cls, p, q, p_sign)
 
     @property
     def sign(self) -> int:
         return sign_value(self.p_sign)
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     """Both real roots, exact; ``x1`` is the algebraically larger one.
 
     ``discriminant`` is ``p^2 + 4q``.  For the generalized golden mean

@@ -13,7 +13,7 @@ Values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
 
@@ -422,8 +422,7 @@ def _decimal_text(negative: bool, scaled: int, digits: int) -> str:
 # -- continued fractions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(namedtuple("ContinuedFraction", "initial period truncated")):
     """Simple continued fraction with an optional periodic tail.
 
     ``initial`` always holds at least the integer part; ``period`` is the
@@ -431,16 +430,16 @@ class ContinuedFraction:
     expansion was cut off before terminating or closing a period.
     """
 
-    initial: tuple[int, ...]
-    period: tuple[int, ...] = ()
-    truncated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.initial:
+    def __new__(cls, initial: tuple[int, ...], period: tuple[int, ...] = (),
+                truncated: bool = False):
+        if not initial:
             raise ValueError("a continued fraction needs at least its integer part")
-        tail = self.initial[1:] + self.period
+        tail = initial[1:] + period
         if any(t < 1 for t in tail):
             raise ValueError("all terms after the first must be >= 1")
+        return super().__new__(cls, initial, period, truncated)
 
     def terms(self, count: int) -> list[int]:
         """First ``count`` terms, unrolling the periodic part as needed."""

@@ -8,8 +8,8 @@ of value triples against the Fibonacci and Lucas sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional
+from collections import namedtuple
+from typing import Literal, NamedTuple, Optional
 
 from .errors import CrossCheckFailed, InputTooLarge
 from .quadratics import generalized_gm
@@ -22,23 +22,21 @@ MAX_ROWS = 10 ** 4
 MAX_TRIPLES = 10 ** 6
 
 
-@dataclass(frozen=True)
-class PythagoreanTriple:
+class PythagoreanTriple(namedtuple("PythagoreanTriple", "a b c")):
     """Right triangle with odd first cathetus ``a`` and hypotenuse ``c = b + 1``."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 1 or self.a % 2 == 0:
+    def __new__(cls, a: int, b: int, c: int):
+        if a < 1 or a % 2 == 0:
             raise ValueError("first cathetus must be a positive odd integer")
-        if self.b < 0:
+        if b < 0:
             raise ValueError("second cathetus must be non-negative")
-        if self.c != self.b + 1:
+        if c != b + 1:
             raise ValueError("hypotenuse must exceed the second cathetus by one")
-        if self.a * self.a + self.b * self.b != self.c * self.c:
-            raise ValueError(f"{self.a}^2 + {self.b}^2 != {self.c}^2")
+        if a * a + b * b != c * c:
+            raise ValueError(f"{a}^2 + {b}^2 != {c}^2")
+        return super().__new__(cls, a, b, c)
 
 
 def diophantus_triple(index: int) -> PythagoreanTriple:
@@ -69,8 +67,7 @@ def four_k_sequence(count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TableOneRow:
+class TableOneRow(namedtuple("TableOneRow", "side index m h r")):
     """One row of the two-sided solution table.
 
     left side:  m = 2N(N+1), h = m + 1, r = (2N+1)^2  (integer solutions)
@@ -80,15 +77,12 @@ class TableOneRow:
     (sqrt(r), m, h) is a right triangle.
     """
 
-    side: Side
-    index: int
-    m: int
-    h: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h * self.h != self.m * self.m + self.r:
-            raise ValueError(f"h^2 != m^2 + r for row {self.index} ({self.side})")
+    def __new__(cls, side: Side, index: int, m: int, h: int, r: int):
+        if h * h != m * m + r:
+            raise ValueError(f"h^2 != m^2 + r for row {index} ({side})")
+        return super().__new__(cls, side, index, m, h, r)
 
 
 def _left_row(index: int) -> TableOneRow:
@@ -146,8 +140,7 @@ def left_to_right_index(index: int) -> int:
     return mapped
 
 
-@dataclass(frozen=True)
-class TripletClass:
+class TripletClass(NamedTuple):
     """Whether a value triple is three consecutive Fibonacci or Lucas numbers.
 
     ``member_indices`` gives the starting positions in the matched sequence

@@ -14,42 +14,39 @@ forms live in :mod:`goldmean.quadratics`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import inf, nextafter
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .errors import DegenerateIdentity, InputTooLarge, NoConvergence, NoRealRoot
 from .quadratics import Sign, sign_value
 from .surds import _as_fraction, _check_digits, _decimal_text, _sgn, to_decimal
 
 
-@dataclass(frozen=True)
-class TrinomialSpec:
+class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
     """The equation ``x**n + s*p*x**e = m/2``.
 
     ``lower_exponent`` selects e: ``"one"`` for the linear term family,
     ``"n_minus_one"`` for the x**(n-1) family.
     """
 
-    n: int
-    p: int = 1
-    p_sign: Sign = "plus"
-    m: int = 0
-    lower_exponent: Literal["one", "n_minus_one"] = "one"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, p: int = 1, p_sign: Sign = "plus", m: int = 0,
+                lower_exponent: Literal["one", "n_minus_one"] = "one"):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.p < 1:
+        if p < 1:
             raise ValueError("p must be >= 1")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("m must be >= 0")
-        sign_value(self.p_sign)
-        if self.lower_exponent not in ("one", "n_minus_one"):
+        sign_value(p_sign)
+        if lower_exponent not in ("one", "n_minus_one"):
             raise ValueError(
-                f"lower_exponent must be 'one' or 'n_minus_one', got {self.lower_exponent!r}"
+                f"lower_exponent must be 'one' or 'n_minus_one', got {lower_exponent!r}"
             )
+        return super().__new__(cls, n, p, p_sign, m, lower_exponent)
 
     @property
     def signed_p(self) -> int:
@@ -75,8 +72,7 @@ _BRACKET_GROWTH = 2.0
 MAX_DEGREE = 1000
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(NamedTuple):
     """One certified root: value, enclosing bracket, |f(value)|, iterations.
 
     Roots known exactly keep their Fraction in ``exact`` and carry the
@@ -172,12 +168,20 @@ class _Poly:
         return _decimal_text(True, -a if hit else -a - 1, digits), -1
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """All real roots of ``poly``, ascending."""
+class RootSet(namedtuple("RootSet", "roots")):
+    """All real roots of ``poly``, ascending.
 
-    roots: tuple[RootRecord, ...]
-    poly: _Poly = field(repr=False, compare=False)
+    A record of its roots alone: ``poly`` is kept for :meth:`truncate` but is
+    not a field, so it takes no part in equality, hashing or the repr.
+    """
+
+    def __new__(cls, roots: tuple[RootRecord, ...], poly: _Poly):
+        self = super().__new__(cls, roots)
+        self.poly = poly
+        return self
+
+    def __getnewargs__(self):
+        return self.roots, self.poly
 
     @property
     def values(self) -> list[float]:

@@ -90,6 +90,27 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "no-real-root" in err
 
+    @pytest.mark.parametrize("argv", [
+        # before the exponent bound these ran 9-10 s or printed CPython's digit-limit message
+        ("metallic", "--p", "1", "--q", "1e10000000"),
+        ("metallic", "--p", "1", "--q", "1e100000"),
+        ("euler", "--a", "1e10000000", "--n", "3", "--x", "1", "--mode", "direct"),
+    ])
+    def test_huge_decimal_exponent_is_a_usage_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "decimal exponent must be at most 1000" in err
+        assert "int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("q", ["1e1000", "1e-1000"])
+    def test_exponent_at_the_bound_reaches_the_radicand_bound(self, capsys, q):
+        code, out, err = invoke(capsys, "metallic", "--p", "1", "--q", q)
+        assert code == 2 and out == ""
+        assert err.startswith("error: input-too-large:")
+        assert err.count("\n") == 1
+
 
 class TestCatalogBounds:
     """Each catalog size one above its bound exits 2 at once; the bounds are

@@ -1,0 +1,137 @@
+"""Record semantics shared by every spec and result class.
+
+Each record is immutable, equal (with an equal hash) to a record rebuilt
+from the same fields, printed as ``Name(field=value, ...)`` and unchanged
+by a pickle round trip.  ``RootSet`` compares, hashes and prints by its
+roots alone: the polynomial it keeps for :meth:`RootSet.truncate` is not a
+field.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from goldmean import (
+    ContinuedFraction,
+    DoubletReport,
+    HarmonicTable,
+    PythagoreanTriple,
+    QuadraticSpec,
+    RootRecord,
+    TableOneRow,
+    TrinomialSpec,
+    TripletClass,
+    build_table,
+    classify_triplet,
+    diophantus_triple,
+    find_doublets,
+    generalized_gm,
+    solve_gm_general,
+    table_one,
+)
+from goldmean.cli import _Output
+from goldmean.quadratics import solve_quadratic
+
+_root = solve_gm_general(3, 2).roots[0]
+
+#: (record, an equal record built another way, the fields its repr shows)
+RECORDS = {
+    "QuadraticSpec": (QuadraticSpec(1, 3, "minus"),
+                      QuadraticSpec(p=1, q=Fraction(3), p_sign="minus"), ("p", "q", "p_sign")),
+    "RootPair": (generalized_gm(2),
+                 solve_quadratic(QuadraticSpec(1, Fraction(1), "plus")),
+                 ("x1", "x2", "discriminant")),
+    "ContinuedFraction": (ContinuedFraction((1,), (1,)),
+                          ContinuedFraction(initial=(1,), period=(1,), truncated=False),
+                          ("initial", "period", "truncated")),
+    "PythagoreanTriple": (PythagoreanTriple(3, 4, 5), diophantus_triple(1), ("a", "b", "c")),
+    "TableOneRow": (TableOneRow("right", 2, 2, 3, 5), table_one(3, "right")[2],
+                    ("side", "index", "m", "h", "r")),
+    "TripletClass": (classify_triplet((1, 1, 2)), TripletClass("fibonacci", (1, 2, 3)),
+                     ("tag", "member_indices")),
+    "HarmonicTable": (HarmonicTable(4), build_table(4), ("size",)),
+    "DoubletReport": (find_doublets(build_table(3))[1], DoubletReport(1, 2, ((1, 2), (2, 1))),
+                      ("k", "q", "positions")),
+    "TrinomialSpec": (TrinomialSpec(n=3, p=2, p_sign="minus", m=1, lower_exponent="n_minus_one"),
+                      TrinomialSpec(3, 2, "minus", 1, "n_minus_one"),
+                      ("n", "p", "p_sign", "m", "lower_exponent")),
+    "RootRecord": (_root, RootRecord(_root.value, _root.bracket, _root.residual,
+                                     _root.iterations),
+                   ("value", "bracket", "residual", "iterations", "exact")),
+    "RootSet": (solve_gm_general(3, 2), solve_gm_general(3, 2), ("roots",)),
+    "_Output": (_Output({"n": 2}, [1], str, ("value",), ("r = 5",)),
+                _Output(inputs={"n": 2}, records=[1], text=str, columns=("value",),
+                        footer=("r = 5",)),
+                ("inputs", "records", "text", "columns", "footer")),
+}
+#: every record whose fields are all hashable
+HASHABLE = [name for name in RECORDS if name != "_Output"]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_an_equal_rebuild_is_equal(name):
+    record, rebuilt, _ = RECORDS[name]
+    assert type(record).__name__ == name
+    assert record is not rebuilt
+    assert record == rebuilt
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_an_equal_rebuild_hashes_alike(name):
+    record, rebuilt, _ = RECORDS[name]
+    assert hash(record) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_repr_names_each_field(name):
+    record, _, fields = RECORDS[name]
+    shown = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
+    assert repr(record) == f"{name}({shown})"
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_fields_cannot_be_assigned(name):
+    record, _, fields = RECORDS[name]
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_pickle_round_trip(name):
+    record, _, _ = RECORDS[name]
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record
+
+
+class TestRootSetIsItsRoots:
+    def test_two_solves_are_equal_and_hash_alike(self):
+        first, second = solve_gm_general(3, 2), solve_gm_general(3, 2)
+        assert first.poly is not second.poly
+        assert first == second and hash(first) == hash(second)
+
+    def test_repr_shows_no_object_address(self):
+        assert " at 0x" not in repr(solve_gm_general(3, 2))
+
+    def test_an_unpickled_set_still_truncates(self):
+        roots = solve_gm_general(3, 2)
+        copy = pickle.loads(pickle.dumps(roots))
+        assert copy.roots[0].exact is None  # the float root, decided by the polynomial
+        assert copy.truncate(copy.roots[0], 30) == roots.truncate(roots.roots[0], 30)
+
+
+class TestColdImport:
+    def test_the_cli_imports_neither_dataclasses_nor_inspect(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import goldmean.cli, sys; "
+                "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"

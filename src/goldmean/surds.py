@@ -54,7 +54,9 @@ def _split_square(n: int) -> tuple[int, int]:
 
 
 def _too_large(d: int) -> InputTooLarge:
-    return InputTooLarge(f"radicand {d} exceeds the bound {MAX_RADICAND} of square-free splitting")
+    # str() refuses integers of more than 4300 digits, so a long one is named by its size
+    shown = d if d.bit_length() <= 1000 else f"of about {int(d.bit_length() * 0.30103) + 1} digits"
+    return InputTooLarge(f"radicand {shown} exceeds the bound {MAX_RADICAND} of square-free splitting")
 
 
 def _sgn(x) -> int:

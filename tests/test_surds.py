@@ -409,6 +409,16 @@ class TestRadicandBound:
         assert captured.err.startswith("error: input-too-large:")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("p, q", [("1", "1" + "0" * 4000 + "e1000"), ("1" + "0" * 4000, "1")],
+                             ids=["q of 5001 digits", "p of 4001 digits"])
+    def test_cli_names_a_long_radicand_by_its_size(self, capsys, p, q):
+        assert run(["metallic", "--p", p, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: input-too-large: radicand of about ")
+        assert captured.err.count("\n") == 1
+        assert "Exceeds the limit" not in captured.err
+
     def test_cli_large_radicand_is_exact(self, capsys):
         start = time.perf_counter()
         assert run(["metallic", "--p", "1", "--q", "1e14", "--digits", "40"]) == 0

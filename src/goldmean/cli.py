@@ -337,8 +337,7 @@ def run(argv: list[str] | None = None) -> int:
     global _parser, _commands
     if _parser is None:
         _parser = build_parser()
-        # argparse's top-level pass only finds the command, then hands every later string
-        # to that command's parser, kept in the choices of the private _SubParsersAction
+        # the top-level pass only finds the command parser: a choice of private _SubParsersAction
         _commands = next(a.choices for a in _parser._actions
                          if isinstance(a, argparse._SubParsersAction))
     argv = sys.argv[1:] if argv is None else argv
@@ -347,7 +346,8 @@ def run(argv: list[str] | None = None) -> int:
         ns, extras = sub.parse_known_args(argv[1:]) if sub else (None, None)
         if sub is None or extras:  # help, an unknown command or extra arguments:
             ns = _parser.parse_args(argv)  # the full parser reports them as it always did
-        ns.command = argv[0]
+        else:
+            ns.command = argv[0]
     except SystemExit as exc:
         # argparse already printed usage/help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

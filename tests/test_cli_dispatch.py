@@ -115,6 +115,14 @@ class TestSameAsFullParser:
         expected = full_parse(cli.build_parser(), None, capsys)
         assert via_run(None) == expected
 
+    def test_namespace_of_a_full_parse_is_kept(self, via_run, capsys, monkeypatch):
+        # argparse 3.12.7+ and 3.13.1+ drop a '--' before the command and parse the rest
+        real = cli._parser.parse_args
+        monkeypatch.setattr(cli._parser, "parse_args",
+                            lambda argv: real(argv[1:] if argv[:1] == ["--"] else argv))
+        argv = ["solve", "--n", "3", "--m", "2"]
+        assert via_run(["--", *argv]) == full_parse(cli.build_parser(), argv, capsys)
+
     @pytest.mark.parametrize("workload", sorted(corpus.GENERATORS))
     def test_perfbench_corpus(self, via_run, capsys, workload):
         parser = cli.build_parser()
@@ -150,7 +158,8 @@ class TestTopLevelPassSkipped:
                                 lambda *a, name=name, real=real: calls.append(name) or real(*a))
         return calls
 
-    def test_one_argv_per_command(self, top_level_passes):
+    def test_one_argv_per_command(self, capsys):
+        assert [cli.run(argv) for argv in WELL_FORMED] == [cli.EXIT_OK] * len(WELL_FORMED)
         assert sorted(argv[0] for argv in WELL_FORMED) == sorted(cli._commands)
 
     @pytest.mark.parametrize("argv", [*WELL_FORMED, ["solve", "--n", "3"]], ids=" ".join)

@@ -4,112 +4,41 @@ Quadratic surd arithmetic with digit-exact decimals and periodic continued
 fractions; closed-form quadratic roots and the metallic-means family;
 certified real roots for the trinomial generalizations x**n ± p*x**e = m/2;
 the Diophantus triangle catalog; and the harmonic multiplication table.
+
+Each public name is imported from its submodule on first use (PEP 562), so
+``import goldmean.cli`` loads only the submodules a command needs.
 """
 
-from .errors import (
-    CrossCheckFailed,
-    DegenerateIdentity,
-    DomainError,
-    InputTooLarge,
-    MixedRadicands,
-    NoConvergence,
-    NonPositive,
-    NoRealRoot,
-    NoRealRoots,
-)
-from .harmonic import (
-    DoubletReport,
-    HarmonicTable,
-    build_table,
-    cross_check_integer_means,
-    find_doublets,
-    key_rows,
-)
-from .quadratics import (
-    QuadraticSpec,
-    RootPair,
-    generalized_gm,
-    integer_metallic,
-    metallic_mean,
-    solve_quadratic,
-)
-from .surds import (
-    ContinuedFraction,
-    QuadraticSurd,
-    Rational,
-    continued_fraction_of,
-    surd_compare,
-    to_decimal,
-)
-from .triangles import (
-    PythagoreanTriple,
-    TableOneRow,
-    TripletClass,
-    classify_triplet,
-    diophantus_triple,
-    four_k_sequence,
-    left_to_right_index,
-    table_one,
-)
-from .trinomials import (
-    TOLERANCE,
-    RootRecord,
-    RootSet,
-    TrinomialSpec,
-    isolate_real_roots,
-    solve_euler,
-    solve_gm_general,
-    solve_stakhov,
-    solve_trinomial,
-    stakhov_decimal,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContinuedFraction",
-    "CrossCheckFailed",
-    "DegenerateIdentity",
-    "DomainError",
-    "DoubletReport",
-    "HarmonicTable",
-    "InputTooLarge",
-    "MixedRadicands",
-    "NoConvergence",
-    "NonPositive",
-    "NoRealRoot",
-    "NoRealRoots",
-    "PythagoreanTriple",
-    "QuadraticSpec",
-    "QuadraticSurd",
-    "Rational",
-    "RootPair",
-    "RootRecord",
-    "RootSet",
-    "TOLERANCE",
-    "TableOneRow",
-    "TrinomialSpec",
-    "TripletClass",
-    "build_table",
-    "classify_triplet",
-    "continued_fraction_of",
-    "cross_check_integer_means",
-    "diophantus_triple",
-    "find_doublets",
-    "four_k_sequence",
-    "generalized_gm",
-    "integer_metallic",
-    "isolate_real_roots",
-    "key_rows",
-    "left_to_right_index",
-    "metallic_mean",
-    "solve_euler",
-    "solve_gm_general",
-    "solve_quadratic",
-    "solve_stakhov",
-    "solve_trinomial",
-    "stakhov_decimal",
-    "surd_compare",
-    "table_one",
-    "to_decimal",
-]
+_HOMES = {
+    "errors": ("CrossCheckFailed", "DegenerateIdentity", "DomainError", "InputTooLarge",
+               "MixedRadicands", "NoConvergence", "NonPositive", "NoRealRoot", "NoRealRoots"),
+    "harmonic": ("DoubletReport", "HarmonicTable", "build_table", "cross_check_integer_means",
+                 "find_doublets", "key_rows"),
+    "quadratics": ("QuadraticSpec", "RootPair", "generalized_gm", "integer_metallic",
+                   "metallic_mean", "solve_quadratic"),
+    "surds": ("ContinuedFraction", "QuadraticSurd", "Rational", "continued_fraction_of",
+              "surd_compare", "to_decimal"),
+    "triangles": ("PythagoreanTriple", "TableOneRow", "TripletClass", "classify_triplet",
+                  "diophantus_triple", "four_k_sequence", "left_to_right_index", "table_one"),
+    "trinomials": ("TOLERANCE", "RootRecord", "RootSet", "TrinomialSpec", "isolate_real_roots",
+                   "solve_euler", "solve_gm_general", "solve_stakhov", "solve_trinomial",
+                   "stakhov_decimal"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

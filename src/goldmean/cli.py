@@ -11,29 +11,55 @@ nothing to stdout.
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import os
 import sys
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InputTooLarge
-from .harmonic import build_table, cross_check_integer_means, key_rows
 from .quadratics import generalized_gm, metallic_mean
 from .surds import MAX_DIGITS, QuadraticSurd, continued_fraction_of, to_decimal
-from .triangles import MAX_TRIPLES, diophantus_triple, table_one
-from .trinomials import (
-    TOLERANCE,
-    RootSet,
-    TrinomialSpec,
-    solve_euler,
-    solve_gm_general,
-    solve_stakhov,
-    solve_trinomial,
-    stakhov_decimal,
-)
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .harmonic import build_table, cross_check_integer_means, key_rows
+    from .triangles import MAX_TRIPLES, diophantus_triple, table_one
+    from .trinomials import (TOLERANCE, RootSet, TrinomialSpec, solve_euler, solve_gm_general,
+                             solve_stakhov, solve_trinomial, stakhov_decimal)
+
+#: library names the handlers read, by module; a module is imported by the first
+#: command that needs it, so a cold process loads only its command's modules
+_LAZY = {
+    "harmonic": ("build_table", "cross_check_integer_means", "key_rows"),
+    "triangles": ("MAX_TRIPLES", "diophantus_triple", "table_one"),
+    "trinomials": ("TOLERANCE", "TrinomialSpec", "solve_euler", "solve_gm_general", "solve_stakhov",
+                   "solve_trinomial", "stakhov_decimal"),
+}
+
+
+def _need(module: str):
+    """Import a library module and bind its ``_LAZY`` names here, keeping any already set
+    (a wrapper installed with ``setattr`` stays the name the handlers call)."""
+    name = f"{__package__}.{module}"
+    lib = sys.modules.get(name) or importlib.import_module(name)
+    for attr in _LAZY[module]:
+        globals().setdefault(attr, getattr(lib, attr))
+    return lib
+
+
+def __getattr__(name: str):
+    """Bind a ``_LAZY`` name on its first read from outside, such as ``cli.table_one``."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,6 +129,7 @@ def _root_text(record: dict) -> str:
 
 
 def _cmd_solve(ns) -> _Output:
+    _need("trinomials")
     roots = solve_gm_general(ns.n, ns.m, tolerance=ns.tol)
     inputs = {"n": ns.n, "m": ns.m, "tolerance": ns.tol}
     exact, footer = None, ()
@@ -116,6 +143,7 @@ def _cmd_solve(ns) -> _Output:
 
 
 def _cmd_mmf(ns) -> _Output:
+    _need("trinomials")
     spec = TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
     roots = solve_trinomial(spec)
     inputs = {"n": ns.n, "p": ns.p, "sign": ns.sign, "m": ns.m}
@@ -123,6 +151,7 @@ def _cmd_mmf(ns) -> _Output:
 
 
 def _cmd_stakhov(ns) -> _Output:
+    _need("trinomials")
     value = solve_stakhov(ns.n, ns.variant)
     inputs = {"n": ns.n, "variant": ns.variant}
     records = [{"decimal": stakhov_decimal(ns.n, ns.variant, value, ns.digits), "value": value}]
@@ -131,6 +160,7 @@ def _cmd_stakhov(ns) -> _Output:
 
 
 def _cmd_euler(ns) -> _Output:
+    _need("trinomials")
     roots = solve_euler(ns.a, ns.n, ns.x, ns.mode)
     inputs = {"a": str(ns.a), "n": ns.n, "x": str(ns.x), "mode": ns.mode}
     return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_COLUMNS)
@@ -156,6 +186,7 @@ def _cmd_metallic(ns) -> _Output:
 
 
 def _cmd_table1(ns) -> _Output:
+    _need("triangles")
     inputs = {"rows": ns.rows, "side": ns.side}
     records = ({"side": row.side, "index": row.index, "m": row.m, "h": row.h, "r": row.r}
                for row in table_one(ns.rows, ns.side))
@@ -164,6 +195,7 @@ def _cmd_table1(ns) -> _Output:
 
 
 def _cmd_diophantus(ns) -> _Output:
+    _need("triangles")
     if ns.count > MAX_TRIPLES:
         raise InputTooLarge(f"count {ns.count} exceeds the bound {MAX_TRIPLES}")
     inputs = {"count": ns.count}
@@ -183,6 +215,7 @@ def _harmonic_text(record) -> str:
 
 
 def _cmd_harmonic(ns) -> _Output:
+    _need("harmonic")
     table = build_table(ns.size)
     inputs = {"size": ns.size, "doublets": ns.doublets, "key": ns.key}
     columns = ("k", "q", "i1", "j1", "i2", "j2", "pair_low", "pair_high",
@@ -221,17 +254,23 @@ def _emit(ns, out: _Output) -> None:
             print(line)
 
 
+def _usage_error(message: str) -> Exception:
+    import argparse  # argparse words every usage error, so only an error needs it
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise _usage_error("must be a positive integer")
     return value
 
 
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
+        raise _usage_error("must be a non-negative integer")
     return value
 
 
@@ -239,27 +278,75 @@ def _fraction(text: str) -> Fraction:
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
-        raise argparse.ArgumentTypeError(
+        raise _usage_error(
             f"decimal exponent must be at most {MAX_EXPONENT} in magnitude: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise _usage_error(f"not a rational number: {text!r}") from exc
 
 
 def _digits(text: str) -> int:
     value = int(text)
     if not 1 <= value <= MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"digits must be in 1..{MAX_DIGITS}")
+        raise _usage_error(f"digits must be in 1..{MAX_DIGITS}")
     return value
 
 
+#: the options every subcommand takes, as ``add_argument`` keywords
+_COMMON = {
+    "--format": dict(choices=("text", "json", "tsv"), default="text",
+                     help="output format (default: text)"),
+    "--digits": dict(type=_digits, default=10, help="decimal rendering width (default: 10)"),
+}
+#: each subcommand's handler, help and own options; a callable default is called only
+#: when it is used, so that reading the table imports no library module
+_COMMANDS = {
+    "solve": (_cmd_solve, "all real roots of x**n + x = m/2", {
+        "--n": dict(type=_positive_int, required=True),
+        "--m": dict(type=_nonneg_int, required=True),
+        "--tol": dict(type=float, default=lambda: _need("trinomials").TOLERANCE,
+                      help="scaled residual tolerance (default %(default)s)")}),
+    "mmf": (_cmd_mmf, "all real roots of x**n ± p*x = m/2", {
+        "--n": dict(type=_positive_int, required=True),
+        "--p": dict(type=_positive_int, required=True),
+        "--sign": dict(choices=("plus", "minus"), required=True),
+        "--m": dict(type=_nonneg_int, required=True)}),
+    "stakhov": (_cmd_stakhov, "positive root of x**n + x = 1 (a) or x**n + x**(n-1) = 1 (b)", {
+        "--n": dict(type=_positive_int, required=True),
+        "--variant": dict(choices=("a", "b"), required=True)}),
+    "euler": (_cmd_euler, "solve (a + b**n)/n = x for b", {
+        "--a": dict(type=_fraction, required=True),
+        "--n": dict(type=_positive_int, required=True),
+        "--x": dict(type=_fraction, required=True),
+        "--mode": dict(choices=("direct", "constrained"), required=True)}),
+    "metallic": (_cmd_metallic, "positive root of x**2 - p*x - q = 0, exact", {
+        "--p": dict(type=_positive_int, required=True),
+        "--q": dict(type=_fraction, required=True),
+        "--cf-terms": dict(type=_positive_int, default=None,
+                           help="also expand this many continued-fraction terms")}),
+    "table1": (_cmd_table1, "rows of the two-sided solution table", {
+        "--rows": dict(type=_positive_int, required=True),
+        "--side": dict(choices=("left", "right", "both"), default="both")}),
+    "diophantus": (_cmd_diophantus, "Pythagorean triples (2N+1, 2N(N+1), 2N(N+1)+1)", {
+        "--count": dict(type=_positive_int, required=True)}),
+    "harmonic": (_cmd_harmonic, "harmonic multiplication table, doublets and key", {
+        "--size": dict(type=_positive_int, required=True),
+        "--doublets": dict(action="store_true",
+                           help="list diagonal doublets with their integer mean pairs"),
+        "--key": dict(type=_nonneg_int, default=None, metavar="K",
+                      help="print key rows (k, k^2 + k, k(k+1)) for k in 0..K")}),
+}
+
+
+def _default(keywords: dict):
+    default = keywords.get("default", False if "action" in keywords else None)
+    return default() if callable(default) else default
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "tsv"), default="text",
-                        help="output format (default: text)")
-    common.add_argument("--digits", type=_digits, default=10,
-                        help="decimal rendering width (default: 10)")
+    """argparse's parser of the command table; ``run`` needs it only for help and errors."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="goldmean",
@@ -267,90 +354,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "roots, triangle catalogs and the harmonic table.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", parents=[common],
-                       help="all real roots of x**n + x = m/2")
-    p.set_defaults(handler=_cmd_solve)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=_nonneg_int, required=True)
-    p.add_argument("--tol", type=float, default=TOLERANCE,
-                   help=f"scaled residual tolerance (default {TOLERANCE})")
-
-    p = sub.add_parser("mmf", parents=[common],
-                       help="all real roots of x**n ± p*x = m/2")
-    p.set_defaults(handler=_cmd_mmf)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--sign", choices=("plus", "minus"), required=True)
-    p.add_argument("--m", type=_nonneg_int, required=True)
-
-    p = sub.add_parser("stakhov", parents=[common],
-                       help="positive root of x**n + x = 1 (a) or x**n + x**(n-1) = 1 (b)")
-    p.set_defaults(handler=_cmd_stakhov)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--variant", choices=("a", "b"), required=True)
-
-    p = sub.add_parser("euler", parents=[common],
-                       help="solve (a + b**n)/n = x for b")
-    p.set_defaults(handler=_cmd_euler)
-    p.add_argument("--a", type=_fraction, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--x", type=_fraction, required=True)
-    p.add_argument("--mode", choices=("direct", "constrained"), required=True)
-
-    p = sub.add_parser("metallic", parents=[common],
-                       help="positive root of x**2 - p*x - q = 0, exact")
-    p.set_defaults(handler=_cmd_metallic)
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--q", type=_fraction, required=True)
-    p.add_argument("--cf-terms", type=_positive_int, default=None,
-                   help="also expand this many continued-fraction terms")
-
-    p = sub.add_parser("table1", parents=[common],
-                       help="rows of the two-sided solution table")
-    p.set_defaults(handler=_cmd_table1)
-    p.add_argument("--rows", type=_positive_int, required=True)
-    p.add_argument("--side", choices=("left", "right", "both"), default="both")
-
-    p = sub.add_parser("diophantus", parents=[common],
-                       help="Pythagorean triples (2N+1, 2N(N+1), 2N(N+1)+1)")
-    p.set_defaults(handler=_cmd_diophantus)
-    p.add_argument("--count", type=_positive_int, required=True)
-
-    p = sub.add_parser("harmonic", parents=[common],
-                       help="harmonic multiplication table, doublets and key")
-    p.set_defaults(handler=_cmd_harmonic)
-    p.add_argument("--size", type=_positive_int, required=True)
-    p.add_argument("--doublets", action="store_true",
-                   help="list diagonal doublets with their integer mean pairs")
-    p.add_argument("--key", type=_nonneg_int, default=None, metavar="K",
-                   help="print key rows (k, k^2 + k, k(k+1)) for k in 0..K")
+    for command, (handler, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(handler=handler)
+        for flag, keywords in {**_COMMON, **options}.items():
+            p.add_argument(flag, **{**keywords, "default": _default(keywords)})
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None  # built by the first run(), then reused
-_commands: dict[str, argparse.ArgumentParser] = {}  # its subcommand parsers by name
+def _strict(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed argv, read from the command table.
+
+    It reads exact ``--opt value`` pairs whose value does not start with '-',
+    ``--opt=value`` and flags, calls each option's type and checks its choices.
+    Anything else is None, and argparse reads it: help, a prefix, '--', a value
+    starting with '-', a bad value, a missing option, an unknown or extra word.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    options = {**_COMMON, **options}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        keywords = options.get(flag)
+        if keywords is None or (eq and "action" in keywords):
+            return None
+        if "action" in keywords:  # a store_true flag
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        try:
+            value = keywords.get("type", str)(value)
+        except Exception:  # whatever it raises, argparse calls it again and reports it
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(keywords.get("required") and flag not in given for flag, keywords in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], handler=handler, **{
+        flag[2:].replace("-", "_"): given[flag] if flag in given else _default(keywords)
+        for flag, keywords in options.items()})
+
+
+_parser: argparse.ArgumentParser | None = None  # built by the first argv argparse reads
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, dispatch, emit; returns the process exit code."""
-    global _parser, _commands
-    if _parser is None:
-        _parser = build_parser()
-        # the top-level pass only finds the command parser: a choice of private _SubParsersAction
-        _commands = next(a.choices for a in _parser._actions
-                         if isinstance(a, argparse._SubParsersAction))
+    global _parser
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        sub = _commands.get(argv[0]) if argv else None
-        ns, extras = sub.parse_known_args(argv[1:]) if sub else (None, None)
-        if sub is None or extras:  # help, an unknown command or extra arguments:
-            ns = _parser.parse_args(argv)  # the full parser reports them as it always did
-        else:
-            ns.command = argv[0]
-    except SystemExit as exc:
-        # argparse already printed usage/help
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    ns = _strict(argv)
+    if ns is None:  # help, a usage error or a form only argparse reads
+        if _parser is None:
+            _parser = build_parser()
+        try:
+            ns = _parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse already printed usage/help
+            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         out = ns.handler(ns)
     except DomainError as exc:

@@ -1,7 +1,7 @@
-"""``cli.run`` parses a well-formed argv with its subcommand's parser alone.
+"""``cli.run`` parses a well-formed argv from the command table, without argparse.
 
-The shortcut must leave every namespace, exit code, stdout and stderr as the
-full parser makes them, and it must keep the top-level pass out of the
+The strict pass must leave every namespace, exit code, stdout and stderr as
+argparse's full parser makes them, and it must keep argparse out of the
 common path.
 """
 
@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from goldmean import cli
 
@@ -49,6 +51,11 @@ EDGE_ARGV = [
     ["harmonic", "--size", "3", "--doublets", "--key", "2"],
     ["table1", "--rows", "2", "--side", "middle"],
     ["diophantus", "--count", "2", "--count", "3"],
+    ["euler", "--a", "-3/2", "--n", "2", "--x", "1", "--mode", "direct"],
+    ["euler", "--a", "-3", "--n", "2", "--x", "-0.5", "--mode", "direct"],
+    ["metallic", "--p", "1", "--q", "-1/5"],
+    ["solve", "--n", "3", "--m", "2", "--tol", "-1e-3"],
+    ["harmonic", "--size", "3", "--doublets=yes"],
 ]
 
 
@@ -61,19 +68,16 @@ def _stop(ns):
 
 
 def _fields(ns) -> dict:
-    # the handler is the stub on one side; the command names the real one
+    # the handler is a stub; the command names the real one
     return {k: v for k, v in vars(ns).items() if k != "handler"}
 
 
 @pytest.fixture
 def via_run(monkeypatch, capsys):
     """What ``cli.run`` parses: ("ns", fields) or ("exit", code, stdout, stderr)."""
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "_commands", {})
-    cli.run(["diophantus", "--count", "1"])
-    capsys.readouterr()
-    for sub in cli._commands.values():
-        sub.set_defaults(handler=_stop)
+    monkeypatch.setattr(cli, "_parser", None)  # so argparse's parser is built from the stubs
+    for command, (_, summary, options) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, command, (_stop, summary, options))
     codes = []
     real_exit = argparse.ArgumentParser.exit
 
@@ -117,6 +121,7 @@ class TestSameAsFullParser:
 
     def test_namespace_of_a_full_parse_is_kept(self, via_run, capsys, monkeypatch):
         # argparse 3.12.7+ and 3.13.1+ drop a '--' before the command and parse the rest
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
         real = cli._parser.parse_args
         monkeypatch.setattr(cli._parser, "parse_args",
                             lambda argv: real(argv[1:] if argv[:1] == ["--"] else argv))
@@ -126,11 +131,50 @@ class TestSameAsFullParser:
     @pytest.mark.parametrize("workload", sorted(corpus.GENERATORS))
     def test_perfbench_corpus(self, via_run, capsys, workload):
         parser = cli.build_parser()
-        distinct = {tuple(op["argv"]) for op in corpus.generate(workload, 1)}
+        distinct = {tuple(op["argv"]) for seed in (1, 2, 3) for op in corpus.generate(workload, seed)}
         for argv in sorted(distinct):
             expected = full_parse(parser, list(argv), capsys)
             assert expected[0] == "ns"
             assert via_run(list(argv)) == expected, argv
+
+
+OPTIONS = sorted({*cli._COMMON, *(flag for _, _, own in cli._COMMANDS.values() for flag in own)})
+VALUES = ["0", "1", "12", " 7", "1_0", "-1", "-3", "-0.5", "-3/2", "-1e-3", "-1/5", "1/2", "2.5",
+          "1e3", "1e1001", "nan", "x", "", "-", "--n"]
+NOISE = st.one_of(
+    st.sampled_from([*OPTIONS, *VALUES, "-h", "--help", "--", "bogus", "solve"]),
+    st.builds("{}={}".format, st.sampled_from(OPTIONS), st.sampled_from(VALUES)),
+    st.builds(lambda flag, k: flag[:k], st.sampled_from(OPTIONS), st.integers(2, 5)),
+)
+
+
+@st.composite
+def argvs(draw):
+    """Mostly well-formed argv: each option of one command 0-2 times (a required one at
+    least once), in any order and either form, with good and bad values and a little noise."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = {**cli._COMMON, **cli._COMMANDS[command][2]}
+    tokens = []
+    for flag in draw(st.permutations(sorted(options))):
+        keywords = options[flag]
+        for _ in range(draw(st.integers(1 if keywords.get("required") else 0, 2))):
+            if "action" in keywords:
+                tokens.append(draw(st.sampled_from([flag, flag, f"{flag}=1"])))
+                continue
+            good = st.sampled_from(keywords.get("choices", ("1", "3", "12")))
+            value = draw(st.one_of(good, good, st.sampled_from(VALUES)))
+            tokens += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(NOISE))
+    return draw(st.sampled_from([[command]] * 5 + [[], [command[:3]], ["--", command]])) + tokens
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=argvs())
+    def test_same_as_full_parser(self, via_run, capsys, argv):
+        assert via_run(argv) == full_parse(cli.build_parser(), argv, capsys)
 
 
 WELL_FORMED = [
@@ -146,29 +190,30 @@ WELL_FORMED = [
 
 
 class TestTopLevelPassSkipped:
+    """No argparse parser parses a well-formed argv; help and usage errors take the full one."""
+
     @pytest.fixture
-    def top_level_passes(self, monkeypatch, capsys):
-        """Names of the cached top-level parser's parse methods, one per call."""
-        cli.run(["diophantus", "--count", "1"])
-        capsys.readouterr()
+    def top_level_passes(self, monkeypatch):
+        """Names of argparse's parse methods, one per call on any parser, the cached one built."""
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
         calls = []
         for name in ("parse_args", "parse_known_args"):
-            real = getattr(cli._parser, name)
-            monkeypatch.setattr(cli._parser, name,
+            real = getattr(argparse.ArgumentParser, name)
+            monkeypatch.setattr(argparse.ArgumentParser, name,
                                 lambda *a, name=name, real=real: calls.append(name) or real(*a))
         return calls
 
     def test_one_argv_per_command(self, capsys):
         assert [cli.run(argv) for argv in WELL_FORMED] == [cli.EXIT_OK] * len(WELL_FORMED)
-        assert sorted(argv[0] for argv in WELL_FORMED) == sorted(cli._commands)
+        assert sorted(argv[0] for argv in WELL_FORMED) == sorted(cli._COMMANDS)
 
-    @pytest.mark.parametrize("argv", [*WELL_FORMED, ["solve", "--n", "3"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
     def test_not_taken(self, top_level_passes, capsys, argv):
         cli.run(argv)
         capsys.readouterr()
         assert top_level_passes == []
 
-    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"],
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["solve", "--n", "3"],
                                       ["solve", "--n", "3", "--m", "2", "extra"]], ids=" ".join)
     def test_taken_for_help_unknown_command_and_extras(self, top_level_passes, capsys, argv):
         cli.run(argv)

@@ -7,6 +7,7 @@ roots alone: the polynomial it keeps for :meth:`RootSet.truncate` is not a
 field.
 """
 
+import importlib
 import os
 import pickle
 import subprocess
@@ -14,7 +15,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from test_cli_dispatch import WELL_FORMED
 
+import goldmean
 from goldmean import (
     ContinuedFraction,
     DoubletReport,
@@ -125,13 +128,70 @@ class TestRootSetIsItsRoots:
         assert copy.truncate(copy.roots[0], 30) == roots.truncate(roots.roots[0], 30)
 
 
+def _fresh(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter on this checkout's ``src``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: the exit code of ``cli.run(sys.argv[1:])``, then argparse and goldmean's submodules if loaded
+RUN_AND_LIST = """import contextlib, io, sys
+from goldmean import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m == "argparse" or m.startswith("goldmean.")))
+"""
+
+#: library modules a command's cold run must not load
+NOT_LOADED = {
+    **dict.fromkeys(("solve", "mmf", "stakhov", "euler"), ("triangles", "harmonic")),
+    "metallic": ("trinomials", "triangles", "harmonic"),
+    **dict.fromkeys(("table1", "diophantus"), ("trinomials", "harmonic")),
+    "harmonic": ("trinomials", "triangles"),
+}
+
+
 class TestColdImport:
     def test_the_cli_imports_neither_dataclasses_nor_inspect(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import goldmean.cli, sys; "
                 "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path), timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "\n"
+        assert _fresh(code) == "\n"
+
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_a_well_formed_run_loads_its_command_alone(self, argv):
+        code, *loaded = _fresh(RUN_AND_LIST, *argv).split()
+        assert code == "0"
+        assert "argparse" not in loaded
+        assert not {f"goldmean.{module}" for module in NOT_LOADED[argv[0]]} & set(loaded)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--n", "3"]], ids=" ".join)
+    def test_help_and_usage_errors_load_argparse(self, argv):
+        assert "argparse" in _fresh(RUN_AND_LIST, *argv).split()
+
+
+class TestLazyPackage:
+    def test_the_package_alone_loads_no_submodule(self):
+        code = "import goldmean, sys; print(*sorted(m for m in sys.modules if 'goldmean' in m))"
+        assert _fresh(code) == "goldmean\n"
+
+    def test_every_public_name_is_its_home_modules_object(self):
+        assert sorted(goldmean._HOME) == sorted(goldmean.__all__)
+        for name, module in goldmean._HOME.items():
+            home = importlib.import_module(f"goldmean.{module}")
+            assert getattr(goldmean, name) is getattr(home, name), name
+
+    def test_star_import_and_dir(self):
+        code = ("from goldmean import *; import goldmean; "
+                "print(all(globals()[n] is getattr(goldmean, n) for n in goldmean.__all__), "
+                "set(goldmean.__all__) <= set(dir(goldmean)))")
+        assert _fresh(code) == "True True\n"
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'solve'"):
+            goldmean.solve
+        with pytest.raises(ImportError):
+            from goldmean import bogus  # noqa: F401

@@ -68,8 +68,9 @@ def _stop(ns):
 
 
 def _fields(ns) -> dict:
-    # the handler is a stub; the command names the real one
-    return {k: v for k, v in vars(ns).items() if k != "handler"}
+    # the handler is a stub; the command names the real one.  Values compare by
+    # repr, since a nan (``--tol nan``) equals no float, not even itself
+    return {k: repr(v) for k, v in vars(ns).items() if k != "handler"}
 
 
 @pytest.fixture
@@ -213,9 +214,17 @@ class TestTopLevelPassSkipped:
         capsys.readouterr()
         assert top_level_passes == []
 
-    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["solve", "--n", "3"],
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"],
                                       ["solve", "--n", "3", "--m", "2", "extra"]], ids=" ".join)
     def test_taken_for_help_unknown_command_and_extras(self, top_level_passes, capsys, argv):
         cli.run(argv)
         capsys.readouterr()
+        assert top_level_passes.count("parse_args") == 1
+
+    @pytest.mark.parametrize("argv", [["solve", "--n", "3"], ["harmonic", "--doublets"]],
+                             ids=" ".join)
+    def test_taken_for_a_missing_option(self, top_level_passes, capsys, argv):
+        # argparse words the error, so the full parser reads the argv, once
+        assert cli.run(argv) == cli.EXIT_USAGE
+        assert "the following arguments are required" in capsys.readouterr().err
         assert top_level_passes.count("parse_args") == 1

@@ -73,7 +73,8 @@ MAX_EXPONENT = 1000
 class _Output(NamedTuple):
     """A command's records, made as they are read.  JSON prints them as one
     list, text ``text(record)`` for each and then ``footer``, TSV the
-    ``columns`` a record has (a grid row as is).
+    ``columns`` a record has, or ``text(record)`` when there are no columns
+    (a grid row).
     """
 
     inputs: dict
@@ -204,9 +205,7 @@ def _cmd_diophantus(ns) -> _Output:
     return _Output(inputs, records, "{c}^2 = {b}^2 + {a}^2".format_map, ("a", "b", "c"))
 
 
-def _harmonic_text(record) -> str:
-    if not isinstance(record, dict):
-        return _tsv_row(record, ())
+def _harmonic_text(record: dict) -> str:
     if "q" in record:
         return ("doublet q={q} at ({i1},{j1})/({i2},{j2}) "
                 "-> integer pair ({pair_low}, {pair_high})").format_map(record)
@@ -218,10 +217,11 @@ def _cmd_harmonic(ns) -> _Output:
     _need("harmonic")
     table = build_table(ns.size)
     inputs = {"size": ns.size, "doublets": ns.doublets, "key": ns.key}
+    if not ns.doublets and ns.key is None:
+        # one format per grid renders a row in text and TSV alike, as "\t".join(map(str, row))
+        return _Output(inputs, table.rows(), "\t".join(["%d"] * ns.size).__mod__, ())
     columns = ("k", "q", "i1", "j1", "i2", "j2", "pair_low", "pair_high",
                "square_plus_side", "product")
-    if not ns.doublets and ns.key is None:
-        return _Output(inputs, table.rows(), _harmonic_text, columns)
     doublets = cross_check_integer_means(table) if ns.doublets else []
     keys = key_rows(ns.key) if ns.key is not None else []
     records = chain(({"k": k, "q": q, "i1": k, "j1": k + 1, "i2": k + 1, "j2": k,
@@ -235,9 +235,7 @@ def _cell(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
-def _tsv_row(record, columns: tuple[str, ...]) -> str:
-    if not isinstance(record, dict):
-        return "\t".join(map(str, record))
+def _tsv_row(record: dict, columns: tuple[str, ...]) -> str:
     return "\t".join(_cell(record[c]) for c in columns if c in record)
 
 
@@ -248,7 +246,7 @@ def _emit(ns, out: _Output) -> None:
                           "results": list(out.records), "errors": []}))
     elif ns.format == "tsv":
         for record in out.records:
-            print(_tsv_row(record, out.columns))
+            print(_tsv_row(record, out.columns) if out.columns else out.text(record))
     else:
         for line in chain(map(out.text, out.records), out.footer):
             print(line)

@@ -63,12 +63,12 @@ def solve_quadratic(spec: QuadraticSpec) -> RootPair:
     Raises :class:`NoRealRoots` when the discriminant is negative; equal
     roots are returned twice when it is zero.
     """
-    s = spec.sign
-    disc = Fraction(spec.p * spec.p) + 4 * spec.q
+    p, q = spec.p, spec.q
+    disc = Fraction(p * p * q.denominator + 4 * q.numerator, q.denominator)
     if disc < 0:
         raise NoRealRoots(f"discriminant p^2 + 4q = {disc} is negative")
-    half_root = QuadraticSurd.sqrt(disc) * Fraction(1, 2)
-    base = QuadraticSurd(Fraction(-s * spec.p, 2))
+    half_root = QuadraticSurd.sqrt(disc) / 2
+    base = QuadraticSurd._canonical(-spec.sign * p, 0, 2, 0)
     return RootPair(base + half_root, base - half_root, disc)
 
 

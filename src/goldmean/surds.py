@@ -264,12 +264,15 @@ class QuadraticSurd:
             return NotImplemented
         if exponent < 0:
             return (1 / self) ** (-exponent)
-        out, base = _coerce(1), self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
+        if exponent == 0:
+            return _coerce(1)
+        # left to right from the highest bit: one square per later bit and one product
+        # per later set bit, so x ** 2 is a single product
+        out = self
+        for bit in bin(exponent)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __abs__(self):

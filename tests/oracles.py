@@ -73,6 +73,22 @@ def split_square_reference(n: int) -> tuple[int, int]:
     return root, free
 
 
+def solve_quadratic_reference(p: int, q: Fraction, sign: int):
+    """``(x1, x2, discriminant)`` of ``x**2 + sign*p*x - q = 0`` by the textbook formula:
+    the discriminant as ``p^2 + 4q`` in Fraction arithmetic, the roots
+    ``-sign*p/2 ± sqrt(disc)/2`` with the rational part from the public constructor.
+    Raises the library's ``NoRealRoots`` with its message for a negative discriminant.
+    """
+    from goldmean import NoRealRoots, QuadraticSurd
+
+    disc = Fraction(p * p) + 4 * q
+    if disc < 0:
+        raise NoRealRoots(f"discriminant p^2 + 4q = {disc} is negative")
+    half_root = QuadraticSurd.sqrt(disc) * Fraction(1, 2)
+    base = QuadraticSurd(Fraction(-sign * p, 2))
+    return base + half_root, base - half_root, disc
+
+
 def sqrt_decimal_string(whole: int, radicand: int, digits: int) -> str:
     """Truncated decimal string of ``whole + sqrt(radicand)`` via isqrt."""
     scale = 10 ** digits

@@ -1,5 +1,6 @@
 """Multiplication grid, diagonal doublets and the integer-mean cross-check."""
 
+import json
 import os
 import tracemalloc
 from contextlib import redirect_stdout
@@ -7,8 +8,10 @@ from math import isqrt
 
 import pytest
 
-from goldmean import build_table, cross_check_integer_means, find_doublets, key_rows
+from goldmean import (InputTooLarge, build_table, cross_check_integer_means, find_doublets,
+                      key_rows)
 from goldmean.cli import run
+from goldmean.harmonic import MAX_GRID_SIZE
 
 
 class TestBuildTable:
@@ -30,6 +33,37 @@ class TestBuildTable:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             build_table(0)
+
+
+def _grid_by_definition(n):
+    return [tuple(i * j for j in range(n)) for i in range(n)]
+
+
+class TestGridMatchesItsDefinition:
+    """The grid's rows and every printed form of them equal ``i * j`` rendered cell by cell."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 400])
+    def test_rows(self, n):
+        assert list(build_table(n).rows()) == _grid_by_definition(n)
+
+    @pytest.mark.parametrize("n, fmt", [
+        (n, fmt) for n in (1, 2, 3, 17, 400) for fmt in ("text", "tsv", "json")
+    ] + [(MAX_GRID_SIZE, "tsv")])
+    def test_printed_grid(self, capsys, n, fmt):
+        assert run(["harmonic", "--size", str(n), "--format", fmt]) == 0
+        grid = _grid_by_definition(n)
+        if fmt == "json":
+            expected = json.dumps({"command": "harmonic",
+                                   "inputs": {"size": n, "doublets": False, "key": None},
+                                   "results": grid, "errors": []}) + "\n"
+        else:
+            expected = "".join("\t".join(map(str, row)) + "\n" for row in grid)
+        assert capsys.readouterr().out == expected
+
+    def test_bound_is_checked_at_the_call(self):
+        table = build_table(MAX_GRID_SIZE + 1)
+        with pytest.raises(InputTooLarge):
+            table.rows()
 
 
 class TestDoublets:

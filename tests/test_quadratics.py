@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldmean import (
+    InputTooLarge,
     NoRealRoots,
     QuadraticSpec,
     QuadraticSurd,
@@ -15,7 +18,7 @@ from goldmean import (
     solve_quadratic,
     to_decimal,
 )
-from oracles import sqrt_decimal_string
+from oracles import solve_quadratic_reference, sqrt_decimal_string
 
 
 class TestSolveQuadratic:
@@ -60,6 +63,28 @@ class TestSolveQuadratic:
     def test_p_must_be_positive(self):
         with pytest.raises(ValueError):
             QuadraticSpec(0, Fraction(1))
+
+
+class TestSolveQuadraticAgainstReference:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 10 ** 6), st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 5),
+           st.sampled_from(["plus", "minus"]))
+    def test_roots_and_discriminant(self, p, a, b, p_sign):
+        spec = QuadraticSpec(p, Fraction(a, b), p_sign)
+        try:
+            x1, x2, disc = solve_quadratic_reference(p, spec.q, spec.sign)
+        except NoRealRoots as expected:
+            with pytest.raises(NoRealRoots) as raised:
+                solve_quadratic(spec)
+            assert str(raised.value) == str(expected)
+            return
+        pair = solve_quadratic(spec)
+        assert (pair.x1, pair.x2, pair.discriminant) == (x1, x2, disc)
+        assert type(pair.discriminant) is Fraction
+
+    def test_numerator_above_the_radicand_bound(self):
+        with pytest.raises(InputTooLarge):
+            solve_quadratic(QuadraticSpec(10 ** 9, Fraction(1), "plus"))
 
 
 class TestGeneralizedGm:

@@ -245,6 +245,37 @@ class TestContinuedFractions:
 
 
 _RATS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+_FIELD_SURDS = st.builds(QuadraticSurd, _RATS, _RATS, st.sampled_from([0, 2, 3, 5, 7, 12, 1001]))
+
+
+class TestPower:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_FIELD_SURDS, st.integers(0, 16))
+    def test_power_is_the_repeated_product(self, x, n):
+        product = QuadraticSurd(1)
+        for _ in range(n):
+            product = product * x
+        assert x ** n == product
+        if x:
+            assert x ** -n == 1 / x ** n
+
+    def test_zero_to_a_negative_power_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            QuadraticSurd() ** -1
+        assert QuadraticSurd() ** 0 == 1
+
+    def test_products_made(self, monkeypatch):
+        made = []
+        real = QuadraticSurd.__mul__
+        monkeypatch.setattr(QuadraticSurd, "__mul__", lambda a, b: made.append(1) or real(a, b))
+        x = QuadraticSurd(1, 1, 2)
+        x ** 2
+        assert len(made) == 1
+        for n in range(1, 65):
+            made.clear()
+            x ** n
+            # one square per bit after the highest, one product per set bit after the first
+            assert len(made) == n.bit_length() - 1 + bin(n).count("1") - 1, n
 
 
 @st.composite

@@ -17,6 +17,7 @@ import sys
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -85,13 +86,10 @@ class _Output(NamedTuple):
 
 
 def _surd_json(surd: QuadraticSurd) -> dict:
-    return {
-        "a_num": surd.rat.numerator,
-        "a_den": surd.rat.denominator,
-        "b_num": surd.coeff.numerator,
-        "b_den": surd.coeff.denominator,
-        "d": surd.radicand,
-    }
+    """``rat`` and ``coeff`` in lowest terms: ``p/den`` and ``q/den``, each cut by a gcd."""
+    p, q, den = surd._p, surd._q, surd._den
+    g, h = gcd(p, den), gcd(q, den)
+    return {"a_num": p // g, "a_den": den // g, "b_num": q // h, "b_den": den // h, "d": surd._d}
 
 
 _ROOT_COLUMNS = ("value", "bracket_lo", "bracket_hi", "residual")
@@ -360,6 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plan(options: dict) -> tuple[dict, frozenset]:
+    """A command's options as flag -> (attribute name, keywords), and its required flags."""
+    options = {**_COMMON, **options}
+    return ({flag: (flag[2:].replace("-", "_"), keywords) for flag, keywords in options.items()},
+            frozenset(flag for flag, keywords in options.items() if keywords.get("required")))
+
+
+#: each command's option plan, made once; the handler is read from ``_COMMANDS`` per call
+_PLANS = {command: _plan(options) for command, (_, _, options) in _COMMANDS.items()}
+
+
 def _strict(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse makes of a well-formed argv, read from the command table.
 
@@ -368,18 +377,20 @@ def _strict(argv: list[str]) -> SimpleNamespace | None:
     Anything else is None, and argparse reads it: help, a prefix, '--', a value
     starting with '-', a bad value, a missing option, an unknown or extra word.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _PLANS:
         return None
-    handler, _, options = _COMMANDS[argv[0]]
-    options = {**_COMMON, **options}
+    flags, required = _PLANS[argv[0]]
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")
-        keywords = options.get(flag)
-        if keywords is None or (eq and "action" in keywords):
+        entry = flags.get(flag)
+        if entry is None:
             return None
+        keywords = entry[1]
         if "action" in keywords:  # a store_true flag
+            if eq:
+                return None
             given[flag] = True
             continue
         if not eq:
@@ -393,11 +404,11 @@ def _strict(argv: list[str]) -> SimpleNamespace | None:
         if value not in keywords.get("choices", (value,)):
             return None
         given[flag] = value
-    if any(keywords.get("required") and flag not in given for flag, keywords in options.items()):
+    if not required <= given.keys():
         return None
-    return SimpleNamespace(command=argv[0], handler=handler, **{
-        flag[2:].replace("-", "_"): given[flag] if flag in given else _default(keywords)
-        for flag, keywords in options.items()})
+    return SimpleNamespace(command=argv[0], handler=_COMMANDS[argv[0]][0], **{
+        attr: given[flag] if flag in given else _default(keywords)
+        for flag, (attr, keywords) in flags.items()})
 
 
 _parser: argparse.ArgumentParser | None = None  # built by the first argv argparse reads

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Literal, NamedTuple, Optional
 
 from .errors import NoRealRoots
-from .surds import QuadraticSurd, _as_fraction
+from .surds import QuadraticSurd, _as_fraction, _root_parts
 
 Sign = Literal["plus", "minus"]
 
@@ -64,12 +64,21 @@ def solve_quadratic(spec: QuadraticSpec) -> RootPair:
     roots are returned twice when it is zero.
     """
     p, q = spec.p, spec.q
-    disc = Fraction(p * p * q.denominator + 4 * q.numerator, q.denominator)
-    if disc < 0:
-        raise NoRealRoots(f"discriminant p^2 + 4q = {disc} is negative")
-    half_root = QuadraticSurd.sqrt(disc) / 2
-    base = QuadraticSurd._canonical(-spec.sign * p, 0, 2, 0)
-    return RootPair(base + half_root, base - half_root, disc)
+    num, den = p * p * q.denominator + 4 * q.numerator, q.denominator
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if num < 0:
+        raise NoRealRoots(f"discriminant p^2 + 4q = {Fraction(num, den)} is negative")
+    # with sqrt(num/den) = a/c*sqrt(d) the roots are (-s*p*c ± a*sqrt(d)) / (2c)
+    a, c, d = _root_parts(num, den)
+    base = -spec.sign * p * c
+    if d == 1:
+        x1 = QuadraticSurd._canonical(base + a, 0, 2 * c, 0)
+        x2 = QuadraticSurd._canonical(base - a, 0, 2 * c, 0)
+    else:
+        x1 = QuadraticSurd._canonical(base, a, 2 * c, d)
+        x2 = QuadraticSurd._canonical(base, -a, 2 * c, d)
+    return RootPair(x1, x2, Fraction(num, den))
 
 
 def generalized_gm(m: int) -> RootPair:

@@ -13,11 +13,12 @@ from typing import Literal, NamedTuple, Optional
 
 from .errors import CrossCheckFailed, InputTooLarge
 from .quadratics import generalized_gm
+from .surds import QuadraticSurd
 
 Side = Literal["left", "right"]
 
-#: Most rows :func:`table_one` builds (a right-side row costs about 0.05 ms, so
-#: ``table1 --rows 10000 --side right`` takes about 0.4 s in any format).
+#: Most rows :func:`table_one` builds (a right-side row costs about 0.016 ms, so
+#: ``table1 --rows 10000 --side right`` takes about 0.3 s in any format).
 MAX_ROWS = 10 ** 4
 #: Most triples the ``diophantus`` command lists (about 4 µs each).
 MAX_TRIPLES = 10 ** 6
@@ -91,11 +92,35 @@ def _left_row(index: int) -> TableOneRow:
     return TableOneRow("left", index, m, m + 1, (2 * index + 1) ** 2)
 
 
+def _roots_give(x1: QuadraticSurd, x2: QuadraticSurd, h: int, r: int) -> bool:
+    """Whether ``x1^2 + x2^2 == h`` and ``(|x1| + |x2|)^2 == r``, decided on the integers
+    ``x = (p + q*sqrt(d))/n`` of the two roots.
+
+    For a square-free d > 1, ``u + v*sqrt(d)`` is an integer k exactly when v == 0
+    and u == k.  Distinct irrational radicands fail: ``(|x1| + |x2|)^2`` then keeps a
+    multiple of ``sqrt(d1*d2)``.
+    """
+    p1, q1, n1, d1 = x1._p, x1._q, x1._den, x1._d
+    p2, q2, n2, d2 = x2._p, x2._q, x2._den, x2._d
+    if d1 and d2 and d1 != d2:
+        return False
+    d, m1, m2 = d1 or d2, n1 * n1, n2 * n2
+    # (n1*n2)^2 * (x1^2 + x2^2) = u + 2*v*sqrt(d)
+    u = m2 * (p1 * p1 + q1 * q1 * d) + m1 * (p2 * p2 + q2 * q2 * d)
+    v = m2 * p1 * q1 + m1 * p2 * q2
+    if v or u != h * m1 * m2:
+        return False
+    # n1*n2 * (|x1| + |x2|) = u + v*sqrt(d), whose square is u^2 + v^2*d + 2*u*v*sqrt(d)
+    s1, s2 = x1.sign(), x2.sign()
+    u, v = s1 * p1 * n2 + s2 * p2 * n1, s1 * q1 * n2 + s2 * q2 * n1
+    return u * v == 0 and u * u + v * v * d == r * m1 * m2
+
+
 def _right_row(index: int) -> TableOneRow:
     row = TableOneRow("right", index, index, index + 1, 2 * index + 1)
     # the roots of x^2 + x = m/2 must reproduce the h and r columns exactly
     pair = generalized_gm(index)
-    if pair.x1 ** 2 + pair.x2 ** 2 != row.h or (abs(pair.x1) + abs(pair.x2)) ** 2 != row.r:
+    if not _roots_give(pair.x1, pair.x2, row.h, row.r):
         raise CrossCheckFailed(f"x1^2 + x2^2 != h or (|x1| + |x2|)^2 != r at N = {index}")
     return row
 

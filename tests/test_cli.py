@@ -5,11 +5,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goldmean import cli
+from goldmean import QuadraticSurd, cli
 from goldmean.cli import run
+from goldmean.surds import MAX_CF_TERMS
 
 
 def invoke(capsys, *argv):
@@ -327,3 +331,38 @@ class TestCommandSurfaces:
         _, out, _ = invoke(capsys, "solve", "--n", "2", "--m", "0", "--format", "json")
         records = parse_json(out)["results"]
         assert not any(r["satisfactory"] for r in records)
+
+
+class TestSurdJson:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=-50, max_value=50, max_denominator=60),
+           st.fractions(min_value=-50, max_value=50, max_denominator=60),
+           st.sampled_from([0, 2, 3, 5, 6, 7, 10, 30]))
+    def test_fields_of_the_rationals(self, rat, coeff, d):
+        surd = QuadraticSurd(rat, coeff, d)
+        assert cli._surd_json(surd) == {
+            "a_num": surd.rat.numerator, "a_den": surd.rat.denominator,
+            "b_num": surd.coeff.numerator, "b_den": surd.coeff.denominator, "d": surd.radicand}
+
+    def test_reducible_negative_parts(self):
+        surd = QuadraticSurd(Fraction(-3, 4), Fraction(-1, 6), 5)  # (-9 - 2*sqrt5)/12
+        assert (surd._p, surd._q, surd._den) == (-9, -2, 12)
+        assert cli._surd_json(surd) == {"a_num": -3, "a_den": 4, "b_num": -1, "b_den": 6, "d": 5}
+
+
+class TestCfTermsBound:
+    @pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+    def test_above_the_bound(self, capsys, fmt):
+        code, out, err = invoke(capsys, "metallic", "--p", "1", "--q", "1",
+                                "--cf-terms", str(MAX_CF_TERMS + 1), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"error: input-too-large: {MAX_CF_TERMS + 1} continued-fraction terms "
+                       f"exceed the bound {MAX_CF_TERMS}\n")
+
+    def test_the_bound_itself(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "metallic", "--p", "1", "--q", "249999999999999999",
+                              "--cf-terms", str(MAX_CF_TERMS), "--format", "tsv")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert len(out.split("\t")[1].split(",")) == MAX_CF_TERMS

@@ -164,3 +164,30 @@ class TestIntegerMetallic:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             integer_metallic(-3)
+
+
+class TestSolveQuadraticBuildsTwoSurds:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        seen: list[tuple] = []
+        real = QuadraticSurd._canonical.__func__
+
+        def counting(cls, *parts):
+            seen.append(parts)
+            return real(cls, *parts)
+
+        monkeypatch.setattr(QuadraticSurd, "_canonical", classmethod(counting))
+        return seen
+
+    @pytest.mark.parametrize("p, q, p_sign", [
+        (1, Fraction(1), "plus"),           # irrational
+        (3, Fraction(7, 12), "minus"),      # reducible p^2*b + 4a over b
+        (1, Fraction(2), "minus"),          # rational roots 2 and -1
+        (2, Fraction(-1), "plus"),          # a double root
+        (5, Fraction(1, 10 ** 9), "plus"),  # a split denominator
+    ])
+    def test_one_canonical_surd_per_root(self, built, p, q, p_sign):
+        spec = QuadraticSpec(p, q, p_sign)
+        pair = solve_quadratic(spec)
+        assert len(built) == 2
+        assert pair.x1 * pair.x2 == -q and pair.x1 + pair.x2 == -spec.sign * p

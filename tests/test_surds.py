@@ -23,7 +23,7 @@ from goldmean import (
 )
 from goldmean import surds
 from goldmean.cli import run
-from goldmean.surds import MAX_RADICAND, _split_square
+from goldmean.surds import MAX_CF_TERMS, MAX_RADICAND, _root_parts, _split_square
 from oracles import float_cf_terms, split_square_reference, truncate_mpf
 
 GOLDEN = QuadraticSurd(Fraction(-1, 2), Fraction(1, 2), 5)       # (-1+sqrt5)/2
@@ -466,3 +466,42 @@ class TestRadicandBound:
             mean = (1 + mpmath.sqrt(1 + 4 / mpmath.mpf(10 ** 10))) / 2
             expected = truncate_mpf(mean, 40)
         assert capsys.readouterr().out.endswith(f" = {expected}\n")
+
+
+class TestRootParts:
+    @pytest.mark.parametrize("num, den, parts", [
+        (0, 1, (0, 1, 1)),
+        (2, 3, (1, 3, 6)),                      # sqrt(2/3) = sqrt6/3
+        (45, 8, (3, 4, 10)),                    # sqrt(45/8) = 3*sqrt10/4
+        (MAX_RADICAND, 1, (10 ** 9, 1, 1)),
+        (1, MAX_RADICAND, (1, 10 ** 9, 1)),
+        # 10^18 - 1 = 9^2 * 12345679012345679, a square-free cofactor
+        (MAX_RADICAND - 1, MAX_RADICAND, (9, 10 ** 9, 12345679012345679)),
+        (MAX_RADICAND, MAX_RADICAND - 1, (10 ** 9, 9 * 12345679012345679, 12345679012345679)),
+    ])
+    def test_parts(self, num, den, parts):
+        assert _root_parts(num, den) == parts
+
+    @pytest.mark.parametrize("num, den", [(MAX_RADICAND + 1, 1), (1, MAX_RADICAND + 1),
+                                          (MAX_RADICAND + 1, MAX_RADICAND)])
+    def test_above_the_bound(self, num, den):
+        with pytest.raises(InputTooLarge, match=f"radicand {MAX_RADICAND + 1} exceeds"):
+            _root_parts(num, den)
+
+    @given(st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_square_of_the_parts(self, q):
+        a, c, d = _root_parts(q.numerator, q.denominator)
+        assert Fraction(a * a * d, c * c) == q
+        assert d == 1 or split_square_reference(d) == (1, d)
+
+
+class TestContinuedFractionBound:
+    def test_the_bound_is_expanded(self):
+        cf = continued_fraction_of(QuadraticSurd(0, 1, 10 ** 18 - 11), MAX_CF_TERMS)
+        assert cf.truncated and len(cf.initial) == MAX_CF_TERMS
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), GOLDEN + 1])
+    def test_above_the_bound(self, value):
+        with pytest.raises(InputTooLarge, match=f"exceed the bound {MAX_CF_TERMS}"):
+            continued_fraction_of(value, MAX_CF_TERMS + 1)

@@ -12,6 +12,7 @@ from goldmean import (
     classify_triplet,
     diophantus_triple,
     four_k_sequence,
+    generalized_gm,
     left_to_right_index,
     table_one,
 )
@@ -136,6 +137,40 @@ class TestInvariantsRaise:
     def test_left_to_right_index(self, wrong_roots):
         with pytest.raises(CrossCheckFailed):
             left_to_right_index(1)
+
+    # (index, x1, x2, x1^2 + x2^2 == h, (|x1| + |x2|)^2 == r) at h = index + 1, r = 2*index + 1;
+    # each of the first four misses one integer of one identity and keeps the rest
+    IRRATIONAL_WRONG_PAIRS = [
+        (4, QuadraticSurd(Fraction(5, 3), Fraction(1, 3), 2),
+         QuadraticSurd(Fraction(4, 3), Fraction(-1, 3), 2), False, True),  # h: 5 + 2√2/9
+        (13, QuadraticSurd(0, 1, 3), QuadraticSurd(0, 2, 3), False, True),  # h: 15
+        (0, QuadraticSurd(0, Fraction(1, 2), 3), QuadraticSurd(Fraction(1, 2)),
+         True, False),  # r: 1 + √3/2
+        (3, QuadraticSurd(0, 1, 2), QuadraticSurd(0, 1, 2), True, False),  # r: 8
+        (2, QuadraticSurd(Fraction(-1, 2), Fraction(1, 2), 5),
+         QuadraticSurd(Fraction(-1, 2), Fraction(1, 2), 5), False, False),  # (x1, x1): h 3 - √5
+    ]
+
+    @pytest.mark.parametrize("index, x1, x2, h_holds, r_holds", IRRATIONAL_WRONG_PAIRS,
+                             ids=["h sqrt part", "h rational part", "r sqrt part",
+                                  "r rational part", "x1 twice"])
+    def test_irrational_wrong_pair(self, monkeypatch, index, x1, x2, h_holds, r_holds):
+        assert (x1 ** 2 + x2 ** 2 == index + 1) is h_holds
+        assert ((abs(x1) + abs(x2)) ** 2 == 2 * index + 1) is r_holds
+        monkeypatch.setattr(triangles, "generalized_gm", lambda m: RootPair(
+            x1, x2, Fraction(2 * m + 1)) if m == index else generalized_gm(m))
+        with pytest.raises(CrossCheckFailed, match=f"at N = {index}$"):
+            table_one(index + 1, "right")
+
+    def test_roots_of_two_radicands(self, monkeypatch):
+        # the true x1 at N = 2 with x2 = (-1 - sqrt3)/2, whose integers are those of the
+        # true x2 = (-1 - sqrt5)/2 but for the radicand
+        wrong = RootPair(generalized_gm(2).x1, QuadraticSurd(Fraction(-1, 2), Fraction(-1, 2), 3),
+                         Fraction(5))
+        monkeypatch.setattr(triangles, "generalized_gm",
+                            lambda m: wrong if m == 2 else generalized_gm(m))
+        with pytest.raises(CrossCheckFailed, match="at N = 2$"):
+            table_one(3, "right")
 
 
 class TestTripletClassification:

@@ -42,7 +42,7 @@ class DegenerateIdentity(DomainError):
 
 
 class InputTooLarge(DomainError):
-    """An input or root beyond the float range of the first refinement stage, or an
+    """A value of the equation beyond the float range of the first refinement stage, or an
     input above a documented bound: ``surds.MAX_RADICAND`` or a catalog size bound.
     """
 

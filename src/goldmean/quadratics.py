@@ -72,13 +72,8 @@ def solve_quadratic(spec: QuadraticSpec) -> RootPair:
     # with sqrt(num/den) = a/c*sqrt(d) the roots are (-s*p*c ± a*sqrt(d)) / (2c)
     a, c, d = _root_parts(num, den)
     base = -spec.sign * p * c
-    if d == 1:
-        x1 = QuadraticSurd._canonical(base + a, 0, 2 * c, 0)
-        x2 = QuadraticSurd._canonical(base - a, 0, 2 * c, 0)
-    else:
-        x1 = QuadraticSurd._canonical(base, a, 2 * c, d)
-        x2 = QuadraticSurd._canonical(base, -a, 2 * c, d)
-    return RootPair(x1, x2, Fraction(num, den))
+    return RootPair(QuadraticSurd._canonical(base, a, 2 * c, d),
+                    QuadraticSurd._canonical(base, -a, 2 * c, d), Fraction(num, den))
 
 
 def generalized_gm(m: int) -> RootPair:

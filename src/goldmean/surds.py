@@ -13,16 +13,17 @@ Values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt, lcm, sqrt
+from math import gcd, isqrt, sqrt
 
 from .errors import InputTooLarge, MixedRadicands, NonPositive
 
 #: The exact scalar used throughout the library.
 Rational = Fraction
 
-#: Largest radicand the public constructor normalizes (about 0.1 s of trial division).
+#: Largest integer :func:`_root_parts` splits (about 0.1 s of trial division).
 MAX_RADICAND = 10 ** 18
 #: Most fractional digits a decimal rendering may ask for.
 MAX_DIGITS = 1000
@@ -76,7 +77,7 @@ def _root_parts(num: int, den: int) -> tuple[int, int, int]:
     if den == 1:
         return a, 1, s
     b, t = _split_square(den)
-    return (a, b, 1) if s * t == 1 else (a, b * t, s * t)
+    return a, b * t, s * t
 
 
 def _sgn(x) -> int:
@@ -115,14 +116,16 @@ class QuadraticSurd:
     ``q == 0`` exactly when ``d == 0``; the rationals ``rat = p/den`` and
     ``coeff = q/den`` are built only when they are read.
 
-    The public constructor and :meth:`sqrt` normalize: square factors of the
-    radicand are pulled into the coefficient, a perfect-square radicand is
-    folded into the rational part, and zero is always stored with ``d == 0``.
-    They raise :class:`InputTooLarge` for a radicand (for :meth:`sqrt`, a
-    numerator or denominator) above :data:`MAX_RADICAND`.  After
-    normalization the form is canonical, so equality is component-wise.
-    Field operations keep the square-free radicand of their operands, so
-    their results only cancel one gcd and are built without another split.
+    Every value is built by :meth:`_canonical`, the one normalizer: it
+    cancels the gcd, makes ``den`` positive, folds a rational root
+    (``d == 1``) into the rational part and stores zero with ``d == 0``, so
+    equality is component-wise.  Square factors are split only by
+    :func:`_root_parts`, from the public constructor's radicand and from the
+    numerator and denominator of :meth:`sqrt`'s argument; above
+    :data:`MAX_RADICAND` it raises :class:`InputTooLarge`.  The constructor's
+    radicand must be an integer: a float, Fraction or str raises
+    :class:`TypeError`, as a float ``rat`` or ``coeff`` does.  Field
+    operations keep their operands' radicand and split nothing.
 
     Arithmetic stays inside one quadratic field; combining two irrational
     values with different radicands raises :class:`MixedRadicands`.
@@ -133,35 +136,28 @@ class QuadraticSurd:
     __slots__ = ("_p", "_q", "_den", "_d")
 
     def __init__(self, rat=0, coeff=0, radicand: int = 0):
-        a = _as_fraction(rat)
-        b = _as_fraction(coeff)
-        d = int(radicand)
+        a, b = _as_fraction(rat), _as_fraction(coeff)
+        d = operator.index(radicand)
         if d < 0:
             raise ValueError("radicand must be non-negative")
-        if b == 0 or d == 0:
-            b, d = 0, 0
-        elif d > MAX_RADICAND:
-            raise _too_large(d)
-        else:
-            root, free = _split_square(d)
-            b *= root
-            d = free
-            if d == 1:
-                a += b
-                b, d = 0, 0
-        # a and b are in lowest terms, so over their lcm p, q and den share no factor
-        den = lcm(a.denominator, b.denominator)
-        self._p = a.numerator * (den // a.denominator)
-        self._q = b.numerator * (den // b.denominator)
-        self._den, self._d = den, d
+        root = 0  # a zero coefficient or radicand leaves q == 0, which _canonical folds
+        if b and d:
+            root, _, d = _root_parts(d, 1)
+        # rat + coeff*root*sqrt(d) over the product of the two denominators
+        m, n = a.denominator, b.denominator
+        v = QuadraticSurd._canonical(a.numerator * n, b.numerator * root * m, m * n, d)
+        self._p, self._q, self._den, self._d = v._p, v._q, v._den, v._d
 
     @classmethod
     def _canonical(cls, p: int, q: int, den: int, d: int) -> "QuadraticSurd":
-        """``(p + q*sqrt(d))/den`` for den != 0 and a square-free d other than 1, or 0.
+        """``(p + q*sqrt(d))/den`` for den != 0 and a square-free d, or 0; the one normalizer.
 
-        One gcd is cancelled and a zero ``q`` is folded; d is not split again.
+        One gcd is cancelled and the sign of den fixed; d == 1 is folded into
+        the rational part and a zero ``q`` into d == 0.  d is not split again.
         """
         self = object.__new__(cls)
+        if d == 1:
+            p, q = p + q, 0
         if q == 0:
             d = 0
         g = gcd(p, q, den)
@@ -181,8 +177,6 @@ class QuadraticSurd:
         if q < 0:
             raise ValueError("square root of a negative rational is not real")
         a, c, d = _root_parts(q.numerator, q.denominator)
-        if d == 1:
-            return cls._canonical(a, 0, c, 0)
         return cls._canonical(0, a, c, d)
 
     @property
@@ -308,20 +302,20 @@ class QuadraticSurd:
         return hash((self._p, self._q, self._den, self._d))
 
     def __lt__(self, other):
-        c = _compare_or_none(self, other)
-        return NotImplemented if c is None else c < 0
+        other = _coerce(other)
+        return NotImplemented if other is None else _compare(self, other) < 0
 
     def __le__(self, other):
-        c = _compare_or_none(self, other)
-        return NotImplemented if c is None else c <= 0
+        other = _coerce(other)
+        return NotImplemented if other is None else _compare(self, other) <= 0
 
     def __gt__(self, other):
-        c = _compare_or_none(self, other)
-        return NotImplemented if c is None else c > 0
+        other = _coerce(other)
+        return NotImplemented if other is None else _compare(self, other) > 0
 
     def __ge__(self, other):
-        c = _compare_or_none(self, other)
-        return NotImplemented if c is None else c >= 0
+        other = _coerce(other)
+        return NotImplemented if other is None else _compare(self, other) >= 0
 
     # -- conversions -----------------------------------------------------
 
@@ -364,13 +358,6 @@ def _require_surd(value) -> QuadraticSurd:
     return v
 
 
-def _compare_or_none(lhs, rhs) -> int | None:
-    rhs = _coerce(rhs)
-    if rhs is None:
-        return None
-    return surd_compare(lhs, rhs)
-
-
 def surd_compare(lhs, rhs) -> int:
     """Exact three-way comparison: -1, 0 or +1 as ``lhs <, ==, > rhs``.
 
@@ -378,9 +365,11 @@ def surd_compare(lhs, rhs) -> int:
     comparing signs and then squared magnitudes, so no value ever leaves
     integer arithmetic.
     """
-    x = _require_surd(lhs)
-    y = _require_surd(rhs)
-    # the sign of lhs - rhs is that of den_x*den_y*(lhs - rhs) = a + b*sqrt(d) - c*sqrt(e)
+    return _compare(_require_surd(lhs), _require_surd(rhs))
+
+
+def _compare(x: QuadraticSurd, y: QuadraticSurd) -> int:
+    # the sign of x - y is that of den_x*den_y*(x - y) = a + b*sqrt(d) - c*sqrt(e)
     a = x._p * y._den - y._p * x._den
     b, d = x._q * y._den, x._d
     c, e = y._q * x._den, y._d
@@ -485,8 +474,10 @@ def continued_fraction_of(value, max_terms: int) -> ContinuedFraction:
     For irrational values the period is detected by repetition of the
     ``(P, Q)`` state of the standard ``(P + sqrt(N))/Q`` recurrence.  The
     integer part always stays in ``initial``, so the golden mean comes out
-    as ``[1; (1)]`` rather than the purely periodic ``[(1)]``.
+    as ``[1; (1)]`` rather than the purely periodic ``[(1)]``.  A ``max_terms``
+    that is not an integer raises :class:`TypeError`.
     """
+    max_terms = operator.index(max_terms)
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if max_terms > MAX_CF_TERMS:

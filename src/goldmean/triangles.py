@@ -8,6 +8,7 @@ of value triples against the Fibonacci and Lucas sequences.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from typing import Literal, NamedTuple, Optional
 
@@ -20,7 +21,7 @@ Side = Literal["left", "right"]
 #: Most rows :func:`table_one` builds (a right-side row costs about 0.016 ms, so
 #: ``table1 --rows 10000 --side right`` takes about 0.3 s in any format).
 MAX_ROWS = 10 ** 4
-#: Most triples the ``diophantus`` command lists (about 4 µs each).
+#: Most triples the ``diophantus`` command lists (about 5-7 µs each in text or TSV).
 MAX_TRIPLES = 10 ** 6
 
 
@@ -193,8 +194,11 @@ def _find_window(triple: tuple[int, int, int], seq: list[int]) -> Optional[int]:
 
 
 def classify_triplet(triple) -> TripletClass:
-    """Classify a triple of non-negative integers (taken in the given order)."""
-    t = tuple(int(v) for v in triple)
+    """Classify a triple of non-negative integers (taken in the given order).
+
+    A value that is not an integer raises :class:`TypeError`; it is not truncated.
+    """
+    t = tuple(operator.index(v) for v in triple)
     if len(t) != 3:
         raise ValueError("expected exactly three values")
     if any(v < 0 or v > 10 ** 18 for v in t):

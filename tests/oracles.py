@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from decimal import ROUND_DOWN, Decimal
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, isqrt, lcm
 
 import mpmath
 import numpy as np
@@ -71,6 +71,24 @@ def split_square_reference(n: int) -> tuple[int, int]:
         root *= p ** (k // 2)
         free *= p ** (k % 2)
     return root, free
+
+
+def surd_parts_reference(rat, coeff, radicand: int) -> tuple[int, int, int, int]:
+    """``(p, q, den, d)`` of ``rat + coeff*sqrt(radicand)`` by Fraction arithmetic: the
+    square part of the radicand is moved into the coefficient, a rational root is added
+    to the rational part, and p and q are written over the lcm of the two denominators.
+    """
+    a, b, d = Fraction(rat), Fraction(coeff), radicand
+    if b == 0 or d == 0:
+        b, d = Fraction(0), 0
+    else:
+        root, d = split_square_reference(d)
+        b *= root
+        if d == 1:
+            a += b
+            b, d = Fraction(0), 0
+    den = lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den, d
 
 
 def solve_quadratic_reference(p: int, q: Fraction, sign: int):

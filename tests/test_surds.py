@@ -1,11 +1,13 @@
 """Exact surd arithmetic, decimal rendering and continued fractions."""
 
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from goldmean import (
 from goldmean import surds
 from goldmean.cli import run
 from goldmean.surds import MAX_CF_TERMS, MAX_RADICAND, _root_parts, _split_square
-from oracles import float_cf_terms, split_square_reference, truncate_mpf
+from oracles import float_cf_terms, split_square_reference, surd_parts_reference, truncate_mpf
 
 GOLDEN = QuadraticSurd(Fraction(-1, 2), Fraction(1, 2), 5)       # (-1+sqrt5)/2
 GOLDEN_CONJ = QuadraticSurd(Fraction(-1, 2), Fraction(-1, 2), 5)  # (-1-sqrt5)/2
@@ -505,3 +507,62 @@ class TestContinuedFractionBound:
     def test_above_the_bound(self, value):
         with pytest.raises(InputTooLarge, match=f"exceed the bound {MAX_CF_TERMS}"):
             continued_fraction_of(value, MAX_CF_TERMS + 1)
+
+
+_EXACT = st.one_of(st.integers(-10 ** 9, 10 ** 9),
+                   st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 5)))
+_RADICANDS = st.one_of(
+    st.sampled_from([0, 1, MAX_RADICAND]),
+    st.builds(lambda k: k * k, st.integers(2, 10 ** 6)),
+    st.builds(lambda k, s: k * k * s, st.integers(2, 1000), st.integers(2, 10 ** 6)),
+    st.integers(0, 10 ** 12),
+)
+
+
+def _parts(x: QuadraticSurd) -> tuple[int, int, int, int]:
+    return x._p, x._q, x._den, x._d
+
+
+class TestOneNormalizer:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_EXACT, _EXACT, _RADICANDS)
+    def test_constructor_matches_the_fraction_reference(self, rat, coeff, radicand):
+        assert _parts(QuadraticSurd(rat, coeff, radicand)) == surd_parts_reference(rat, coeff, radicand)
+
+    @pytest.mark.parametrize("args, parts", [
+        ((3, 2, 5, 1), (1, 0, 1, 0)),    # (3 + 2*sqrt(1))/5
+        ((4, -6, -4, 1), (1, 0, 2, 0)),  # and a negative denominator
+        ((6, 4, 2, 5), (3, 2, 1, 5)),
+        ((6, 0, 4, 5), (3, 0, 2, 0)),
+    ])
+    def test_canonical_folds(self, args, parts):
+        assert _parts(QuadraticSurd._canonical(*args)) == parts
+
+    def test_the_bound_needs_a_nonzero_coefficient(self):
+        text = f"radicand {MAX_RADICAND + 1} exceeds the bound {MAX_RADICAND} of square-free splitting"
+        with pytest.raises(InputTooLarge, match=f"^{re.escape(text)}$"):
+            QuadraticSurd(Fraction(1, 3), 2, MAX_RADICAND + 1)
+        assert _parts(QuadraticSurd(Fraction(1, 3), 0, MAX_RADICAND + 1)) == (1, 0, 3, 0)
+
+    @pytest.mark.parametrize("radicand", [2.5, Fraction(9, 2), "5"], ids=repr)
+    def test_a_non_integer_radicand_is_refused(self, radicand):
+        with pytest.raises(TypeError):
+            QuadraticSurd(0, 1, radicand)
+
+    def test_an_integer_radicand_of_another_type_is_taken(self):
+        x = QuadraticSurd(0, 1, numpy.int64(8))
+        assert _parts(x) == (0, 2, 1, 2) and type(x.radicand) is int
+        assert QuadraticSurd(1, 1, True) == 2
+
+    @pytest.mark.parametrize("compare", ["__lt__", "__le__", "__gt__", "__ge__"])
+    def test_a_comparison_coerces_its_operand_once(self, monkeypatch, compare):
+        seen = []
+        real = surds._coerce
+        monkeypatch.setattr(surds, "_coerce", lambda v: seen.append(v) or real(v))
+        assert getattr(GOLDEN, compare)(Fraction(1, 2)) == (compare in ("__gt__", "__ge__"))
+        assert seen == [Fraction(1, 2)]
+        assert getattr(GOLDEN, compare)("1") is NotImplemented
+
+    def test_a_non_integer_term_count_is_refused(self):
+        with pytest.raises(TypeError):
+            continued_fraction_of(metallic_mean(7, 3), 2.5)

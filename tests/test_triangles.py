@@ -210,3 +210,8 @@ class TestTripletClassification:
             classify_triplet((-1, 2, 3))
         with pytest.raises(ValueError):
             classify_triplet((1, 2, 10 ** 19))
+
+    @pytest.mark.parametrize("triple", [(1.9, 2, 3), (1, 2, Fraction(3)), ("1", 2, 3)], ids=repr)
+    def test_a_non_integer_value_is_refused(self, triple):
+        with pytest.raises(TypeError):
+            classify_triplet(triple)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately separate from the library code paths it
 checks: plain bisection, full factorization by trial division up to the
-square root, naive float continued fractions, truncation via the decimal
+square root, naive float continued fractions, exact continued fractions whose
+period is found from a dict of every state, truncation via the decimal
 module, numpy grid sign counting, exact polynomial gcd over Fractions for
 multiple-root detection, and mpmath's polynomial roots at 250 digits.
 """
@@ -89,6 +90,38 @@ def surd_parts_reference(rat, coeff, radicand: int) -> tuple[int, int, int, int]
             b, d = Fraction(0), 0
     den = lcm(a.denominator, b.denominator)
     return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den, d
+
+
+def continued_fraction_reference(p: int, q: int, den: int, d: int, max_terms: int):
+    """``(initial, period, truncated)`` of the positive irrational ``(p + q*sqrt(d))/den``
+    (q != 0, d square-free and >= 2) by the ``(P + sqrt(N))/Q`` recurrence, finding the
+    period by keeping every ``(P, Q)`` state past the integer part in a dict.
+    """
+    s = 1 if q > 0 else -1
+    big_p, big_q, big_n = s * p, s * den, q * q * d
+    if (big_n - big_p * big_p) % big_q != 0:
+        big_p *= abs(big_q)
+        big_n *= big_q * big_q
+        big_q *= abs(big_q)
+    t = isqrt(big_n)
+    terms: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    while len(terms) < max_terms:
+        k = len(terms)
+        if k >= 1:
+            state = (big_p, big_q)
+            if state in seen:
+                start = seen[state]
+                return tuple(terms[:start]), tuple(terms[start:]), False
+            seen[state] = k
+        if big_q > 0:
+            term = (big_p + t) // big_q
+        else:
+            term = -((big_p + t) // -big_q + 1)
+        terms.append(term)
+        big_p = term * big_q - big_p
+        big_q = (big_n - big_p * big_p) // big_q
+    return tuple(terms), (), True
 
 
 def solve_quadratic_reference(p: int, q: Fraction, sign: int):

@@ -132,3 +132,15 @@ class TestPinned:
             assert run(argv + ["--format", "json", "--digits", str(digits)]) == 0
             printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
             assert printed == [truncate_mpf(r, digits) for r in roots], digits
+
+    @pytest.mark.parametrize("s", [10 ** 5, 10 ** 6])
+    def test_two_roots_beside_a_critical_point(self, capsys, s):
+        # f = (x + 2s)(x**2 - 2s*x - (8s**2 + 3)): its roots -2s and s - sqrt(9s**2 + 3) are
+        # about 1/(2s) apart, with the critical point -sqrt(4s**2 + 1) between them
+        p, m = 12 * s * s + 3, 32 * s ** 3 + 12 * s
+        roots = mp_real_roots(3, -p, 1, Fraction(m, 2))
+        argv = ["mmf", "--n", "3", "--p", str(p), "--sign", "minus", "--m", str(m)]
+        for digits in (12, 30):
+            assert run(argv + ["--format", "json", "--digits", str(digits)]) == 0
+            printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
+            assert printed == [truncate_mpf(r, digits) for r in roots], digits

@@ -3,13 +3,15 @@
 import random
 import re
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goldmean import (
@@ -20,13 +22,16 @@ from goldmean import (
     continued_fraction_of,
     generalized_gm,
     metallic_mean,
+    solve_euler,
     surd_compare,
     to_decimal,
 )
 from goldmean import surds
 from goldmean.cli import run
 from goldmean.surds import MAX_CF_TERMS, MAX_RADICAND, _root_parts, _split_square
-from oracles import float_cf_terms, split_square_reference, surd_parts_reference, truncate_mpf
+from oracles import (continued_fraction_reference, float_cf_terms, split_square_reference,
+                     surd_parts_reference, truncate_mpf)
+from sympy.ntheory.continued_fraction import continued_fraction_periodic
 
 GOLDEN = QuadraticSurd(Fraction(-1, 2), Fraction(1, 2), 5)       # (-1+sqrt5)/2
 GOLDEN_CONJ = QuadraticSurd(Fraction(-1, 2), Fraction(-1, 2), 5)  # (-1-sqrt5)/2
@@ -503,10 +508,55 @@ class TestContinuedFractionBound:
         cf = continued_fraction_of(QuadraticSurd(0, 1, 10 ** 18 - 11), MAX_CF_TERMS)
         assert cf.truncated and len(cf.initial) == MAX_CF_TERMS
 
+    def test_the_expansion_keeps_no_state_per_term(self):
+        # a dict of every (P, Q) state peaks near 2 MB here; the terms alone take about 0.25 MB
+        v = QuadraticSurd(0, 1, 10 ** 18 - 11)
+        tracemalloc.start()
+        try:
+            continued_fraction_of(v, MAX_CF_TERMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("value", [Fraction(1, 3), GOLDEN + 1])
     def test_above_the_bound(self, value):
         with pytest.raises(InputTooLarge, match=f"exceed the bound {MAX_CF_TERMS}"):
             continued_fraction_of(value, MAX_CF_TERMS + 1)
+
+
+@st.composite
+def _cf_surds(draw):
+    """Positive irrationals (p + q*sqrt(d))/den with q < 0 whose den does not divide d*q**2 - p**2,
+    so that the expansion starts with Q < 0 and needs the Q | N - P**2 fix-up."""
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 61, 1001, 999983]))
+    coeff = draw(st.builds(Fraction, st.integers(-60, -1), st.integers(1, 40)))
+    den = draw(st.integers(1, 40))
+    # the least numerator over den above |coeff|*sqrt(d)
+    least = isqrt(den * den * coeff.numerator ** 2 * d // coeff.denominator ** 2) + 1
+    v = QuadraticSurd(Fraction(draw(st.integers(least, least + 200)), den), coeff, d)
+    assume((v._q * v._q * v._d - v._p * v._p) % v._den != 0)
+    return v
+
+
+class TestContinuedFractionPeriod:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_cf_surds(), st.integers(1, 300))
+    def test_matches_the_dict_reference(self, v, max_terms):
+        assert v > 0
+        cf = continued_fraction_of(v, max_terms)
+        assert tuple(cf) == continued_fraction_reference(*_parts(v), max_terms)
+
+    @pytest.mark.parametrize("v, sympy_args", [
+        (QuadraticSurd(Fraction(4, 5), Fraction(-1, 5), 3), (4, 5, 3)),
+        (QuadraticSurd(Fraction(7, 2), Fraction(-1, 3), 13), (21, 6, 52)),
+        (QuadraticSurd(Fraction(10, 3), Fraction(-2, 7), 5), (70, 21, 180)),
+    ], ids=str)
+    def test_pinned_against_sympy(self, v, sympy_args):
+        # (p - sqrt(d))/q in sympy's terms
+        expected = continued_fraction_periodic(*sympy_args, s=-1)
+        cf = continued_fraction_of(v, 100)
+        assert list(cf.initial) + [list(cf.period)] == expected and not cf.truncated
 
 
 _EXACT = st.one_of(st.integers(-10 ** 9, 10 ** 9),
@@ -566,3 +616,21 @@ class TestOneNormalizer:
     def test_a_non_integer_term_count_is_refused(self):
         with pytest.raises(TypeError):
             continued_fraction_of(metallic_mean(7, 3), 2.5)
+
+    @pytest.mark.parametrize("build", [
+        lambda: QuadraticSurd("1/3", "2", 5),
+        lambda: QuadraticSurd(Decimal("0.1"), 1, 5),
+        lambda: QuadraticSurd(0, 1.5, 5),
+        lambda: metallic_mean(1, "2"),
+        lambda: solve_euler("1/2", 2, "3", "direct"),
+        lambda: solve_euler(0, 2, Decimal(3), "direct"),
+        lambda: QuadraticSurd.sqrt("4"),
+    ], ids=["str", "Decimal", "float", "metallic-str", "euler-str", "euler-Decimal", "sqrt-str"])
+    def test_a_value_that_is_not_rational_is_refused(self, build):
+        with pytest.raises(TypeError, match="exact types only"):
+            build()
+
+    def test_every_rational_type_is_taken(self):
+        assert _parts(QuadraticSurd(True, numpy.int64(3), 5)) == (1, 3, 1, 5)
+        assert _parts(QuadraticSurd(numpy.int8(-1), Fraction(1, 2), 5)) == (-2, 1, 2, 5)
+        assert metallic_mean(1, numpy.int32(1)) == GOLDEN + 1

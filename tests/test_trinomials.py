@@ -1,9 +1,15 @@
 """Certified trinomial roots: isolation, refinement, Stakhov and Euler forms."""
 
+import io
+import json
+import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldmean import (
     DegenerateIdentity,
@@ -18,8 +24,10 @@ from goldmean import (
     solve_trinomial,
     stakhov_decimal,
 )
+from goldmean.cli import run
 from goldmean.trinomials import MAX_DEGREE
-from oracles import bisect_root, grid_sign_changes, has_multiple_root
+from oracles import (bisect_root, grid_sign_changes, has_multiple_root, mp_real_roots,
+                     truncate_mpf)
 
 PLASTICISH = bisect_root(lambda x: x ** 3 + x - 1, 0.0, 1.0)       # x^3 + x = 1
 SUPERGOLDENISH = bisect_root(lambda x: x ** 3 + x ** 2 - 1, 0.0, 1.0)  # x^3 + x^2 = 1
@@ -53,6 +61,39 @@ class TestIsolation:
         roots = solve_trinomial(spec)
         for record, (lo, hi) in zip(roots.roots, brackets):
             assert lo <= record.value <= hi
+
+    def test_roots_beside_a_critical_point_get_disjoint_brackets(self):
+        # (x + 2s)(x**2 - 2s*x - (8s**2 + 3)) at s = 10**5: the roots -2s and
+        # s - sqrt(9s**2 + 3) lie on either side of the critical point -sqrt(4s**2 + 1)
+        brackets = isolate_real_roots(
+            TrinomialSpec(n=3, p=120000000003, p_sign="minus", m=32000000001200000))
+        assert len(brackets) == 3
+        for (_, hi), (lo, _) in zip(brackets, brackets[1:]):
+            assert hi < lo
+
+
+class TestCloseRootFamily:
+    """(x + 2s)(x**2 - 2s*x - (8s**2 + 3)) with p and m moved by up to 3: two roots
+    about 1/(2s) apart, on either side of a critical point."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 10 ** 12), st.integers(-3, 3), st.integers(-3, 3))
+    def test_exits_cleanly_with_exact_digits_for_roots_apart(self, s, dp, dm):
+        p, m = 12 * s * s + 3 + dp, 32 * s ** 3 + 12 * s + dm
+        argv = ["mmf", "--n", "3", "--p", str(p), "--sign", "minus", "--m", str(m),
+                "--digits", "15", "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert run(argv) == 0
+        assert err.getvalue() == ""
+        if has_multiple_root(3, -p, 1, Fraction(m, 2)):
+            return
+        roots = mp_real_roots(3, -p, 1, Fraction(m, 2))
+        # digits are certain only where the float brackets can separate the roots
+        ulp = math.ulp(float(2 * s))
+        if all(a - b > 2 * ulp for a, b in zip(roots, roots[1:])):
+            printed = [r["decimal"] for r in json.loads(out.getvalue())["results"]]
+            assert printed == [truncate_mpf(r, 15) for r in roots]
 
 
 class TestSolveTrinomial:

@@ -61,7 +61,8 @@ class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
 
 
 #: default tolerance: a float root is accepted once its scaled residual
-#: |f(x)| / (1 + |x|**n) is at most this, or once its bracket is two adjacent floats
+#: |f(x)| / (1 + |x|**n) and the rounding error of f(x), scaled alike, are at
+#: most this, or once its bracket is two adjacent floats
 TOLERANCE = 1e-12
 #: float refinement steps per bracket before :class:`NoConvergence`
 _MAX_ITERATIONS = 200
@@ -246,8 +247,8 @@ def _pull_off(poly: _Poly, lo: float, hi: float, s_lo: int) -> float:
     return lo
 
 
-def _seeds(poly: _Poly) -> tuple[list[Fraction], list[tuple[float, float]]]:
-    """Complete root isolation: (exact roots, sign-change brackets)."""
+def _seeds(poly: _Poly) -> tuple[list[Fraction], list[tuple[float, float, int]]]:
+    """Complete root isolation: (exact roots, brackets (lo, hi, exact sign of f left of root))."""
     n, c, e, rhs = poly.n, poly.c, poly.e, poly.rhs
     if n == 1:
         if e == 1:
@@ -263,51 +264,56 @@ def _seeds(poly: _Poly) -> tuple[list[Fraction], list[tuple[float, float]]]:
     points = _critical_signs(poly) or [(0.0, Fraction(0), poly.sign(0))]
     exact_roots = [exact for _, exact, s in points if s == 0]
     marks = [(fval, s) for fval, _, s in points]
-    brackets: list[tuple[float, float]] = []
+    brackets: list[tuple[float, float, int]] = []
     left_infinity = 1 if n % 2 == 0 else -1
     first_x, first_s = marks[0]
     if first_s not in (0, left_infinity):
-        brackets.append((_expand(poly, first_x, -1, first_s), first_x))
+        brackets.append((_expand(poly, first_x, -1, first_s), first_x, -first_s))
     for (xa, sa), (xb, sb) in zip(marks, marks[1:]):
         if sa != 0 and sb != 0 and sa != sb:
-            brackets.append((xa, xb))
+            brackets.append((xa, xb, sa))
     last_x, last_s = marks[-1]
     if last_s not in (0, 1):
-        brackets.append((last_x, _expand(poly, last_x, +1, last_s)))
+        brackets.append((last_x, _expand(poly, last_x, +1, last_s), last_s))
 
     # roots are interior, so shared endpoints (critical points) can be pulled apart
-    signs = dict(marks)
     for i in range(1, len(brackets)):
-        lo, hi = brackets[i]
+        lo, hi, s_lo = brackets[i]
         if lo == brackets[i - 1][1]:
-            brackets[i] = (_pull_off(poly, lo, hi, signs[lo]), hi)
+            brackets[i] = (_pull_off(poly, lo, hi, s_lo), hi, s_lo)
     return exact_roots, brackets
 
 
-def _refine(poly: _Poly, lo: float, hi: float, tolerance: float) -> tuple[float, float, int]:
+def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
+            tolerance: float) -> tuple[float, float, int]:
     """Bisection with a safeguarded Newton step inside a sign-change bracket.
 
-    Stops once the scaled residual is within ``tolerance`` or the bracket is
-    two adjacent floats, where no float lies closer to the root.  A Newton
+    Stops once the scaled residual and the rounding error of f there are
+    within ``tolerance``, or the bracket is two adjacent floats, where no
+    float lies closer to the root.  Where the float f is within its rounding
+    error, the exact sign of f picks the bracket end that moves.  A Newton
     step is taken only when it lands inside the bracket and is at most half
     the step before the previous one (the rule of Numerical Recipes'
     ``rtsafe``), so a steep convex piece is bisected rather than walked down
     in steps of about x/n.
     """
-    f_lo = poly(lo)
-    if f_lo == 0.0:
-        return lo, 0.0, 0
-    if poly(hi) == 0.0:
-        return hi, 0.0, 0
-    negative_left = f_lo < 0.0
+    for end in (lo, hi):
+        if poly(end) == 0.0 and poly.sign(end) == 0:
+            return end, 0.0, 0
+    c, e, rhs = poly.c, poly.e, abs(poly._rhs_f)
     x = 0.5 * (lo + hi)
     step = older = hi - lo
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        fx = poly(x)
+        fx, xn = poly(x), abs(x) ** poly.n
+        # fx is off f(x) by less than noise, 9 ulps of the sum of its terms: no sign inside that
+        noise, scale = 1e-15 * (xn + abs(c * x ** e) + rhs), tolerance * (1.0 + xn)
         # x is an end of the bracket only once lo and hi are adjacent floats
-        if abs(fx) <= tolerance * (1.0 + abs(x) ** poly.n) or not lo < x < hi:
+        if abs(fx) <= scale and noise <= scale or not lo < x < hi:
             return x, abs(fx), iteration
-        if (fx < 0.0) == negative_left:
+        side = fx if abs(fx) > noise else poly.sign(x)
+        if side == 0:
+            return x, abs(fx), iteration
+        if (side < 0) == (s_lo < 0):
             lo = x
         else:
             hi = x
@@ -331,8 +337,8 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) 
         for root in exact_roots:
             fv = float(root)
             records.append(RootRecord(fv, (fv, fv), abs(poly(fv)), 0, root))
-        for lo, hi in brackets:
-            value, residual, iterations = _refine(poly, lo, hi, tolerance)
+        for lo, hi, s_lo in brackets:
+            value, residual, iterations = _refine(poly, lo, hi, s_lo, tolerance)
             records.append(RootRecord(value, (lo, hi), residual, iterations))
     except OverflowError as exc:
         raise InputTooLarge("values of the equation exceed the float range (about 1.8e308) "

@@ -124,23 +124,18 @@ class TestPinned:
         (["solve", "--n", "3", "--m", "2", "--tol", "1e-300"], (3, 1, 1, Fraction(1))),
         (["mmf", "--n", "3", "--p", "1000000", "--sign", "minus", "--m", "1000000"],
          (3, -1000000, 1, Fraction(500000))),
+        # (x + 2s)(x**2 - 2s*x - (8s**2 + 3)) at s = 10**5 and 10**6: the roots -2s and
+        # s - sqrt(9s**2 + 3), about 1/(2s) apart on either side of a critical point
+        (["mmf", "--n", "3", "--p", "120000000003", "--sign", "minus",
+          "--m", "32000000001200000"], (3, -120000000003, 1, Fraction(16000000000600000))),
+        (["mmf", "--n", "3", "--p", "12000000000003", "--sign", "minus",
+          "--m", "32000000000012000000"], (3, -12000000000003, 1, Fraction(16000000000006000000))),
     ])
     def test_tolerance_below_float_noise(self, capsys, argv, poly):
-        # the float bracket closes to adjacent floats before the residual meets the tolerance
+        # the float bracket closes to adjacent floats before the residual meets the
+        # tolerance, or f stays below float noise across the bracket
         roots = mp_real_roots(*poly)
         for digits in (10, 30):
-            assert run(argv + ["--format", "json", "--digits", str(digits)]) == 0
-            printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
-            assert printed == [truncate_mpf(r, digits) for r in roots], digits
-
-    @pytest.mark.parametrize("s", [10 ** 5, 10 ** 6])
-    def test_two_roots_beside_a_critical_point(self, capsys, s):
-        # f = (x + 2s)(x**2 - 2s*x - (8s**2 + 3)): its roots -2s and s - sqrt(9s**2 + 3) are
-        # about 1/(2s) apart, with the critical point -sqrt(4s**2 + 1) between them
-        p, m = 12 * s * s + 3, 32 * s ** 3 + 12 * s
-        roots = mp_real_roots(3, -p, 1, Fraction(m, 2))
-        argv = ["mmf", "--n", "3", "--p", str(p), "--sign", "minus", "--m", str(m)]
-        for digits in (12, 30):
             assert run(argv + ["--format", "json", "--digits", str(digits)]) == 0
             printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
             assert printed == [truncate_mpf(r, digits) for r in roots], digits

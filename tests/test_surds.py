@@ -31,7 +31,6 @@ from goldmean.cli import run
 from goldmean.surds import MAX_CF_TERMS, MAX_RADICAND, _root_parts, _split_square
 from oracles import (continued_fraction_reference, float_cf_terms, split_square_reference,
                      surd_parts_reference, truncate_mpf)
-from sympy.ntheory.continued_fraction import continued_fraction_periodic
 
 GOLDEN = QuadraticSurd(Fraction(-1, 2), Fraction(1, 2), 5)       # (-1+sqrt5)/2
 GOLDEN_CONJ = QuadraticSurd(Fraction(-1, 2), Fraction(-1, 2), 5)  # (-1-sqrt5)/2
@@ -547,14 +546,14 @@ class TestContinuedFractionPeriod:
         cf = continued_fraction_of(v, max_terms)
         assert tuple(cf) == continued_fraction_reference(*_parts(v), max_terms)
 
-    @pytest.mark.parametrize("v, sympy_args", [
-        (QuadraticSurd(Fraction(4, 5), Fraction(-1, 5), 3), (4, 5, 3)),
-        (QuadraticSurd(Fraction(7, 2), Fraction(-1, 3), 13), (21, 6, 52)),
-        (QuadraticSurd(Fraction(10, 3), Fraction(-2, 7), 5), (70, 21, 180)),
-    ], ids=str)
-    def test_pinned_against_sympy(self, v, sympy_args):
-        # (p - sqrt(d))/q in sympy's terms
-        expected = continued_fraction_periodic(*sympy_args, s=-1)
+    # expected: sympy's continued_fraction_periodic(p, q, d, s=-1) for (p - sqrt(d))/q,
+    # with (p, q, d) = (4, 5, 3), (21, 6, 52) and (70, 21, 180)
+    @pytest.mark.parametrize("v, expected", [
+        (QuadraticSurd(Fraction(4, 5), Fraction(-1, 5), 3), [0, 2, [4, 1, 7, 1]]),
+        (QuadraticSurd(Fraction(7, 2), Fraction(-1, 3), 13), [2, 3, [2, 1, 4, 1, 2, 2, 1, 1, 1, 2]]),
+        (QuadraticSurd(Fraction(10, 3), Fraction(-2, 7), 5), [2, 1, 2, [3, 1, 1, 1, 61, 1, 34, 4]]),
+    ], ids=["(4-sqrt3)/5", "(21-sqrt52)/6", "(70-sqrt180)/21"])
+    def test_pinned_against_sympy(self, v, expected):
         cf = continued_fraction_of(v, 100)
         assert list(cf.initial) + [list(cf.period)] == expected and not cf.truncated
 

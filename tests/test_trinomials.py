@@ -76,24 +76,51 @@ class TestCloseRootFamily:
     """(x + 2s)(x**2 - 2s*x - (8s**2 + 3)) with p and m moved by up to 3: two roots
     about 1/(2s) apart, on either side of a critical point."""
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @given(st.integers(1, 10 ** 12), st.integers(-3, 3), st.integers(-3, 3))
-    def test_exits_cleanly_with_exact_digits_for_roots_apart(self, s, dp, dm):
-        p, m = 12 * s * s + 3 + dp, 32 * s ** 3 + 12 * s + dm
+    _FAMILY = (st.integers(1, 10 ** 12), st.integers(-3, 3), st.integers(-3, 3))
+
+    @staticmethod
+    def _digits(p, m):
         argv = ["mmf", "--n", "3", "--p", str(p), "--sign", "minus", "--m", str(m),
                 "--digits", "15", "--format", "json"]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             assert run(argv) == 0
         assert err.getvalue() == ""
+        return [r["decimal"] for r in json.loads(out.getvalue())["results"]]
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(*_FAMILY)
+    def test_exits_cleanly_with_exact_digits_for_roots_apart(self, s, dp, dm):
+        p, m = 12 * s * s + 3 + dp, 32 * s ** 3 + 12 * s + dm
+        printed = self._digits(p, m)
         if has_multiple_root(3, -p, 1, Fraction(m, 2)):
             return
         roots = mp_real_roots(3, -p, 1, Fraction(m, 2))
         # digits are certain only where the float brackets can separate the roots
         ulp = math.ulp(float(2 * s))
-        if all(a - b > 2 * ulp for a, b in zip(roots, roots[1:])):
-            printed = [r["decimal"] for r in json.loads(out.getvalue())["results"]]
+        if all(a - b > ulp for a, b in zip(roots, roots[1:])):
             assert printed == [truncate_mpf(r, 15) for r in roots]
+
+    @pytest.mark.xfail(strict=True, reason="both roots lie within one float of the critical "
+                                           "point, so float bracket ends cannot separate them")
+    def test_exact_digits_for_roots_closer_than_one_ulp(self):
+        p, m = 253843251483928431, 98452453218571831816910340
+        roots = mp_real_roots(3, -p, 1, Fraction(m, 2))
+        assert self._digits(p, m) == [truncate_mpf(r, 15) for r in roots]
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(*_FAMILY)
+    def test_values_below_float_noise_are_within_one_ulp(self, s, dp, dm):
+        # f is below its float rounding error across the bracket, so exact signs steer
+        # the refinement until the bracket closes to adjacent floats
+        p, m = 12 * s * s + 3 + dp, 32 * s ** 3 + 12 * s + dm
+        if has_multiple_root(3, -p, 1, Fraction(m, 2)):
+            return
+        roots = sorted(float(r) for r in mp_real_roots(3, -p, 1, Fraction(m, 2)))
+        found = solve_trinomial(TrinomialSpec(3, p, "minus", m), tolerance=1e-300)
+        assert len(found.values) == len(roots)
+        for value, root in zip(found.values, roots):
+            assert abs(value - root) <= math.ulp(root)
 
 
 class TestSolveTrinomial:

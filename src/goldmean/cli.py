@@ -72,16 +72,19 @@ MAX_EXPONENT = 1000
 
 
 class _Output(NamedTuple):
-    """A command's records, made as they are read.  JSON prints them as one
-    list, text ``text(record)`` for each and then ``footer``, TSV the
-    ``columns`` a record has, or ``text(record)`` when there are no columns
-    (a grid row).
+    """A command's records, made as they are read, and each format's line of one record
+    (a ``%`` format's ``__mod__`` for a tuple).  Text writes ``text(record)`` lines and
+    then the ``footer``, TSV ``tsv(record)`` lines, and JSON each ``json(record)``,
+    joined by ", ", inside a frame of the command, its inputs and the empty errors, so
+    no format holds the whole result.  Records with no ``json`` are a few dicts, and one
+    ``json.dumps`` writes them with their frame.
     """
 
     inputs: dict
     records: Iterable
     text: Callable[..., str]
-    columns: tuple[str, ...]
+    tsv: Callable[..., str]
+    json: Callable[..., str] | None = None
     footer: tuple[str, ...] = ()
 
 
@@ -92,7 +95,7 @@ def _surd_json(surd: QuadraticSurd) -> dict:
     return {"a_num": p // g, "a_den": den // g, "b_num": q // h, "b_den": den // h, "d": surd._d}
 
 
-_ROOT_COLUMNS = ("value", "bracket_lo", "bracket_hi", "residual")
+_ROOT_TSV = "{value}\t{bracket_lo}\t{bracket_hi}\t{residual}\n".format_map
 
 
 def _root_records(roots: RootSet, digits: int,
@@ -124,7 +127,7 @@ def _root_records(roots: RootSet, digits: int,
 def _root_text(record: dict) -> str:
     mark = " (satisfactory)" if record["satisfactory"] else ""
     surd = f"   [{record['surd']}]" if "surd" in record else ""
-    return f"{record['label']} = {record['decimal']}{mark}{surd}"
+    return f"{record['label']} = {record['decimal']}{mark}{surd}\n"
 
 
 def _cmd_solve(ns) -> _Output:
@@ -136,9 +139,9 @@ def _cmd_solve(ns) -> _Output:
         pair = generalized_gm(ns.m)
         exact = [pair.x1, pair.x2]
         inputs["r"] = 2 * ns.m + 1
-        footer = (f"r = {inputs['r']}",)
+        footer = (f"r = {inputs['r']}\n",)
     records = _root_records(roots, ns.digits, exact)
-    return _Output(inputs, records, _root_text, _ROOT_COLUMNS, footer)
+    return _Output(inputs, records, _root_text, _ROOT_TSV, footer=footer)
 
 
 def _cmd_mmf(ns) -> _Output:
@@ -146,7 +149,7 @@ def _cmd_mmf(ns) -> _Output:
     spec = TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
     roots = solve_trinomial(spec)
     inputs = {"n": ns.n, "p": ns.p, "sign": ns.sign, "m": ns.m}
-    return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_COLUMNS)
+    return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_TSV)
 
 
 def _cmd_stakhov(ns) -> _Output:
@@ -154,15 +157,15 @@ def _cmd_stakhov(ns) -> _Output:
     value = solve_stakhov(ns.n, ns.variant)
     inputs = {"n": ns.n, "variant": ns.variant}
     records = [{"decimal": stakhov_decimal(ns.n, ns.variant, value, ns.digits), "value": value}]
-    text = f"x = {{decimal}} (variant {ns.variant})".format_map
-    return _Output(inputs, records, text, ("value",))
+    text = f"x = {{decimal}} (variant {ns.variant})\n".format_map
+    return _Output(inputs, records, text, "{value}\n".format_map)
 
 
 def _cmd_euler(ns) -> _Output:
     _need("trinomials")
     roots = solve_euler(ns.a, ns.n, ns.x, ns.mode)
     inputs = {"a": str(ns.a), "n": ns.n, "x": str(ns.x), "mode": ns.mode}
-    return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_COLUMNS)
+    return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_TSV)
 
 
 def _cmd_metallic(ns) -> _Output:
@@ -174,41 +177,31 @@ def _cmd_metallic(ns) -> _Output:
         "exact": _surd_json(mean),
         "surd": str(mean),
     }
-    footer = ()
+    tsv, footer = "{value}\n", ()
     if ns.cf_terms is not None:
         cf = continued_fraction_of(mean, ns.cf_terms)
         record.update(cf_initial=list(cf.initial), cf_period=list(cf.period),
                       cf_truncated=cf.truncated)
-        footer = (f"continued fraction: {cf}",)
-    text = f"metallic mean (p={ns.p}, q={ns.q}) = {{surd}} = {{decimal}}".format_map
-    return _Output(inputs, [record], text, ("value", "cf_initial", "cf_period"), footer)
+        tsv = f"{{value}}\t{','.join(map(str, cf.initial))}\t{','.join(map(str, cf.period))}\n"
+        footer = (f"continued fraction: {cf}\n",)
+    text = f"metallic mean (p={ns.p}, q={ns.q}) = {{surd}} = {{decimal}}\n".format_map
+    return _Output(inputs, [record], text, tsv.format_map, footer=footer)
 
 
 def _cmd_table1(ns) -> _Output:
     _need("triangles")
-    inputs = {"rows": ns.rows, "side": ns.side}
-    records = ({"side": row.side, "index": row.index, "m": row.m, "h": row.h, "r": row.r}
-               for row in table_one(ns.rows, ns.side))
-    text = "{side:>5}  N={index}  m={m}  h={h}  r={r}".format_map
-    return _Output(inputs, records, text, ("side", "index", "m", "h", "r"))
+    return _Output({"rows": ns.rows, "side": ns.side}, table_one(ns.rows, ns.side),
+                   "%5s  N=%d  m=%d  h=%d  r=%d\n".__mod__, "%s\t%d\t%d\t%d\t%d\n".__mod__,
+                   '{"side": "%s", "index": %d, "m": %d, "h": %d, "r": %d}'.__mod__)
 
 
 def _cmd_diophantus(ns) -> _Output:
     _need("triangles")
     if ns.count > MAX_TRIPLES:
         raise InputTooLarge(f"count {ns.count} exceeds the bound {MAX_TRIPLES}")
-    inputs = {"count": ns.count}
-    records = ({"a": t.a, "b": t.b, "c": t.c}
-               for t in map(diophantus_triple, range(ns.count)))
-    return _Output(inputs, records, "{c}^2 = {b}^2 + {a}^2".format_map, ("a", "b", "c"))
-
-
-def _harmonic_text(record: dict) -> str:
-    if "q" in record:
-        return ("doublet q={q} at ({i1},{j1})/({i2},{j2}) "
-                "-> integer pair ({pair_low}, {pair_high})").format_map(record)
-    k = record["k"]
-    return f"({k} x {k}) + {k} = {record['square_plus_side']} = {k} x {k + 1}"
+    return _Output({"count": ns.count}, map(diophantus_triple, range(ns.count)),
+                   lambda t: "%d^2 = %d^2 + %d^2\n" % t[::-1], "%d\t%d\t%d\n".__mod__,
+                   '{"a": %d, "b": %d, "c": %d}'.__mod__)
 
 
 def _cmd_harmonic(ns) -> _Output:
@@ -217,37 +210,37 @@ def _cmd_harmonic(ns) -> _Output:
     inputs = {"size": ns.size, "doublets": ns.doublets, "key": ns.key}
     if not ns.doublets and ns.key is None:
         # one format per grid renders a row in text and TSV alike, as "\t".join(map(str, row))
-        return _Output(inputs, table.rows(), "\t".join(["%d"] * ns.size).__mod__, ())
-    columns = ("k", "q", "i1", "j1", "i2", "j2", "pair_low", "pair_high",
-               "square_plus_side", "product")
+        row = "\t".join(["%d"] * ns.size) + "\n"
+        return _Output(inputs, table.rows(), row.__mod__, row.__mod__,
+                       ("[" + ", ".join(["%d"] * ns.size) + "]").__mod__)
     doublets = cross_check_integer_means(table) if ns.doublets else []
     keys = key_rows(ns.key) if ns.key is not None else []
-    records = chain(({"k": k, "q": q, "i1": k, "j1": k + 1, "i2": k + 1, "j2": k,
-                      "pair_low": k, "pair_high": high} for q, (k, high) in doublets),
-                    ({"k": k, "square_plus_side": square_plus, "product": product}
-                     for k, square_plus, product in keys))
-    return _Output(inputs, records, _harmonic_text, columns)
-
-
-def _cell(value) -> str:
-    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
-
-
-def _tsv_row(record: dict, columns: tuple[str, ...]) -> str:
-    return "\t".join(_cell(record[c]) for c in columns if c in record)
+    # a doublet (q, (k, k + 1)) is the record (k, q, i1, j1, i2, j2, pair_low, pair_high), a key
+    # row (k, k^2 + k, k(k + 1)) is one as it is, and each format tells them apart by length
+    records = chain(((k, q, k, k + 1, k + 1, k, k, high) for q, (k, high) in doublets), keys)
+    as_json = {8: '{"k": %d, "q": %d, "i1": %d, "j1": %d, "i2": %d, "j2": %d, "pair_low": %d, '
+                  '"pair_high": %d}', 3: '{"k": %d, "square_plus_side": %d, "product": %d}'}
+    return _Output(inputs, records, lambda r: (
+        "doublet q=%d at (%d,%d)/(%d,%d) -> integer pair (%d, %d)\n" % r[1:] if len(r) == 8
+        else f"({r[0]} x {r[0]}) + {r[0]} = {r[1]} = {r[0]} x {r[0] + 1}\n"),
+        lambda r: "\t".join(map(str, r)) + "\n", lambda r: as_json[len(r)] % r)
 
 
 def _emit(ns, out: _Output) -> None:
-    if ns.format == "json":
-        import json  # only this format needs it, so a cold start skips it
-        print(json.dumps({"command": ns.command, "inputs": out.inputs,
-                          "results": list(out.records), "errors": []}))
-    elif ns.format == "tsv":
-        for record in out.records:
-            print(_tsv_row(record, out.columns) if out.columns else out.text(record))
-    else:
-        for line in chain(map(out.text, out.records), out.footer):
-            print(line)
+    stdout = sys.stdout
+    if ns.format != "json":
+        stdout.writelines(map(getattr(out, ns.format), out.records))
+        stdout.writelines(out.footer if ns.format == "text" else ())
+        return
+    import json  # only this format needs it, so a cold start skips it
+    frame = {"command": ns.command, "inputs": out.inputs}
+    if out.json is None:  # one dumps of a few dicts costs less than one dumps each
+        stdout.write(json.dumps({**frame, "results": out.records, "errors": []}) + "\n")
+        return
+    records = map(out.json, out.records)
+    stdout.write(json.dumps(frame)[:-1] + ', "results": [' + next(records, ""))
+    stdout.writelines(map(", ".__add__, records))
+    stdout.write('], "errors": []}\n')
 
 
 def _usage_error(message: str) -> Exception:

@@ -14,8 +14,8 @@ from typing import NamedTuple
 from .errors import CrossCheckFailed, InputTooLarge
 from .quadratics import integer_metallic
 
-#: Largest grid :meth:`HarmonicTable.rows` yields (at the bound about 0.5 s to print in
-#: text or TSV and 0.9 s in JSON, on a 2-vCPU machine with Python 3.11).
+#: Largest grid :meth:`HarmonicTable.rows` yields (at the bound about 0.6 s to print in
+#: text or TSV and 0.7 s in JSON, on a 2-vCPU machine with Python 3.11).
 MAX_GRID_SIZE = 2000
 #: Largest size the doublet scan and largest K the key rows take (O(size) records).
 MAX_SIZE = 10 ** 5

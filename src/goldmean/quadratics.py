@@ -7,6 +7,7 @@ and detection of the integer metallic means ``q = k(k+1)``.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
@@ -77,13 +78,15 @@ def solve_quadratic(spec: QuadraticSpec) -> RootPair:
 
 
 def generalized_gm(m: int) -> RootPair:
-    """Roots of ``x**2 + x = m/2``, i.e. ``(-1 ± sqrt(2m+1)) / 2``.
+    """Roots of ``x**2 + x = m/2``, i.e. ``(-1 ± a*sqrt(d)) / 2`` with ``a*sqrt(d) = sqrt(2m+1)``.
 
     The pair's discriminant is exactly the odd integer ``2m + 1``.
     """
-    if m < 0:
+    if operator.index(m) < 0:  # an int only: a Fraction or float m raises TypeError
         raise ValueError("m must be a non-negative integer")
-    return solve_quadratic(QuadraticSpec(1, Fraction(m, 2), "plus"))
+    a, _, d = _root_parts(2 * m + 1, 1)
+    return RootPair(QuadraticSurd._canonical(-1, a, 2, d), QuadraticSurd._canonical(-1, -a, 2, d),
+                    Fraction(2 * m + 1))
 
 
 def metallic_mean(p: int, q) -> QuadraticSurd:

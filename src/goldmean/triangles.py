@@ -18,10 +18,10 @@ from .surds import QuadraticSurd
 
 Side = Literal["left", "right"]
 
-#: Most rows :func:`table_one` builds (a right-side row costs about 0.016 ms, so
-#: ``table1 --rows 10000 --side right`` takes about 0.3 s in any format).
+#: Most rows :func:`table_one` builds (a right-side row costs about 0.010 ms, so
+#: ``table1 --rows 10000 --side right`` takes about 0.2 s in any format).
 MAX_ROWS = 10 ** 4
-#: Most triples the ``diophantus`` command lists (about 5-7 µs each in text or TSV).
+#: Most triples the ``diophantus`` command lists (about 3-4 µs each in any format).
 MAX_TRIPLES = 10 ** 6
 
 

@@ -209,6 +209,30 @@ def parse_json(out):
     return payload
 
 
+class TestJsonRoundTrip:
+    """JSON written record by record is the bytes ``json.dumps`` makes of the parsed object."""
+
+    @pytest.mark.parametrize("argv", [
+        ("table1", "--rows", "3", "--side", "left"),
+        ("table1", "--rows", "3", "--side", "right"),
+        ("table1", "--rows", "3", "--side", "both"),
+        ("diophantus", "--count", "1"),
+        ("harmonic", "--size", "1"),
+        ("harmonic", "--size", "1", "--doublets"),
+        ("harmonic", "--size", "1", "--key", "0"),
+        ("harmonic", "--size", "4", "--doublets", "--key", "5"),
+        ("solve", "--n", "2", "--m", "3"),
+        ("mmf", "--n", "3", "--p", "2", "--sign", "minus", "--m", "2"),
+        ("stakhov", "--n", "3", "--variant", "b"),
+        ("euler", "--a=-3/2", "--n", "2", "--x", "1", "--mode", "direct"),
+        ("metallic", "--p", "1", "--q", "1/3", "--cf-terms", "6"),
+    ], ids=" ".join)
+    def test_dumps_of_loads_gives_the_same_bytes(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.dumps(parse_json(out)) + "\n" == out
+
+
 class TestFormatsAgree:
     def test_solve_json_vs_tsv(self, capsys):
         _, json_out, _ = invoke(capsys, "solve", "--n", "2", "--m", "3", "--format", "json")

@@ -154,6 +154,8 @@ class TestOnlyThePrintedGridIsBuilt:
     @pytest.mark.parametrize("argv", [
         ["harmonic", "--size", "1000", "--format", "tsv"],
         ["diophantus", "--count", "100000", "--format", "tsv"],
+        ["diophantus", "--count", "100000", "--format", "json"],
+        ["harmonic", "--size", "1000", "--format", "json"],
     ])
     def test_text_and_tsv_are_written_as_they_are_made(self, argv):
         # capsys would hold the whole output in memory, so it goes to the null device

@@ -118,6 +118,11 @@ class TestGeneralizedGm:
         with pytest.raises(ValueError):
             generalized_gm(-1)
 
+    @pytest.mark.parametrize("m", [Fraction(5), Fraction(7, 2), 2.0, "3"])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(TypeError):
+            generalized_gm(m)
+
 
 class TestMetallicMean:
     def test_golden(self):

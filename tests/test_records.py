@@ -66,10 +66,10 @@ RECORDS = {
                                      _root.iterations),
                    ("value", "bracket", "residual", "iterations", "exact")),
     "RootSet": (solve_gm_general(3, 2), solve_gm_general(3, 2), ("roots",)),
-    "_Output": (_Output({"n": 2}, [1], str, ("value",), ("r = 5",)),
-                _Output(inputs={"n": 2}, records=[1], text=str, columns=("value",),
-                        footer=("r = 5",)),
-                ("inputs", "records", "text", "columns", "footer")),
+    "_Output": (_Output({"n": 2}, [1], str, repr, None, ("r = 5\n",)),
+                _Output(inputs={"n": 2}, records=[1], text=str, tsv=repr, json=None,
+                        footer=("r = 5\n",)),
+                ("inputs", "records", "text", "tsv", "json", "footer")),
 }
 #: every record whose fields are all hashable
 HASHABLE = [name for name in RECORDS if name != "_Output"]

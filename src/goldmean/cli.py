@@ -11,7 +11,6 @@ nothing to stdout.
 
 from __future__ import annotations
 
-import importlib
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -21,45 +20,26 @@ from math import gcd
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import _HOME
 from .errors import DomainError, InputTooLarge
-from .quadratics import generalized_gm, metallic_mean
-from .surds import MAX_DIGITS, QuadraticSurd, continued_fraction_of, to_decimal
+from .surds import MAX_DIGITS
 
 if TYPE_CHECKING:
     import argparse
 
-    from .harmonic import build_table, cross_check_integer_means, key_rows
-    from .triangles import MAX_TRIPLES, diophantus_triple, table_one
-    from .trinomials import (TOLERANCE, RootSet, TrinomialSpec, solve_euler, solve_gm_general,
-                             solve_stakhov, solve_trinomial, stakhov_decimal)
+    from .surds import QuadraticSurd
+    from .trinomials import RootSet
 
-#: library names the handlers read, by module; a module is imported by the first
-#: command that needs it, so a cold process loads only its command's modules
-_LAZY = {
-    "harmonic": ("build_table", "cross_check_integer_means", "key_rows"),
-    "triangles": ("MAX_TRIPLES", "diophantus_triple", "table_one"),
-    "trinomials": ("TOLERANCE", "TrinomialSpec", "solve_euler", "solve_gm_general", "solve_stakhov",
-                   "solve_trinomial", "stakhov_decimal"),
-}
-
-
-def _need(module: str):
-    """Import a library module and bind its ``_LAZY`` names here, keeping any already set
-    (a wrapper installed with ``setattr`` stays the name the handlers call)."""
-    name = f"{__package__}.{module}"
-    lib = sys.modules.get(name) or importlib.import_module(name)
-    for attr in _LAZY[module]:
-        globals().setdefault(attr, getattr(lib, attr))
-    return lib
+#: this module; handlers call ``_cli.<name>``, so a wrapper set here by ``setattr`` is called
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """Bind a ``_LAZY`` name on its first read from outside, such as ``cli.table_one``."""
-    for module, names in _LAZY.items():
-        if name in names:
-            _need(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Bind a name of the package's table on its first read, importing its home module alone."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 EXIT_OK = 0
@@ -104,7 +84,7 @@ def _root_records(roots: RootSet, digits: int,
     records = []
     for i, rec in enumerate(reversed(roots.roots)):
         if exact is not None:
-            decimal, sign = to_decimal(exact[i], digits), exact[i].sign()
+            decimal, sign = _cli.to_decimal(exact[i], digits), exact[i].sign()
         else:
             decimal, sign = roots.truncate(rec, digits)
         record = {
@@ -131,12 +111,11 @@ def _root_text(record: dict) -> str:
 
 
 def _cmd_solve(ns) -> _Output:
-    _need("trinomials")
-    roots = solve_gm_general(ns.n, ns.m, tolerance=ns.tol)
+    roots = _cli.solve_gm_general(ns.n, ns.m, tolerance=ns.tol)
     inputs = {"n": ns.n, "m": ns.m, "tolerance": ns.tol}
     exact, footer = None, ()
     if ns.n == 2:
-        pair = generalized_gm(ns.m)
+        pair = _cli.generalized_gm(ns.m)
         exact = [pair.x1, pair.x2]
         inputs["r"] = 2 * ns.m + 1
         footer = (f"r = {inputs['r']}\n",)
@@ -145,41 +124,39 @@ def _cmd_solve(ns) -> _Output:
 
 
 def _cmd_mmf(ns) -> _Output:
-    _need("trinomials")
-    spec = TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
-    roots = solve_trinomial(spec)
+    spec = _cli.TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
+    roots = _cli.solve_trinomial(spec)
     inputs = {"n": ns.n, "p": ns.p, "sign": ns.sign, "m": ns.m}
     return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_TSV)
 
 
 def _cmd_stakhov(ns) -> _Output:
-    _need("trinomials")
-    value = solve_stakhov(ns.n, ns.variant)
+    value = _cli.solve_stakhov(ns.n, ns.variant)
     inputs = {"n": ns.n, "variant": ns.variant}
-    records = [{"decimal": stakhov_decimal(ns.n, ns.variant, value, ns.digits), "value": value}]
+    decimal = _cli.stakhov_decimal(ns.n, ns.variant, value, ns.digits)
+    records = [{"decimal": decimal, "value": value}]
     text = f"x = {{decimal}} (variant {ns.variant})\n".format_map
     return _Output(inputs, records, text, "{value}\n".format_map)
 
 
 def _cmd_euler(ns) -> _Output:
-    _need("trinomials")
-    roots = solve_euler(ns.a, ns.n, ns.x, ns.mode)
+    roots = _cli.solve_euler(ns.a, ns.n, ns.x, ns.mode)
     inputs = {"a": str(ns.a), "n": ns.n, "x": str(ns.x), "mode": ns.mode}
     return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_TSV)
 
 
 def _cmd_metallic(ns) -> _Output:
-    mean = metallic_mean(ns.p, ns.q)
+    mean = _cli.metallic_mean(ns.p, ns.q)
     inputs = {"p": ns.p, "q": str(ns.q)}
     record = {
-        "decimal": to_decimal(mean, ns.digits),
+        "decimal": _cli.to_decimal(mean, ns.digits),
         "value": float(mean),
         "exact": _surd_json(mean),
         "surd": str(mean),
     }
     tsv, footer = "{value}\n", ()
     if ns.cf_terms is not None:
-        cf = continued_fraction_of(mean, ns.cf_terms)
+        cf = _cli.continued_fraction_of(mean, ns.cf_terms)
         record.update(cf_initial=list(cf.initial), cf_period=list(cf.period),
                       cf_truncated=cf.truncated)
         tsv = f"{{value}}\t{','.join(map(str, cf.initial))}\t{','.join(map(str, cf.period))}\n"
@@ -189,32 +166,30 @@ def _cmd_metallic(ns) -> _Output:
 
 
 def _cmd_table1(ns) -> _Output:
-    _need("triangles")
-    return _Output({"rows": ns.rows, "side": ns.side}, table_one(ns.rows, ns.side),
+    return _Output({"rows": ns.rows, "side": ns.side}, _cli.table_one(ns.rows, ns.side),
                    "%5s  N=%d  m=%d  h=%d  r=%d\n".__mod__, "%s\t%d\t%d\t%d\t%d\n".__mod__,
                    '{"side": "%s", "index": %d, "m": %d, "h": %d, "r": %d}'.__mod__)
 
 
 def _cmd_diophantus(ns) -> _Output:
-    _need("triangles")
+    from .triangles import MAX_TRIPLES
     if ns.count > MAX_TRIPLES:
         raise InputTooLarge(f"count {ns.count} exceeds the bound {MAX_TRIPLES}")
-    return _Output({"count": ns.count}, map(diophantus_triple, range(ns.count)),
+    return _Output({"count": ns.count}, map(_cli.diophantus_triple, range(ns.count)),
                    lambda t: "%d^2 = %d^2 + %d^2\n" % t[::-1], "%d\t%d\t%d\n".__mod__,
                    '{"a": %d, "b": %d, "c": %d}'.__mod__)
 
 
 def _cmd_harmonic(ns) -> _Output:
-    _need("harmonic")
-    table = build_table(ns.size)
+    table = _cli.build_table(ns.size)
     inputs = {"size": ns.size, "doublets": ns.doublets, "key": ns.key}
     if not ns.doublets and ns.key is None:
         # one format per grid renders a row in text and TSV alike, as "\t".join(map(str, row))
         row = "\t".join(["%d"] * ns.size) + "\n"
         return _Output(inputs, table.rows(), row.__mod__, row.__mod__,
                        ("[" + ", ".join(["%d"] * ns.size) + "]").__mod__)
-    doublets = cross_check_integer_means(table) if ns.doublets else []
-    keys = key_rows(ns.key) if ns.key is not None else []
+    doublets = _cli.cross_check_integer_means(table) if ns.doublets else []
+    keys = _cli.key_rows(ns.key) if ns.key is not None else []
     # a doublet (q, (k, k + 1)) is the record (k, q, i1, j1, i2, j2, pair_low, pair_high), a key
     # row (k, k^2 + k, k(k + 1)) is one as it is, and each format tells them apart by length
     records = chain(((k, q, k, k + 1, k + 1, k, k, high) for q, (k, high) in doublets), keys)
@@ -294,7 +269,7 @@ _COMMANDS = {
     "solve": (_cmd_solve, "all real roots of x**n + x = m/2", {
         "--n": dict(type=_positive_int, required=True),
         "--m": dict(type=_nonneg_int, required=True),
-        "--tol": dict(type=float, default=lambda: _need("trinomials").TOLERANCE,
+        "--tol": dict(type=float, default=lambda: _cli.TOLERANCE,
                       help="scaled residual tolerance (default %(default)s)")}),
     "mmf": (_cmd_mmf, "all real roots of x**n ± p*x = m/2", {
         "--n": dict(type=_positive_int, required=True),

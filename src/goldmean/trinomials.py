@@ -68,7 +68,7 @@ TOLERANCE = 1e-12
 _MAX_ITERATIONS = 200
 #: geometric factor of the outward bracket search
 _BRACKET_GROWTH = 2.0
-#: largest degree n; at n = 1000, printing 1000 exact digits takes up to about 9 s
+#: largest degree n; at n = 1000, printing 1000 exact digits takes up to about 10 s
 MAX_DEGREE = 1000
 
 
@@ -225,13 +225,29 @@ def _critical_signs(poly: _Poly) -> list[tuple[float, Optional[Fraction], int]]:
 
 
 def _expand(poly: _Poly, anchor: float, direction: int, inner_sign: int) -> float:
-    """Walk outward geometrically until f changes sign (or hits zero), confirmed exactly."""
-    step = 1.0
+    """Walk outward geometrically until f changes sign (or hits zero), confirmed exactly.
+
+    A point where the float f overflows cannot end a bracket: the walk steps back to
+    halfway between it and the last point where f was finite, the anchor first, and
+    raises ``OverflowError`` once no float lies between the two.
+    """
+    poly(anchor)  # the step back ends at the anchor, so f must be finite there
+    good, bad = 0.0, None  # the last step where f was finite, the least where it overflowed
     for _ in range(600):
+        if bad is None:
+            step = good * _BRACKET_GROWTH or 1.0
+        else:
+            step = 0.5 * (good + bad)
+            if anchor + direction * step in (anchor + direction * good, anchor + direction * bad):
+                raise OverflowError("the float f overflows next to the last point it was finite")
         x = anchor + direction * step
-        if inner_sign * poly(x) <= 0.0 and poly.sign(x) != inner_sign:
-            return x
-        step *= _BRACKET_GROWTH
+        try:
+            if inner_sign * poly(x) <= 0.0 and poly.sign(x) != inner_sign:
+                return x
+        except OverflowError:
+            bad = step
+            continue
+        good = step
     raise NoConvergence("outward bracket search failed")
 
 

@@ -5,7 +5,8 @@ checks: plain bisection, full factorization by trial division up to the
 square root, naive float continued fractions, exact continued fractions whose
 period is found from a dict of every state, truncation via the decimal
 module, numpy grid sign counting, exact polynomial gcd over Fractions for
-multiple-root detection, and mpmath's polynomial roots at 250 digits.
+multiple-root detection, and mpmath's polynomial roots, or its bisection, at
+250 digits.
 """
 
 from __future__ import annotations
@@ -211,6 +212,24 @@ def mp_real_roots(n: int, c, e: int, rhs) -> list:
         roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=2 * MP_DIGITS)
         tiny = mpmath.mpf(10) ** (-MP_DIGITS // 2)
         return sorted((mpmath.re(r) for r in roots if abs(mpmath.im(r)) < tiny), reverse=True)
+
+
+def mp_root_in(n: int, c, e: int, rhs, lo, hi):
+    """The root of x**n + c*x**e - rhs in [lo, hi], where f changes sign, by plain
+    bisection in mpmath; for degrees where polyroots takes too long."""
+    with mpmath.workdps(MP_DIGITS):
+        c, rhs = (mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in (c, rhs))
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        f = lambda x: x ** n + c * x ** e - rhs  # noqa: E731
+        s_lo = mpmath.sign(f(lo))
+        assert s_lo * f(hi) < 0, "oracle bracket must change sign"
+        while hi - lo > mpmath.mpf(10) ** (20 - MP_DIGITS):
+            mid = (lo + hi) / 2
+            if mpmath.sign(f(mid)) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
 
 def truncate_mpf(x, digits: int) -> str:

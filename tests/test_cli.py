@@ -74,7 +74,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("solve", "--n", "2", "--m", "1" + "0" * 400),
         ("euler", "--a", "0", "--n", "2", "--x", "1" + "0" * 400, "--mode", "direct"),
+        # p is beyond the float range (about 1.8e308), so f overflows wherever it is evaluated
         ("mmf", "--n", "3", "--p", "1" + "0" * 400, "--sign", "plus", "--m", "2"),
+        ("mmf", "--n", "3", "--p", "1" + "0" * 400, "--sign", "minus", "--m", "2"),
         # degrees above trinomials.MAX_DEGREE; solving them takes 40 s or more
         ("mmf", "--n", "10000001", "--p", "3", "--sign", "minus", "--m", "3"),
         ("euler", "--a", "0", "--n", "1000000", "--x", "1/1000000", "--mode", "direct"),

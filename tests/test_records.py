@@ -172,6 +172,12 @@ class TestColdImport:
     def test_help_and_usage_errors_load_argparse(self, argv):
         assert "argparse" in _fresh(RUN_AND_LIST, *argv).split()
 
+    def test_a_star_import_of_the_cli_loads_no_command_module(self):
+        code = ("from goldmean.cli import *; import sys; "
+                "print(*sorted(m for m in sys.modules if m.startswith('goldmean.')))")
+        loaded = _fresh(code).split()
+        assert not {"goldmean.trinomials", "goldmean.triangles", "goldmean.harmonic"} & set(loaded)
+
 
 class TestLazyPackage:
     def test_the_package_alone_loads_no_submodule(self):

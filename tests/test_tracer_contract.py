@@ -1,9 +1,10 @@
 """The names ``perfbench/spans.py`` patches in ``goldmean.cli`` are the ones it calls.
 
 The tracer reads each library name with ``getattr`` on ``goldmean.cli`` and
-sets a wrapper in its place with ``setattr``.  The handlers must look the name
-up when they run, so the wrapper is what they call, even though the name is
-bound only when it is first read.
+sets a wrapper in its place with ``setattr``.  The handlers call each name as
+``_cli.<name>``, an attribute of the module looked up when they run, so the
+wrapper is what they call.  ``cli.__getattr__`` binds a name of the package's
+``_HOME`` table on its first read, from the package, and no other name.
 """
 
 import contextlib
@@ -56,3 +57,15 @@ def test_each_wrapper_is_called(fresh_cli, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert fresh_cli.run(list(argv)) == 0
     assert called == CALLS[argv]
+
+
+class TestNameGuard:
+    """``cli.__getattr__`` lends the package's library names alone, not its attributes."""
+
+    @pytest.mark.parametrize("name", ["__path__", "__all__", "__version__"])
+    def test_package_attributes_are_not_lent(self, fresh_cli, name):
+        assert not hasattr(fresh_cli, name)
+
+    def test_an_unknown_name_is_an_attribute_error(self, fresh_cli):
+        with pytest.raises(AttributeError, match="^module 'goldmean.cli' has no attribute 'x'$"):
+            fresh_cli.x

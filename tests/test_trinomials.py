@@ -27,7 +27,7 @@ from goldmean import (
 from goldmean.cli import run
 from goldmean.trinomials import MAX_DEGREE
 from oracles import (bisect_root, grid_sign_changes, has_multiple_root, mp_real_roots,
-                     truncate_mpf)
+                     mp_root_in, truncate_mpf)
 
 PLASTICISH = bisect_root(lambda x: x ** 3 + x - 1, 0.0, 1.0)       # x^3 + x = 1
 SUPERGOLDENISH = bisect_root(lambda x: x ** 3 + x ** 2 - 1, 0.0, 1.0)  # x^3 + x^2 = 1
@@ -121,6 +121,46 @@ class TestCloseRootFamily:
         assert len(found.values) == len(roots)
         for value, root in zip(found.values, roots):
             assert abs(value - root) <= math.ulp(root)
+
+
+class TestOverflowingWalk:
+    """Roots near ±1 of degrees where the outward bracket walk overflows x**n at x = 3:
+    the walk steps back between the last finite point and the overflowing one."""
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        assert (code, err.getvalue()) == (0, "")
+        return [r["decimal"] for r in json.loads(out.getvalue())["results"]]
+
+    @pytest.mark.parametrize("digits", [10, 30])
+    @pytest.mark.parametrize("argv, n, m2", [
+        ("solve --n 1000 --m 100000000", 1000, 10 ** 8),
+        ("euler --a 0 --n 1000 --x 1000 --mode constrained", 1000, 2 * 10 ** 6),
+        ("mmf --n 700 --p 1 --sign plus --m " + str(10 ** 21), 700, 10 ** 21),
+    ], ids=["solve", "euler", "mmf"])
+    def test_digits_match_mpmath(self, argv, n, m2, digits):
+        # each is x**n + x = m2/2, with one root in (1, 2) and one in (-2, -1)
+        roots = [mp_root_in(n, 1, 1, Fraction(m2, 2), lo, hi) for lo, hi in ((1, 2), (-2, -1))]
+        printed = self._run(f"{argv} --digits {digits} --format json".split())
+        assert printed == [truncate_mpf(r, digits) for r in roots]
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(st.integers(900, 1000), st.integers(1, 10 ** 6), st.sampled_from(["plus", "minus"]),
+           st.integers(0, 2 ** 900))
+    def test_roots_inside_two_are_found(self, n, p, sign, m):
+        # 2**n exceeds 2p + m/2, so f > 0 at 2 (and at -2 for an even n): every root is in ±2
+        printed = self._run(["mmf", "--n", str(n), "--p", str(p), "--sign", sign, "--m", str(m),
+                             "--format", "json"])
+        c, rhs, unit = p if sign == "plus" else -p, Fraction(m, 2), Fraction(1, 10 ** 10)
+        f = lambda x: x ** n + c * x - rhs  # noqa: E731
+        for decimal in printed:
+            # the ten digits d are exact: the root is in [d, d + unit), or (d - unit, d] below 0
+            d = Fraction(decimal)
+            far = d - unit if decimal.startswith("-") else d + unit
+            assert abs(d) < 2 and (f(d) == 0 or f(d) * f(far) < 0)
 
 
 class TestSolveTrinomial:

@@ -16,7 +16,7 @@ import sys
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, inf
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -52,19 +52,19 @@ MAX_EXPONENT = 1000
 
 
 class _Output(NamedTuple):
-    """A command's records, made as they are read, and each format's line of one record
-    (a ``%`` format's ``__mod__`` for a tuple).  Text writes ``text(record)`` lines and
-    then the ``footer``, TSV ``tsv(record)`` lines, and JSON each ``json(record)``,
-    joined by ", ", inside a frame of the command, its inputs and the empty errors, so
-    no format holds the whole result.  Records with no ``json`` are a few dicts, and one
-    ``json.dumps`` writes them with their frame.
+    """A command's records, made as they are read, and each format's line of one record.
+    Text writes ``text(record)`` lines and then the ``footer``, TSV ``tsv(record)`` lines,
+    and JSON each ``json(record)``, joined by ", ", inside a frame of the command, its
+    inputs and the empty errors, so no format holds the whole result.  A record is a
+    library value, such as a catalog's tuple or a root's ``(index, RootRecord)``, and a
+    line computes only what its format prints: TSV prints floats and decides no digits.
     """
 
     inputs: dict
     records: Iterable
     text: Callable[..., str]
     tsv: Callable[..., str]
-    json: Callable[..., str] | None = None
+    json: Callable[..., str]
     footer: tuple[str, ...] = ()
 
 
@@ -75,94 +75,95 @@ def _surd_json(surd: QuadraticSurd) -> dict:
     return {"a_num": p // g, "a_den": den // g, "b_num": q // h, "b_den": den // h, "d": surd._d}
 
 
-_ROOT_TSV = "{value}\t{bracket_lo}\t{bracket_hi}\t{residual}\n".format_map
+def _surd_fields(surd: QuadraticSurd) -> str:
+    """A surd's ``exact`` and ``surd`` JSON members; json.dumps writes ``√`` as its escape."""
+    return ('"exact": {"a_num": %(a_num)d, "a_den": %(a_den)d, "b_num": %(b_num)d, '
+            '"b_den": %(b_den)d, "d": %(d)d}' % _surd_json(surd)
+            + ', "surd": "%s"' % str(surd).replace("√", "\\u221a"))
 
 
-def _root_records(roots: RootSet, digits: int,
-                  exact: list[QuadraticSurd] | None = None) -> list[dict]:
-    """Records for a root set, largest root first."""
-    records = []
-    for i, rec in enumerate(reversed(roots.roots)):
-        if exact is not None:
-            decimal, sign = _cli.to_decimal(exact[i], digits), exact[i].sign()
-        else:
-            decimal, sign = roots.truncate(rec, digits)
-        record = {
-            "label": f"x{i + 1}",
-            "decimal": decimal,
-            "value": rec.value,
-            "bracket_lo": rec.bracket[0],
-            "bracket_hi": rec.bracket[1],
-            "residual": rec.residual,
-            "iterations": rec.iterations,
-            "satisfactory": sign > 0,
-        }
-        if exact is not None:
-            record["exact"] = _surd_json(exact[i])
-            record["surd"] = str(exact[i])
-        records.append(record)
-    return records
+def _float_json(x: float) -> str:
+    """``x`` as json.dumps writes it: a float residual that overflowed is ``Infinity``."""
+    return "Infinity" if x == inf else repr(x)
 
 
-def _root_text(record: dict) -> str:
-    mark = " (satisfactory)" if record["satisfactory"] else ""
-    surd = f"   [{record['surd']}]" if "surd" in record else ""
-    return f"{record['label']} = {record['decimal']}{mark}{surd}\n"
+def _roots(inputs: dict, roots: RootSet, digits: int,
+           surds: list[QuadraticSurd] | None = None, footer: tuple[str, ...] = ()) -> _Output:
+    """Each root as (index, RootRecord), largest first.  Text and JSON decide its digits
+    and sign by ``RootSet.truncate``, or by its surd where ``surds`` has one per root."""
+    def exact(i: int, root) -> tuple[str, int]:
+        if surds is None:
+            return roots.truncate(root, digits)
+        return _cli.to_decimal(surds[i - 1], digits), surds[i - 1].sign()
+
+    def text(record) -> str:
+        i, root = record
+        decimal, sign = exact(i, root)
+        mark = " (satisfactory)" if sign > 0 else ""
+        surd = "" if surds is None else f"   [{surds[i - 1]}]"
+        return f"x{i} = {decimal}{mark}{surd}\n"
+
+    def as_json(record) -> str:
+        i, root = record
+        decimal, sign = exact(i, root)
+        line = ('{"label": "x%d", "decimal": "%s", "value": %r, "bracket_lo": %r, '
+                '"bracket_hi": %r, "residual": %s, "iterations": %d, "satisfactory": %s' % (
+                    i, decimal, root.value, *root.bracket, _float_json(root.residual),
+                    root.iterations, "true" if sign > 0 else "false"))
+        return line + ("}" if surds is None else ", " + _surd_fields(surds[i - 1]) + "}")
+
+    return _Output(inputs, enumerate(reversed(roots.roots), 1), text,
+                   lambda r: "%r\t%r\t%r\t%r\n" % (r[1].value, *r[1].bracket, r[1].residual),
+                   as_json, footer)
 
 
 def _cmd_solve(ns) -> _Output:
     roots = _cli.solve_gm_general(ns.n, ns.m, tolerance=ns.tol)
     inputs = {"n": ns.n, "m": ns.m, "tolerance": ns.tol}
-    exact, footer = None, ()
-    if ns.n == 2:
-        pair = _cli.generalized_gm(ns.m)
-        exact = [pair.x1, pair.x2]
-        inputs["r"] = 2 * ns.m + 1
-        footer = (f"r = {inputs['r']}\n",)
-    records = _root_records(roots, ns.digits, exact)
-    return _Output(inputs, records, _root_text, _ROOT_TSV, footer=footer)
+    if ns.n != 2:
+        return _roots(inputs, roots, ns.digits)
+    pair = _cli.generalized_gm(ns.m)
+    inputs["r"] = 2 * ns.m + 1
+    return _roots(inputs, roots, ns.digits, [pair.x1, pair.x2], (f"r = {inputs['r']}\n",))
 
 
 def _cmd_mmf(ns) -> _Output:
     spec = _cli.TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
-    roots = _cli.solve_trinomial(spec)
     inputs = {"n": ns.n, "p": ns.p, "sign": ns.sign, "m": ns.m}
-    return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_TSV)
+    return _roots(inputs, _cli.solve_trinomial(spec), ns.digits)
 
 
 def _cmd_stakhov(ns) -> _Output:
-    value = _cli.solve_stakhov(ns.n, ns.variant)
-    inputs = {"n": ns.n, "variant": ns.variant}
-    decimal = _cli.stakhov_decimal(ns.n, ns.variant, value, ns.digits)
-    records = [{"decimal": decimal, "value": value}]
-    text = f"x = {{decimal}} (variant {ns.variant})\n".format_map
-    return _Output(inputs, records, text, "{value}\n".format_map)
+    def decimal(root: float) -> str:
+        return _cli.stakhov_decimal(ns.n, ns.variant, root, ns.digits)
+
+    return _Output({"n": ns.n, "variant": ns.variant}, (_cli.solve_stakhov(ns.n, ns.variant),),
+                   lambda v: f"x = {decimal(v)} (variant {ns.variant})\n", "%r\n".__mod__,
+                   lambda v: '{"decimal": "%s", "value": %r}' % (decimal(v), v))
 
 
 def _cmd_euler(ns) -> _Output:
-    roots = _cli.solve_euler(ns.a, ns.n, ns.x, ns.mode)
     inputs = {"a": str(ns.a), "n": ns.n, "x": str(ns.x), "mode": ns.mode}
-    return _Output(inputs, _root_records(roots, ns.digits), _root_text, _ROOT_TSV)
+    return _roots(inputs, _cli.solve_euler(ns.a, ns.n, ns.x, ns.mode), ns.digits)
 
 
 def _cmd_metallic(ns) -> _Output:
     mean = _cli.metallic_mean(ns.p, ns.q)
-    inputs = {"p": ns.p, "q": str(ns.q)}
-    record = {
-        "decimal": _cli.to_decimal(mean, ns.digits),
-        "value": float(mean),
-        "exact": _surd_json(mean),
-        "surd": str(mean),
-    }
-    tsv, footer = "{value}\n", ()
+    tsv, cf_json, footer = "%r\n", "}", ()
     if ns.cf_terms is not None:
         cf = _cli.continued_fraction_of(mean, ns.cf_terms)
-        record.update(cf_initial=list(cf.initial), cf_period=list(cf.period),
-                      cf_truncated=cf.truncated)
-        tsv = f"{{value}}\t{','.join(map(str, cf.initial))}\t{','.join(map(str, cf.period))}\n"
+        initial, period = ",".join(map(str, cf.initial)), ",".join(map(str, cf.period))
+        tsv = f"%r\t{initial}\t{period}\n"
+        cf_json = ', "cf_initial": [%s], "cf_period": [%s], "cf_truncated": %s}' % (
+            initial.replace(",", ", "), period.replace(",", ", "),
+            "true" if cf.truncated else "false")
         footer = (f"continued fraction: {cf}\n",)
-    text = f"metallic mean (p={ns.p}, q={ns.q}) = {{surd}} = {{decimal}}\n".format_map
-    return _Output(inputs, [record], text, tsv.format_map, footer=footer)
+    return _Output({"p": ns.p, "q": str(ns.q)}, (mean,),
+                   lambda s: f"metallic mean (p={ns.p}, q={ns.q}) = {s} = "
+                             f"{_cli.to_decimal(s, ns.digits)}\n",
+                   lambda s: tsv % float(s),
+                   lambda s: '{"decimal": "%s", "value": %r, %s%s' % (
+                       _cli.to_decimal(s, ns.digits), float(s), _surd_fields(s), cf_json), footer)
 
 
 def _cmd_table1(ns) -> _Output:
@@ -208,12 +209,9 @@ def _emit(ns, out: _Output) -> None:
         stdout.writelines(out.footer if ns.format == "text" else ())
         return
     import json  # only this format needs it, so a cold start skips it
-    frame = {"command": ns.command, "inputs": out.inputs}
-    if out.json is None:  # one dumps of a few dicts costs less than one dumps each
-        stdout.write(json.dumps({**frame, "results": out.records, "errors": []}) + "\n")
-        return
+    frame = json.dumps({"command": ns.command, "inputs": out.inputs})
     records = map(out.json, out.records)
-    stdout.write(json.dumps(frame)[:-1] + ', "results": [' + next(records, ""))
+    stdout.write(frame[:-1] + ', "results": [' + next(records, ""))
     stdout.writelines(map(", ".__add__, records))
     stdout.write('], "errors": []}\n')
 

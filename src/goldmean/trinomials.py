@@ -64,8 +64,9 @@ class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
 #: |f(x)| / (1 + |x|**n) and the rounding error of f(x), scaled alike, are at
 #: most this, or once its bracket is two adjacent floats
 TOLERANCE = 1e-12
-#: float refinement steps per bracket before :class:`NoConvergence`
-_MAX_ITERATIONS = 200
+#: float refinement steps per bracket before :class:`NoConvergence`: the halvings that
+#: close any bracket of finite floats, from 2**1025 across to the least spacing 2**-1074
+_MAX_ITERATIONS = 1025 + 1074
 #: geometric factor of the outward bracket search
 _BRACKET_GROWTH = 2.0
 #: largest degree n; at n = 1000, printing 1000 exact digits takes up to about 10 s

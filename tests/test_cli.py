@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from goldmean import QuadraticSurd, cli
 from goldmean.cli import run
 from goldmean.surds import MAX_CF_TERMS
+from goldmean.trinomials import RootSet
 
 
 def invoke(capsys, *argv):
@@ -80,6 +81,8 @@ class TestExitCodes:
         # degrees above trinomials.MAX_DEGREE; solving them takes 40 s or more
         ("mmf", "--n", "10000001", "--p", "3", "--sign", "minus", "--m", "3"),
         ("euler", "--a", "0", "--n", "1000000", "--x", "1/1000000", "--mode", "direct"),
+        # the root 2e154 squares past the float range: the bracket walk steps back to it
+        ("mmf", "--n", "2", "--p", "2" + "0" * 154, "--sign", "minus", "--m", "0"),
     ])
     def test_input_too_large(self, capsys, argv):
         start = time.perf_counter()
@@ -228,11 +231,46 @@ class TestJsonRoundTrip:
         ("stakhov", "--n", "3", "--variant", "b"),
         ("euler", "--a=-3/2", "--n", "2", "--x", "1", "--mode", "direct"),
         ("metallic", "--p", "1", "--q", "1/3", "--cf-terms", "6"),
+        ("mmf", "--n", "3", "--p", "3", "--sign", "minus", "--m", "4"),
+        ("metallic", "--p", "1", "--q", "65/64", "--cf-terms", "2"),
+        ("solve", "--n", "2", "--m", "0"),
+        # the float residual of this exact root, -1.8e308, overflows: json.dumps writes Infinity
+        pytest.param(("mmf", "--n", "1", "--p", "2", "--sign", "minus",
+                      "--m", str(2 * int(sys.float_info.max))), id="mmf --m 2*DBL_MAX"),
     ], ids=" ".join)
     def test_dumps_of_loads_gives_the_same_bytes(self, capsys, argv):
         code, out, _ = invoke(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.dumps(parse_json(out)) + "\n" == out
+
+
+class TestTsvDecidesNoDigits:
+    """TSV prints floats alone, so it calls none of the functions that decide digits."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "2", "--m", "3"),
+        ("solve", "--n", "3", "--m", "2"),
+        ("mmf", "--n", "3", "--p", "2", "--sign", "minus", "--m", "2"),
+        ("euler", "--a=-3/2", "--n", "2", "--x", "1", "--mode", "direct"),
+        ("stakhov", "--n", "3", "--variant", "b"),
+        ("metallic", "--p", "1", "--q", "1/3", "--cf-terms", "6"),
+    ], ids=" ".join)
+    def test_digit_calls(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RootSet, "truncate", counted(RootSet.truncate))
+        for name in ("to_decimal", "stakhov_decimal"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        assert invoke(capsys, *argv, "--format", "tsv")[0] == 0
+        assert calls == []
+        assert invoke(capsys, *argv, "--format", "text")[0] == 0
+        assert calls
 
 
 class TestFormatsAgree:

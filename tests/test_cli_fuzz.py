@@ -4,10 +4,12 @@ Values go to extremes (integers up to 10^400, fractions, q up to 10^30);
 degree stays at most 300 and width at most 200 digits, and the sizes of the
 catalog commands stay small, so every example has a bounded cost.  Each
 invocation must return exit code 0, 1 or 2 without an exception, print at
-most one ``error: <code>:`` line, and on exit 2 print nothing to stdout.
+most one ``error: <code>:`` line, and on exit 2 print nothing to stdout.  JSON
+that exits 0 is the bytes ``json.dumps`` makes of the parsed object.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 
@@ -88,3 +90,5 @@ def test_every_argv_exits_cleanly(command, data):
     assert len(errors) <= 1
     if code == 2:
         assert out.getvalue() == "" and len(errors) == 1 and err.getvalue().count("\n") == 1
+    if code == 0 and argv[argv.index("--format") + 1] == "json":
+        assert json.dumps(json.loads(out.getvalue())) + "\n" == out.getvalue()

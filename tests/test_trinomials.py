@@ -163,6 +163,22 @@ class TestOverflowingWalk:
             assert abs(d) < 2 and (f(d) == 0 or f(d) * f(far) < 0)
 
 
+class TestRootsBelowTheNewtonTarget:
+    """x**3 + p*x = 1/2 for p from 10**92 to 10**296: the root, near 1/(2p), is so small
+    that a Newton step rounds onto the bracket end 0, and (0, 1) is bisected down to it."""
+
+    @pytest.mark.parametrize("exponent", [92, 128, 296])
+    def test_digits_change_sign(self, exponent):
+        p, digits = 10 ** exponent, 400
+        [decimal] = TestOverflowingWalk._run(["mmf", "--n", "3", "--p", str(p), "--sign", "plus",
+                                              "--m", "1", "--digits", str(digits),
+                                              "--format", "json"])
+        d = Fraction(decimal)
+        f = lambda x: x ** 3 + p * x - Fraction(1, 2)  # noqa: E731
+        # the digits are exact: f rises through the root, in [d, d + 10**-digits)
+        assert d > 0 and f(d) <= 0 < f(d + Fraction(1, 10 ** digits))
+
+
 class TestSolveTrinomial:
     def test_sqrt7_case(self):
         roots = solve_trinomial(TrinomialSpec(n=2, p=1, p_sign="plus", m=3))

@@ -9,8 +9,6 @@ Each public name is imported from its submodule on first use (PEP 562), so
 ``import goldmean.cli`` loads only the submodules a command needs.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _HOMES = {
@@ -36,7 +34,9 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    # __import__ rather than importlib.import_module, whose imports -X importtime does not list
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
     return value
 
 

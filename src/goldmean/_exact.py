@@ -1,0 +1,45 @@
+"""Signs, exact-type checks and digit strings shared by the surd, quadratic and trinomial
+layers; :mod:`goldmean.trinomials` takes them from here, so it loads no surd arithmetic."""
+
+from __future__ import annotations
+
+import numbers
+from fractions import Fraction
+from typing import Literal
+
+#: Most fractional digits a decimal rendering may ask for.
+MAX_DIGITS = 1000
+
+Sign = Literal["plus", "minus"]
+
+_SIGN_VALUES = {"plus": 1, "minus": -1}
+
+
+def sign_value(p_sign: str) -> int:
+    """Map 'plus'/'minus' to +1/-1."""
+    try:
+        return _SIGN_VALUES[p_sign]
+    except KeyError:
+        raise ValueError(f"p_sign must be 'plus' or 'minus', got {p_sign!r}") from None
+
+
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _as_fraction(value) -> Fraction:
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"exact types only: pass Fraction or int, not {type(value).__name__}")
+    return Fraction(value)
+
+
+def _check_digits(digits) -> None:
+    if not isinstance(digits, int) or not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be an integer in 1..{MAX_DIGITS}")
+
+
+def _decimal_text(negative: bool, scaled: int, digits: int) -> str:
+    """``[-]whole.frac`` of ``scaled / 10**digits``; a negative value may print as ``-0.000...``."""
+    whole, frac = divmod(scaled, 10 ** digits)
+    text = f"{whole}.{frac:0{digits}d}"
+    return f"-{text}" if negative else text

@@ -21,8 +21,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _HOME
+from ._exact import MAX_DIGITS
 from .errors import DomainError, InputTooLarge
-from .surds import MAX_DIGITS
 
 if TYPE_CHECKING:
     import argparse

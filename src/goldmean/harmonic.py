@@ -12,7 +12,6 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import CrossCheckFailed, InputTooLarge
-from .quadratics import integer_metallic
 
 #: Largest grid :meth:`HarmonicTable.rows` yields (at the bound about 0.6 s to print in
 #: text or TSV and 0.7 s in JSON, on a 2-vCPU machine with Python 3.11).
@@ -95,6 +94,7 @@ def cross_check_integer_means(table: HarmonicTable) -> list[tuple[int, tuple[int
     disagrees with the grid -- that would be an implementation bug, not a
     data condition.
     """
+    from .quadratics import integer_metallic  # only doublets need the quadratic layer
     out = []
     for report in find_doublets(table):
         pair = integer_metallic(report.q)

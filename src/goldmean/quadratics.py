@@ -11,22 +11,11 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Literal, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
+from ._exact import Sign, _as_fraction, sign_value
 from .errors import NoRealRoots
-from .surds import QuadraticSurd, _as_fraction, _root_parts
-
-Sign = Literal["plus", "minus"]
-
-_SIGN_VALUES = {"plus": 1, "minus": -1}
-
-
-def sign_value(p_sign: str) -> int:
-    """Map 'plus'/'minus' to +1/-1."""
-    try:
-        return _SIGN_VALUES[p_sign]
-    except KeyError:
-        raise ValueError(f"p_sign must be 'plus' or 'minus', got {p_sign!r}") from None
+from .surds import QuadraticSurd, _root_parts
 
 
 class QuadraticSpec(namedtuple("QuadraticSpec", "p q p_sign")):

@@ -13,12 +13,13 @@ Values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
+# MAX_DIGITS is not used here; it stays importable as goldmean.surds.MAX_DIGITS
+from ._exact import MAX_DIGITS, _as_fraction, _check_digits, _decimal_text, _sgn  # noqa: F401
 from .errors import InputTooLarge, MixedRadicands, NonPositive
 
 #: The exact scalar used throughout the library.
@@ -26,8 +27,6 @@ Rational = Fraction
 
 #: Largest integer :func:`_root_parts` splits (about 0.1 s of trial division).
 MAX_RADICAND = 10 ** 18
-#: Most fractional digits a decimal rendering may ask for.
-MAX_DIGITS = 1000
 #: Most terms :func:`continued_fraction_of` expands; it keeps one state to find the
 #: period, so memory grows only with the terms: 10**4 take about 0.03 s, 10**5 about 0.2 s.
 MAX_CF_TERMS = 10 ** 4
@@ -79,16 +78,6 @@ def _root_parts(num: int, den: int) -> tuple[int, int, int]:
         return a, 1, s
     b, t = _split_square(den)
     return a, b * t, s * t
-
-
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _as_fraction(value) -> Fraction:
-    if not isinstance(value, numbers.Rational):
-        raise TypeError(f"exact types only: pass Fraction or int, not {type(value).__name__}")
-    return Fraction(value)
 
 
 def _sign_pair(a: int, b: int, d: int) -> int:
@@ -415,18 +404,6 @@ def to_decimal(value, digits: int) -> str:
     if negative:
         v = -v
     return _decimal_text(negative, _floor_scaled(v, digits), digits)
-
-
-def _check_digits(digits) -> None:
-    if not isinstance(digits, int) or not 1 <= digits <= MAX_DIGITS:
-        raise ValueError(f"digits must be an integer in 1..{MAX_DIGITS}")
-
-
-def _decimal_text(negative: bool, scaled: int, digits: int) -> str:
-    """``[-]whole.frac`` of ``scaled / 10**digits``; a negative value may print as ``-0.000...``."""
-    whole, frac = divmod(scaled, 10 ** digits)
-    text = f"{whole}.{frac:0{digits}d}"
-    return f"-{text}" if negative else text
 
 
 # -- continued fractions ---------------------------------------------------

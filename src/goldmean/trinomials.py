@@ -18,9 +18,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Literal, NamedTuple, Optional
 
+from ._exact import Sign, _as_fraction, _check_digits, _decimal_text, _sgn, sign_value
 from .errors import DegenerateIdentity, InputTooLarge, NoConvergence, NoRealRoot
-from .quadratics import Sign, sign_value
-from .surds import _as_fraction, _check_digits, _decimal_text, _sgn, to_decimal
 
 
 class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
@@ -191,6 +190,7 @@ class RootSet(namedtuple("RootSet", "roots")):
     def truncate(self, record: RootRecord, digits: int) -> tuple[str, int]:
         """``record``'s root truncated toward zero to ``digits`` exact places, and its sign."""
         if record.exact is not None:
+            from .surds import to_decimal  # only a root known exactly needs the surd layer
             return to_decimal(record.exact, digits), _sgn(record.exact)
         return self.poly.truncate(record.value, *record.bracket, digits)
 

@@ -146,12 +146,43 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(code, *sorted(m for m in sys.modules if m == "argparse" or m.startswith("goldmean.")))
 """
 
+#: ``cli.run(sys.argv[1:])``'s stdout, then its exit code and goldmean's submodules loaded
+RUN_AND_SHOW = """import contextlib, io, sys
+from goldmean import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.run(sys.argv[1:])
+print(out.getvalue(), end="")
+print(code, *sorted(m for m in sys.modules if m.startswith("goldmean.")))
+"""
+
+#: the surd and quadratic layers, which a trinomial run or a harmonic grid does not use
+SURD_LAYERS = ("surds", "quadratics")
+
 #: library modules a command's cold run must not load
 NOT_LOADED = {
-    **dict.fromkeys(("solve", "mmf", "stakhov", "euler"), ("triangles", "harmonic")),
+    **dict.fromkeys(("solve", "mmf", "stakhov", "euler"), ("triangles", "harmonic", *SURD_LAYERS)),
     "metallic": ("trinomials", "triangles", "harmonic"),
     **dict.fromkeys(("table1", "diophantus"), ("trinomials", "harmonic")),
-    "harmonic": ("trinomials", "triangles"),
+    "harmonic": ("trinomials", "triangles", *SURD_LAYERS),
+}
+
+#: argv whose run does use a surd layer: the layers it loads, and its stdout
+LOADS_A_SURD_LAYER = {
+    ("solve", "--n", "2", "--m", "2"): (SURD_LAYERS, (
+        "x1 = 0.6180339887 (satisfactory)   [(-1 + √5)/2]\n"
+        "x2 = -1.6180339887   [(-1 - √5)/2]\n"
+        "r = 5\n")),
+    ("harmonic", "--size", "3", "--doublets"): (SURD_LAYERS, (
+        "doublet q=0 at (0,1)/(1,0) -> integer pair (0, 1)\n"
+        "doublet q=2 at (1,2)/(2,1) -> integer pair (1, 2)\n")),
+    ("metallic", "--p", "1", "--q", "1"): (SURD_LAYERS, (
+        "metallic mean (p=1, q=1) = (1 + √5)/2 = 1.6180339887\n")),
+    # x**3 - 3x - 2 = (x - 2)(x + 1)**2: the root -1 is known exactly, at a critical point,
+    # and RootSet.truncate renders it by surds.to_decimal
+    ("mmf", "--n", "3", "--p", "3", "--sign", "minus", "--m", "4", "--digits", "30"): (("surds",), (
+        "x1 = 2.000000000000000000000000000000 (satisfactory)\n"
+        "x2 = -1.000000000000000000000000000000\n")),
 }
 
 
@@ -167,6 +198,22 @@ class TestColdImport:
         assert code == "0"
         assert "argparse" not in loaded
         assert not {f"goldmean.{module}" for module in NOT_LOADED[argv[0]]} & set(loaded)
+
+    @pytest.mark.parametrize("argv", LOADS_A_SURD_LAYER, ids=" ".join)
+    def test_a_run_that_uses_a_surd_layer_loads_it_and_prints_its_digits(self, argv):
+        layers, expected = LOADS_A_SURD_LAYER[argv]
+        *lines, status = _fresh(RUN_AND_SHOW, *argv).splitlines(keepends=True)
+        code, *loaded = status.split()
+        assert ("".join(lines), code) == (expected, "0")
+        assert {f"goldmean.{layer}" for layer in layers} <= set(loaded)
+        assert ("goldmean.quadratics" in loaded) == ("quadratics" in layers)
+
+    def test_the_trinomial_module_alone_loads_no_surd_layer(self):
+        code = ("import goldmean.trinomials, sys; "
+                "print(*sorted(m for m in sys.modules if m.startswith('goldmean.')))")
+        loaded = _fresh(code).split()
+        assert "goldmean.trinomials" in loaded
+        assert not {f"goldmean.{layer}" for layer in SURD_LAYERS} & set(loaded)
 
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--n", "3"]], ids=" ".join)
     def test_help_and_usage_errors_load_argparse(self, argv):
@@ -189,6 +236,14 @@ class TestLazyPackage:
         for name, module in goldmean._HOME.items():
             home = importlib.import_module(f"goldmean.{module}")
             assert getattr(goldmean, name) is getattr(home, name), name
+
+    def test_the_old_import_paths_of_the_shared_helpers_still_work(self):
+        from goldmean import _exact
+        from goldmean.quadratics import Sign, sign_value
+        from goldmean.surds import MAX_DIGITS
+        assert MAX_DIGITS is _exact.MAX_DIGITS
+        assert Sign is _exact.Sign
+        assert sign_value is _exact.sign_value
 
     def test_star_import_and_dir(self):
         code = ("from goldmean import *; import goldmean; "

@@ -1,14 +1,23 @@
-"""Signs, exact-type checks and digit strings shared by the surd, quadratic and trinomial
-layers; :mod:`goldmean.trinomials` takes them from here, so it loads no surd arithmetic."""
+"""Signs, exact-type checks, digit strings and the root record shared by the surd, quadratic
+and trinomial layers; :mod:`goldmean.trinomials` takes them from here, so it loads no surd
+arithmetic, and ``solve`` at n = 2 builds its records here, so it loads no trinomial solver."""
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from typing import Literal
+from typing import TYPE_CHECKING, Literal, NamedTuple, Optional, Union
+
+if TYPE_CHECKING:
+    from .surds import QuadraticSurd
 
 #: Most fractional digits a decimal rendering may ask for.
 MAX_DIGITS = 1000
+
+#: default tolerance: a float root is accepted once its scaled residual
+#: |f(x)| / (1 + |x|**n) and the rounding error of f(x), scaled alike, are at
+#: most this, or once its bracket is two adjacent floats
+TOLERANCE = 1e-12
 
 Sign = Literal["plus", "minus"]
 
@@ -43,3 +52,19 @@ def _decimal_text(negative: bool, scaled: int, digits: int) -> str:
     whole, frac = divmod(scaled, 10 ** digits)
     text = f"{whole}.{frac:0{digits}d}"
     return f"-{text}" if negative else text
+
+
+class RootRecord(NamedTuple):
+    """One certified root: value, enclosing bracket, |f(value)|, iterations.
+
+    A root known exactly keeps its exact value in ``exact`` (a Fraction, or a
+    :class:`~goldmean.surds.QuadraticSurd` for a surd root) and zero iterations;
+    ``value`` is then the double nearest it.  A rational one carries the
+    degenerate bracket (value, value), a surd the two adjacent doubles around it.
+    """
+
+    value: float
+    bracket: tuple[float, float]
+    residual: float
+    iterations: int
+    exact: Optional[Union[Fraction, QuadraticSurd]] = None

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _HOME
-from ._exact import MAX_DIGITS
+from ._exact import MAX_DIGITS, TOLERANCE, RootRecord
 from .errors import DomainError, InputTooLarge
 
 if TYPE_CHECKING:
@@ -87,50 +87,60 @@ def _float_json(x: float) -> str:
     return "Infinity" if x == inf else repr(x)
 
 
-def _roots(inputs: dict, roots: RootSet, digits: int,
-           surds: list[QuadraticSurd] | None = None, footer: tuple[str, ...] = ()) -> _Output:
-    """Each root as (index, RootRecord), largest first.  Text and JSON decide its digits
-    and sign by ``RootSet.truncate``, or by its surd where ``surds`` has one per root."""
-    def exact(i: int, root) -> tuple[str, int]:
-        if surds is None:
-            return roots.truncate(root, digits)
-        return _cli.to_decimal(surds[i - 1], digits), surds[i - 1].sign()
-
+def _roots(inputs: dict, records: Iterable[RootRecord],
+           decide: Callable[[RootRecord], tuple[str, int]], footer: tuple[str, ...] = (),
+           surds: bool = False) -> _Output:
+    """Each root as (index, RootRecord), from ``records`` largest first.  Text and JSON take
+    its digits and sign from ``decide``; with ``surds`` its surd ``exact`` is shown too."""
     def text(record) -> str:
         i, root = record
-        decimal, sign = exact(i, root)
+        decimal, sign = decide(root)
         mark = " (satisfactory)" if sign > 0 else ""
-        surd = "" if surds is None else f"   [{surds[i - 1]}]"
+        surd = f"   [{root.exact}]" if surds else ""
         return f"x{i} = {decimal}{mark}{surd}\n"
 
     def as_json(record) -> str:
         i, root = record
-        decimal, sign = exact(i, root)
+        decimal, sign = decide(root)
         line = ('{"label": "x%d", "decimal": "%s", "value": %r, "bracket_lo": %r, '
                 '"bracket_hi": %r, "residual": %s, "iterations": %d, "satisfactory": %s' % (
                     i, decimal, root.value, *root.bracket, _float_json(root.residual),
                     root.iterations, "true" if sign > 0 else "false"))
-        return line + ("}" if surds is None else ", " + _surd_fields(surds[i - 1]) + "}")
+        return line + (", " + _surd_fields(root.exact) + "}" if surds else "}")
 
-    return _Output(inputs, enumerate(reversed(roots.roots), 1), text,
+    return _Output(inputs, enumerate(records, 1), text,
                    lambda r: "%r\t%r\t%r\t%r\n" % (r[1].value, *r[1].bracket, r[1].residual),
                    as_json, footer)
 
 
+def _root_set(inputs: dict, roots: RootSet, digits: int) -> _Output:
+    """A solver's roots, their digits and signs decided by ``RootSet.truncate``."""
+    return _roots(inputs, reversed(roots.roots), lambda root: roots.truncate(root, digits))
+
+
 def _cmd_solve(ns) -> _Output:
-    roots = _cli.solve_gm_general(ns.n, ns.m, tolerance=ns.tol)
     inputs = {"n": ns.n, "m": ns.m, "tolerance": ns.tol}
     if ns.n != 2:
-        return _roots(inputs, roots, ns.digits)
+        return _root_set(inputs, _cli.solve_gm_general(ns.n, ns.m, tolerance=ns.tol), ns.digits)
+    if not ns.tol > 0:  # checked as the solver checks it, though the surds need no tolerance
+        raise ValueError("tolerance must be positive")
+    from .surds import _doubles  # only this branch needs the surd layer, so it is loaded here
     pair = _cli.generalized_gm(ns.m)
     inputs["r"] = 2 * ns.m + 1
-    return _roots(inputs, roots, ns.digits, [pair.x1, pair.x2], (f"r = {inputs['r']}\n",))
+
+    def record(surd: QuadraticSurd) -> RootRecord:
+        lo, value, hi = _doubles(surd)
+        return RootRecord(value, (lo, hi), abs(value ** 2 + value - ns.m / 2), 0, surd)
+
+    return _roots(inputs, map(record, (pair.x1, pair.x2)),
+                  lambda root: (_cli.to_decimal(root.exact, ns.digits), root.exact.sign()),
+                  (f"r = {inputs['r']}\n",), surds=True)
 
 
 def _cmd_mmf(ns) -> _Output:
     spec = _cli.TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
     inputs = {"n": ns.n, "p": ns.p, "sign": ns.sign, "m": ns.m}
-    return _roots(inputs, _cli.solve_trinomial(spec), ns.digits)
+    return _root_set(inputs, _cli.solve_trinomial(spec), ns.digits)
 
 
 def _cmd_stakhov(ns) -> _Output:
@@ -144,7 +154,7 @@ def _cmd_stakhov(ns) -> _Output:
 
 def _cmd_euler(ns) -> _Output:
     inputs = {"a": str(ns.a), "n": ns.n, "x": str(ns.x), "mode": ns.mode}
-    return _roots(inputs, _cli.solve_euler(ns.a, ns.n, ns.x, ns.mode), ns.digits)
+    return _root_set(inputs, _cli.solve_euler(ns.a, ns.n, ns.x, ns.mode), ns.digits)
 
 
 def _cmd_metallic(ns) -> _Output:
@@ -261,13 +271,12 @@ _COMMON = {
                      help="output format (default: text)"),
     "--digits": dict(type=_digits, default=10, help="decimal rendering width (default: 10)"),
 }
-#: each subcommand's handler, help and own options; a callable default is called only
-#: when it is used, so that reading the table imports no library module
+#: each subcommand's handler, help and own options
 _COMMANDS = {
     "solve": (_cmd_solve, "all real roots of x**n + x = m/2", {
         "--n": dict(type=_positive_int, required=True),
         "--m": dict(type=_nonneg_int, required=True),
-        "--tol": dict(type=float, default=lambda: _cli.TOLERANCE,
+        "--tol": dict(type=float, default=TOLERANCE,
                       help="scaled residual tolerance (default %(default)s)")}),
     "mmf": (_cmd_mmf, "all real roots of x**n ± p*x = m/2", {
         "--n": dict(type=_positive_int, required=True),
@@ -302,8 +311,8 @@ _COMMANDS = {
 
 
 def _default(keywords: dict):
-    default = keywords.get("default", False if "action" in keywords else None)
-    return default() if callable(default) else default
+    """The value argparse gives an option that is not on the command line."""
+    return keywords.get("default", False if "action" in keywords else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         p.set_defaults(handler=handler)
         for flag, keywords in {**_COMMON, **options}.items():
-            p.add_argument(flag, **{**keywords, "default": _default(keywords)})
+            p.add_argument(flag, **keywords)
     return parser
 
 

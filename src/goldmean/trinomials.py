@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Literal, NamedTuple, Optional
+from typing import Literal, Optional
 
-from ._exact import Sign, _as_fraction, _check_digits, _decimal_text, _sgn, sign_value
+# TOLERANCE and RootRecord stay importable from here, as the package's table names them
+from ._exact import (TOLERANCE, RootRecord, Sign, _as_fraction, _check_digits, _decimal_text,
+                     _sgn, sign_value)
 from .errors import DegenerateIdentity, InputTooLarge, NoConvergence, NoRealRoot
 
 
@@ -59,10 +61,6 @@ class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
         return Fraction(self.m, 2)
 
 
-#: default tolerance: a float root is accepted once its scaled residual
-#: |f(x)| / (1 + |x|**n) and the rounding error of f(x), scaled alike, are at
-#: most this, or once its bracket is two adjacent floats
-TOLERANCE = 1e-12
 #: float refinement steps per bracket before :class:`NoConvergence`: the halvings that
 #: close any bracket of finite floats, from 2**1025 across to the least spacing 2**-1074
 _MAX_ITERATIONS = 1025 + 1074
@@ -70,20 +68,6 @@ _MAX_ITERATIONS = 1025 + 1074
 _BRACKET_GROWTH = 2.0
 #: largest degree n; at n = 1000, printing 1000 exact digits takes up to about 10 s
 MAX_DEGREE = 1000
-
-
-class RootRecord(NamedTuple):
-    """One certified root: value, enclosing bracket, |f(value)|, iterations.
-
-    Roots known exactly keep their Fraction in ``exact`` and carry the
-    degenerate bracket (value, value) and zero iterations.
-    """
-
-    value: float
-    bracket: tuple[float, float]
-    residual: float
-    iterations: int
-    exact: Optional[Fraction] = None
 
 
 class _Poly:

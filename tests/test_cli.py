@@ -63,8 +63,11 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "solve", "--n", "0", "--m", "2")
         assert code == 1
 
-    def test_tolerance_must_be_positive(self, capsys):
-        code, out, err = invoke(capsys, "solve", "--n", "3", "--m", "2", "--tol", "nan")
+    # n = 2 runs no solver, so its check is the CLI's own
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_tolerance_must_be_positive(self, capsys, n, tol):
+        code, out, err = invoke(capsys, "solve", "--n", n, "--m", "2", f"--tol={tol}")
         assert code == 1 and out == ""
         assert err == "error: invalid-argument: tolerance must be positive\n"
 
@@ -390,6 +393,15 @@ class TestCommandSurfaces:
         assert payload["inputs"]["tolerance"] == 1e-6
         record = payload["results"][0]
         assert record["residual"] <= 1e-6 * (1 + abs(record["value"]) ** 3)
+
+    def test_solve_echoes_tolerance_at_degree_two(self, capsys):
+        # n = 2 takes its roots from their surds, so --tol changes no field but is echoed
+        code, out, _ = invoke(capsys, "solve", "--n", "2", "--m", "2",
+                              "--tol", "1e-6", "--format", "json")
+        _, default, _ = invoke(capsys, "solve", "--n", "2", "--m", "2", "--format", "json")
+        assert code == 0
+        assert parse_json(out)["inputs"]["tolerance"] == 1e-6
+        assert parse_json(out)["results"] == parse_json(default)["results"]
 
     def test_zero_root_not_marked_satisfactory(self, capsys):
         _, out, _ = invoke(capsys, "solve", "--n", "2", "--m", "0", "--format", "json")

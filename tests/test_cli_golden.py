@@ -69,7 +69,7 @@ GOLDEN = {
     "metallic-cf-integer-json": "6f779f442c4c56fc1e1ae3870050076ed4a43ec0f9e4bc7e03421ba9ab8220f2",
     "metallic-cf-integer-text": "531d6de75bcc9e975ccc5c356f680244261d42c158334e9f7d2780b1504dcdca",
     "metallic-cf-integer-tsv": "845de083c5d08b7a702ccb365aed7d09f8626cdb18745e614a0798e7d6286c0f",
-    "metallic-cf-json": "67875f7fec45288bef275a47db3c77d68e5b3bc0f3b3ee97b4de70903dd317c2",
+    "metallic-cf-json": "1829c5ccf58937c81e6e4cbff9f251357ae654310e33f6e37241939084f0d4a7",
     "metallic-cf-long-period-json": "98ba142e525422355aefef6891865c47ce4957e491440e3b1cdc47fa6574b932",
     "metallic-cf-long-period-text": "fc9ab0633a25778435dac413185b85d9663a0b8f62ccd07e85a0f015aa8874a0",
     "metallic-cf-long-period-tsv": "c32428045ba622933ae1ec8d0902788f12bfdd8847dbde9d3202cf9a428be43d",
@@ -80,7 +80,7 @@ GOLDEN = {
     "metallic-cf-truncated-rational-json": "76078f54e6de7847c62e22c1cbc47d527ea8f7cdcfda71e3258ae844627e7378",
     "metallic-cf-truncated-rational-text": "c716bdb722ca59d63d2441cfe10d1c4f6a6ec505e31bd936aad03d96ce4cd87a",
     "metallic-cf-truncated-rational-tsv": "3e496560cdcda312e2441ab3ea53ef9ae64a3b97990b244b699c6ace2f975861",
-    "metallic-cf-tsv": "0270e91da7b385605fea48f4930ad4badbc41ec838144b8630f8b75b1f032b7a",
+    "metallic-cf-tsv": "d84852c52908e68aaab91f4e68a69ae37d37fa67db83e1fa4a46da426ea16ba6",
     "metallic-json": "173596736c038a740677e2cbae65abd8de0584e8c5396f0ccd9f9972db4daeac",
     "metallic-text": "f2b1d4700cf4068ef387cbf36b4f8707c036de2e4b21abaa5a028720827241ba",
     "metallic-tiny-q-json": "fe33ea044907e9c50360e2eba9ffe9112dc9534005672fa828886bf0336d20a3",
@@ -90,15 +90,15 @@ GOLDEN = {
     "mmf-json": "ca36c8d4bf34cd7fdc0d3b11a25908635bf1759954a24873dd47adc9ddc18cd5",
     "mmf-text": "3c4a344f6b5044d98b3aabfb1509f595085e1a19c79a343344316bf8e5fb70cc",
     "mmf-tsv": "620731b2b6006d3de74bd0f0b46748fe49625a62a40ba24099582265419cd74d",
-    "solve-n2-digits-json": "0b2eb88c8f217790aaafba9451fde422f063a2cf726e7eb692908db53d2bc3ea",
+    "solve-n2-digits-json": "b3dfe225c8d2bd4a7d273ca15f431d65245551299f1a8a75ac1b55779c866bea",
     "solve-n2-digits-text": "7a16ffebb2ca18782143cfe49cbd74702feb19a0ef440e3e9a189c078dde264d",
-    "solve-n2-digits-tsv": "c1a1a2bb87ddf8d9300a806d36ea836518365575913bfcb5bd1ba8440d0bdc4f",
-    "solve-n2-json": "11b195b865262040b389f2cee7208b3ae64abf27fec883b4c04669a20bd2e63c",
+    "solve-n2-digits-tsv": "f090332f4e37193bd6b67ffcb472cf219116816e15cd8f5b0341401e106289e9",
+    "solve-n2-json": "0c8cb142f1807c5032387b8a7de066c7b401669a844ff05f19bc48cc7971a26b",
     "solve-n2-text": "4e0d4b74c32b34a59d21eab9653e26d91f4c3f6f2b66431f0b6db85ad62a3ead",
-    "solve-n2-tsv": "549130dcb54ac908eaaedddb64c45ddcc0a80af0a48c0821f00f50bbd5679a63",
-    "solve-n2-zero-root-json": "0d1f0d766f0e90d2fc6a85d86032016f4bc79667e1fd1f9f0b25ef17dfaefc6f",
+    "solve-n2-tsv": "19665000870448e2c1bb6627480f57e232278f3b681007c4bb5b199a8e0148a2",
+    "solve-n2-zero-root-json": "4ac3ac2a771622558654b39d68b520f0b0208824880ac882c99f8f5095614d72",
     "solve-n2-zero-root-text": "56e89d4d9f00f693c8e2369bfc1b4f67a5d9cf412b78a3bf02295336f9b8d657",
-    "solve-n2-zero-root-tsv": "13f910b857012b5929e5efbf84806fb1a476bdd6ec660e24c2e7056810d5df5d",
+    "solve-n2-zero-root-tsv": "2174e770d59cd0e513683b637654887e24a2c4fc2d4c60e02e359e2610bf6f65",
     "solve-n3-json": "b4ca3f3b35f5bd15eb7b2dd60b65a0f967374e82cb8a454582e9a41e59e9b77e",
     "solve-n3-text": "8351e3a0ebd7159e11d4cebba51d5efd71b7b5f29ee12f6c197b13692d4828c5",
     "solve-n3-tsv": "7c8c6c561a673441ee6b176a747099b02553f9641328a2b375e92a0958b9956a",

@@ -167,7 +167,8 @@ NOT_LOADED = {
     "harmonic": ("trinomials", "triangles", *SURD_LAYERS),
 }
 
-#: argv whose run does use a surd layer: the layers it loads, and its stdout
+#: argv whose run does use a surd layer: the layers it loads, and its stdout; ``solve`` at
+#: n = 2 takes its roots from the surds alone and loads no trinomial solver
 LOADS_A_SURD_LAYER = {
     ("solve", "--n", "2", "--m", "2"): (SURD_LAYERS, (
         "x1 = 0.6180339887 (satisfactory)   [(-1 + √5)/2]\n"
@@ -207,6 +208,7 @@ class TestColdImport:
         assert ("".join(lines), code) == (expected, "0")
         assert {f"goldmean.{layer}" for layer in layers} <= set(loaded)
         assert ("goldmean.quadratics" in loaded) == ("quadratics" in layers)
+        assert ("goldmean.trinomials" in loaded) == (argv[0] == "mmf")
 
     def test_the_trinomial_module_alone_loads_no_surd_layer(self):
         code = ("import goldmean.trinomials, sys; "
@@ -241,9 +243,12 @@ class TestLazyPackage:
         from goldmean import _exact
         from goldmean.quadratics import Sign, sign_value
         from goldmean.surds import MAX_DIGITS
+        from goldmean.trinomials import TOLERANCE, RootRecord
         assert MAX_DIGITS is _exact.MAX_DIGITS
         assert Sign is _exact.Sign
         assert sign_value is _exact.sign_value
+        assert TOLERANCE is _exact.TOLERANCE
+        assert RootRecord is _exact.RootRecord
 
     def test_star_import_and_dir(self):
         code = ("from goldmean import *; import goldmean; "

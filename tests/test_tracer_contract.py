@@ -18,7 +18,9 @@ import goldmean
 
 #: the library names each command's handler calls, for one argv of each command
 CALLS = {
-    ("solve", "--n", "2", "--m", "1"): {"solve_gm_general", "generalized_gm", "to_decimal"},
+    # at n = 2 the roots are generalized_gm's surds: no trinomial solver runs
+    ("solve", "--n", "2", "--m", "1"): {"generalized_gm", "to_decimal"},
+    ("solve", "--n", "3", "--m", "2"): {"solve_gm_general"},
     ("mmf", "--n", "3", "--p", "1", "--sign", "plus", "--m", "2"): {"TrinomialSpec",
                                                                      "solve_trinomial"},
     ("stakhov", "--n", "3", "--variant", "a"): {"solve_stakhov", "stakhov_decimal"},

@@ -214,16 +214,16 @@ def mp_real_roots(n: int, c, e: int, rhs) -> list:
         return sorted((mpmath.re(r) for r in roots if abs(mpmath.im(r)) < tiny), reverse=True)
 
 
-def mp_root_in(n: int, c, e: int, rhs, lo, hi):
+def mp_root_in(n: int, c, e: int, rhs, lo, hi, dps: int = MP_DIGITS):
     """The root of x**n + c*x**e - rhs in [lo, hi], where f changes sign, by plain
-    bisection in mpmath; for degrees where polyroots takes too long."""
-    with mpmath.workdps(MP_DIGITS):
+    bisection in mpmath at ``dps`` digits; for degrees where polyroots takes too long."""
+    with mpmath.workdps(dps):
         c, rhs = (mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in (c, rhs))
         lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
         f = lambda x: x ** n + c * x ** e - rhs  # noqa: E731
         s_lo = mpmath.sign(f(lo))
         assert s_lo * f(hi) < 0, "oracle bracket must change sign"
-        while hi - lo > mpmath.mpf(10) ** (20 - MP_DIGITS):
+        while hi - lo > mpmath.mpf(10) ** (20 - dps):
             mid = (lo + hi) / 2
             if mpmath.sign(f(mid)) == s_lo:
                 lo = mid
@@ -232,13 +232,13 @@ def mp_root_in(n: int, c, e: int, rhs, lo, hi):
         return lo
 
 
-def truncate_mpf(x, digits: int) -> str:
-    """``x`` truncated toward zero to ``digits`` places.
+def truncate_mpf(x, digits: int, dps: int = MP_DIGITS) -> str:
+    """``x`` truncated toward zero to ``digits`` places, worked at ``dps`` digits.
 
     A value within 1e-40 grid steps of a grid point is taken to be on it, so
     exact roots that polyroots returns with a last-digit error truncate right.
     """
-    with mpmath.workdps(MP_DIGITS):
+    with mpmath.workdps(dps):
         scaled = abs(x) * mpmath.mpf(10) ** digits
         nearest = mpmath.nint(scaled)
         on_grid = abs(scaled - nearest) < mpmath.mpf(10) ** -40

@@ -15,7 +15,7 @@ import pytest
 
 from goldmean.cli import run
 from goldmean.trinomials import _critical_signs, _Poly
-from oracles import has_multiple_root, mp_real_roots, truncate_mpf
+from oracles import has_multiple_root, mp_real_roots, mp_root_in, truncate_mpf
 
 DIGITS = (1, 10, 16, 29, 40, 200)
 
@@ -119,6 +119,25 @@ class TestPinned:
         out = self._text(capsys, "solve", "--n", "300", "--m", "1000", "--digits", "1000")
         assert time.perf_counter() - start < 10.0
         assert out.startswith("x1 = 1.0209244569877836491")
+
+    def test_degree_1000_at_1000_digits(self, capsys):
+        # f(k/N) * N**1000 has 3.3 million bits here, so bounds on it decide every digit
+        start = time.perf_counter()
+        argv = ["solve", "--n", "1000", "--m", "3", "--digits", "1000", "--format", "json"]
+        assert run(argv) == 0
+        assert time.perf_counter() - start < 5.0
+        printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
+        roots = [mp_root_in(1000, 1, 1, Fraction(3, 2), lo, hi, dps=1050)
+                 for lo, hi in ((0, 2), (-2, -1))]
+        assert printed == [truncate_mpf(r, 1000, dps=1050) for r in roots]
+
+    def test_root_on_the_grid(self, capsys):
+        # b**300 = 2**-300: f is 0 at the grid points of ±1/2, where no bounds decide a
+        # sign, so the exact value must
+        out = self._text(capsys, "euler", "--a", "0", "--n", "300", f"--x=1/{300 * 2 ** 300}",
+                         "--mode", "direct", "--digits", "40")
+        assert out == ("x1 = 0.5000000000000000000000000000000000000000 (satisfactory)\n"
+                       "x2 = -0.5000000000000000000000000000000000000000\n")
 
     @pytest.mark.parametrize("argv,poly", [
         (["solve", "--n", "3", "--m", "2", "--tol", "1e-300"], (3, 1, 1, Fraction(1))),

@@ -25,7 +25,7 @@ from goldmean import (
     stakhov_decimal,
 )
 from goldmean.cli import run
-from goldmean.trinomials import MAX_DEGREE
+from goldmean.trinomials import MAX_DEGREE, _power, _Poly, _round, _sum
 from oracles import (bisect_root, grid_sign_changes, has_multiple_root, mp_real_roots,
                      mp_root_in, truncate_mpf)
 
@@ -161,6 +161,53 @@ class TestOverflowingWalk:
             d = Fraction(decimal)
             far = d - unit if decimal.startswith("-") else d + unit
             assert abs(d) < 2 and (f(d) == 0 or f(d) * f(far) < 0)
+
+
+def _points(bound):
+    """0, and ints, floats and Fractions within ±bound."""
+    return st.one_of(st.just(0), st.integers(-bound, bound),
+                     st.floats(-bound, bound, allow_nan=False, allow_infinity=False),
+                     st.fractions(-bound, bound, max_denominator=10 ** 6))
+
+
+class TestBoundedSigns:
+    """Signs of f(p/q) * den * q**n decided from bounds on its powers, against exact integers."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2 ** 200), st.integers(0, 1000), st.integers(1, 120))
+    def test_power_bounds_enclose_the_power(self, b, k, bits):
+        lo, hi, s = _power(b, k, bits)
+        assert lo << s <= b ** k <= hi << s
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 120),
+           st.lists(st.tuples(st.integers(-2 ** 80, 2 ** 80), st.integers(0, 2 ** 300),
+                              st.integers(1, 120)), min_size=1, max_size=4))
+    def test_sum_bounds_enclose_the_sum(self, bits, terms):
+        lo, hi, s = _sum(bits, *((c, _round(v, v, 0, b)) for c, v, b in terms))
+        total, unit = sum(c * v for c, v, _ in terms), Fraction(2) ** s
+        assert lo * unit <= total <= hi * unit
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 1000), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
+           st.fractions(max_denominator=1000), _points(10 ** 6), _points(2))
+    def test_bounded_sign_defers_or_agrees(self, n, linear, c, rhs, x, root):
+        # a root inside ±2 keeps the rhs it sets in the float range
+        e = 1 if linear else n - 1
+        if root:
+            x = root
+            rhs = Fraction(root) ** n + c * Fraction(root) ** e
+        p, q = x.as_integer_ratio()
+        den, num = rhs.denominator, rhs.numerator
+        exact = den * p ** n + den * c * p ** e * q ** (n - e) - num * q ** n
+        want = (exact > 0) - (exact < 0)
+        poly = _Poly(n, c, e, rhs)
+        for bits in (8, 2 * n.bit_length() + 64, 400):
+            lo, hi, value, _ = poly.bounds(p, q, bits)
+            assert lo <= hi
+            if (lo > 0) - (lo < 0) == (hi > 0) - (hi < 0):
+                assert (lo > 0) - (lo < 0) == want == (value > 0) - (value < 0)
+        assert poly.sign(x) == want
 
 
 class TestRootsBelowTheNewtonTarget:

@@ -8,11 +8,10 @@ exact zero at a critical point.  Signs of f there are certain.
 
 Brackets are refined to binary64 diagnostics by bisection with a
 safeguarded Newton step; printed digits come from :meth:`RootSet.truncate`,
-which decides them by sign tests on the decimal grid.  Where the integer
-behind a sign is wide, bounds on it, from powers rounded down and up to a
-few bits, decide the sign first, and the exact integer only where the
-bounds straddle 0 (Ziv's strategy).  Exact closed forms live in
-:mod:`goldmean.quadratics`.
+which decides them by sign tests on the decimal grid.  Each sign is that of
+one integer, decided where it is wide by bounds on its two powers first and
+exactly only where they straddle 0 (Ziv's strategy).  Exact closed forms
+live in :mod:`goldmean.quadratics`.
 """
 
 from __future__ import annotations
@@ -69,8 +68,7 @@ class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
 _MAX_ITERATIONS = 1025 + 1074
 #: geometric factor of the outward bracket search
 _BRACKET_GROWTH = 2.0
-#: largest degree n; at n = 1000, printing 1000 exact digits takes about 0.15 s in a fresh
-#: process, or about 0.8 s a root where the root is exactly on the decimal grid
+#: largest degree n; at n = 1000, printing 1000 exact digits takes about 0.15 s in a fresh process
 MAX_DEGREE = 1000
 
 
@@ -119,7 +117,10 @@ def _sum(bits: int, *terms: tuple[int, tuple[int, int, int]]) -> tuple[int, int,
 
 
 class _Poly:
-    """f(x) = x**n + c*x**e - rhs with float and exact evaluation."""
+    """f(x) = x**n + c*x**e - rhs with float and exact evaluation.
+
+    Exact signs at x = p/q, q > 0, are those of v = f(p/q) * den * q**n, with den the
+    denominator of rhs; :meth:`_terms` alone writes v."""
 
     __slots__ = ("n", "c", "e", "rhs", "_rhs_f")
 
@@ -135,46 +136,43 @@ class _Poly:
     def __call__(self, x: float) -> float:
         return x ** self.n + self.c * x ** self.e - self._rhs_f
 
-    def bounds(self, p: int, q: int, bits: int) -> tuple[int, int, int, int]:
-        """Bounds on v = f(p/q) * den * q**n, q > 0, from powers kept to ``bits`` bits.
-
-        Returns (lo, hi, value, slope): lo <= v/2**s <= hi at some scale s, so where lo and
-        hi have one sign it is v's; and value/slope approximates v over its derivative in p.
-        v is alpha * |p|**j + beta * q**(n-1) with exact alpha and beta, so the two terms
-        of f that cancel where no root is near stay exact.
-        """
+    def _terms(self, p: int, q: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+        """Exact (j, (alpha, beta), (d_alpha, d_beta)) with v = alpha * |p|**j + beta * q**(n-1)
+        and dv/dp = d_alpha * |p|**j + d_beta * q**(n-1).  The terms of f that cancel where no
+        root is near share a coefficient, so bounds on the two powers keep them exact."""
         n, e, c = self.n, self.e, self.c
         den, num = self.rhs.denominator, self.rhs.numerator
         j = n - 2 if e > 1 else n - 1
         sp = -1 if p < 0 and j % 2 else 1  # p**j = sp * |p|**j
         if e > 1:  # e = n-1: den * p**(n-2) * p * (p + c*q) - num * q * q**(n-1)
-            alpha, beta = den * sp * p * (p + c * q), -num * q
-            d_alpha, d_beta = den * sp * (n * p + c * (n - 1) * q), 0
-        else:  # e = 1 or 0: den * p * p**(n-1) + (den * c * p**e * q**(1-e) - num * q) * q**(n-1)
-            alpha, beta = den * sp * p, den * c * (p if e else q) - num * q
-            d_alpha, d_beta = den * sp * n, den * c * e
-        powers = _power(abs(p), j, bits), _power(q, n - 1, bits)
-        lo, hi, s = _sum(bits, *zip((alpha, beta), powers))
-        _, d_hi, ds = _sum(bits, *zip((d_alpha, d_beta), powers))
+            alpha, d_alpha = den * sp * p * (p + c * q), den * sp * (n * p + c * (n - 1) * q)
+            return j, (alpha, -num * q), (d_alpha, 0)
+        # e = 1 or 0: den * p * p**(n-1) + (den * c * p**e * q**(1-e) - num * q) * q**(n-1)
+        return j, (den * sp * p, den * c * (p if e else q) - num * q), (den * sp * n, den * c * e)
+
+    def bounds(self, p: int, q: int, bits: int) -> tuple[int, int, int, int]:
+        """(lo, hi, value, slope): lo <= v/2**s <= hi at some scale s, from the powers of
+        :meth:`_terms` kept to ``bits`` bits, so where lo and hi have one sign it is v's;
+        value/slope approximates v over dv/dp."""
+        j, v, dv = self._terms(p, q)
+        powers = _power(abs(p), j, bits), _power(q, self.n - 1, bits)
+        lo, hi, s = _sum(bits, *zip(v, powers))
+        _, d_hi, ds = _sum(bits, *zip(dv, powers))
         return lo, hi, hi << max(s - ds, 0), d_hi << max(ds - s, 0)
 
     def sign(self, x) -> int:
-        """Exact sign of f(x) for an int, float or Fraction x.
-
-        Where the exact integer would be wide, bounds at a few more bits than n has
-        decide it first (see :meth:`bounds`); only where they straddle 0 is it exact.
-        """
+        """Exact sign of f(x) for an int, float or Fraction x: where v would be wide,
+        :meth:`bounds` at a few more bits than n has decide it, v only where they straddle 0."""
         p, q = x.as_integer_ratio()
-        n, e, rhs = self.n, self.e, self.rhs
+        n = self.n
         if n * max(p.bit_length(), q.bit_length()) > _EXACT_BITS:
             lo, hi = self.bounds(p, q, 2 * n.bit_length() + 64)[:2]
             if _sgn(lo) == _sgn(hi):
                 return _sgn(lo)
+        j, (alpha, beta), _ = self._terms(p, q)
         s = q.bit_length() - 1  # powers of a float's denominator are shifts
-        qd, qe = (1 << s * (n - e), 1 << s * e) if q == 1 << s else (q ** (n - e), q ** e)
-        # f(p/q) * q**n
-        value = rhs.denominator * p ** e * (p ** (n - e) + self.c * qd) - rhs.numerator * qe * qd
-        return _sgn(value)
+        q_power = 1 << s * (n - 1) if q == 1 << s else q ** (n - 1)
+        return _sgn(alpha * abs(p) ** j + beta * q_power)
 
     def deriv(self, x: float) -> float:
         return self.n * x ** (self.n - 1) + self.c * self.e * x ** (self.e - 1)
@@ -183,33 +181,28 @@ class _Poly:
         """The root x in [lo, hi] truncated toward zero to ``digits`` places, and its sign.
 
         f must be monotone on [lo, hi] with x its only root there.  k =
-        floor(x*N), N = 10**digits, is decided by the signs of f at grid points
+        floor(x*N), N = 10**digits, is decided by the signs of v at grid points
         k/N: Newton steps from ``guess`` under the safeguard of :func:`_refine`.
-        Where f(k/N) * den * N**n is wide, each sign comes from bounds on it
-        kept to about 4 bits a digit (see :meth:`bounds`), exact only where they
-        straddle 0, so the cost grows with digits rather than with n * digits.
+        Where v is wide, :meth:`bounds` kept to about 4 bits a digit give each sign
+        and step, so the cost grows with digits rather than with n * digits; where
+        they straddle 0, :meth:`sign` at the reduced k/N decides and the step bisects.
         """
         _check_digits(digits)
         scale = 10 ** digits
-        n, e = self.n, self.e
-        den = self.rhs.denominator
+        n = self.n
         bits = 4 * digits + 2 * n.bit_length() + 64 if n * scale.bit_length() > _EXACT_BITS else 0
-        wide = []  # den * c * N**(n-e) and num * N**n, built on the first exact evaluation
+        q_power = 0 if bits else scale ** (n - 1)  # N**(n-1), for the exact v alone
 
         def at(k: int) -> tuple[int, int]:
-            """f(k/N) * den * N**n, or a value of its sign, and its derivative in k."""
+            """v at k/N, or a value of its sign, and dv/dk, or 0 for a bisection step."""
             if bits:
                 lo, hi, value, slope = self.bounds(k, scale, bits)
-                if _sgn(lo) == _sgn(hi):
-                    return value, slope
-            if not wide:
-                power = scale ** (n - e)
-                wide[:] = den * self.c * power, self.rhs.numerator * power * scale ** e
-            mid, top = wide
-            low = k ** (e - 1) if e > 1 else 1       # k**(e-1)
-            ke = low * k if e else 1                 # k**e
-            kn1 = ke if e == n - 1 else k ** (n - 1)  # k**(n-1)
-            return den * kn1 * k + mid * ke - top, den * n * kn1 + mid * e * low
+                if _sgn(lo) != _sgn(hi):  # v may be 0 here
+                    return self.sign(Fraction(k, scale)), 0
+                return value, slope
+            j, (alpha, beta), (d_alpha, d_beta) = self._terms(k, scale)
+            k_power = abs(k) ** j
+            return alpha * k_power + beta * q_power, d_alpha * k_power + d_beta * q_power
 
         # a/N < lo <= x < b/N, so every k strictly between lies in [lo, hi]
         lo_p, lo_q = lo.as_integer_ratio()
@@ -263,9 +256,10 @@ class RootSet(namedtuple("RootSet", "roots")):
 
     def truncate(self, record: RootRecord, digits: int) -> tuple[str, int]:
         """``record``'s root truncated toward zero to ``digits`` exact places, and its sign."""
-        if record.exact is not None:
-            from .surds import to_decimal  # only a root known exactly needs the surd layer
-            return to_decimal(record.exact, digits), _sgn(record.exact)
+        if record.exact is not None:  # a Fraction: floored by integer division
+            _check_digits(digits)
+            p, q = record.exact.as_integer_ratio()
+            return _decimal_text(p < 0, abs(p) * 10 ** digits // q, digits), _sgn(p)
         return self.poly.truncate(record.value, *record.bracket, digits)
 
 

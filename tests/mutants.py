@@ -1,0 +1,120 @@
+"""Mutation check for the exact core: each listed mutant must make its tests fail.
+
+A mutant replaces one exact source snippet, which must occur exactly once in its file, so
+a refactor that moves the code has to update the list.  Each runs on a fresh temporary
+copy of ``src/``, ``tests/`` and ``perfbench/`` (whose corpus some tests read), with its
+test selection under ``pytest -x``; the unmutated copy runs every selection first and must
+pass.  The script prints a Markdown table and exits 1 when a mutant survives or a snippet
+does not match.  It needs pytest and the test dependencies, and pytest does not collect
+it.  Run from anywhere:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+BOUNDS = "tests/test_trinomials.py::TestBoundedSigns"
+PINNED = "tests/test_exact_digits.py::TestPinned"
+EXACT_DIGITS = "tests/test_exact_digits.py"
+
+#: (name, file under src/goldmean, snippet, replacement, test selection)
+MUTANTS = [
+    ("_round: lower bound rounded up", "trinomials.py",
+     "(lo >> t, -(-hi >> t), s + t)", "(-(-lo >> t), -(-hi >> t), s + t)", [BOUNDS]),
+    ("_round: upper bound rounded down", "trinomials.py",
+     "(lo >> t, -(-hi >> t), s + t)", "(lo >> t, hi >> t, s + t)", [BOUNDS]),
+    ("_sum: lower bound rounded up", "trinomials.py",
+     "lo += coefficient * x_lo >> top - s", "lo -= -coefficient * x_lo >> top - s", [BOUNDS]),
+    ("_sum: upper bound rounded down", "trinomials.py",
+     "hi -= -coefficient * x_hi >> top - s", "hi += coefficient * x_hi >> top - s", [BOUNDS]),
+    ("_terms: sign of beta flipped, e = n-1", "trinomials.py",
+     "return j, (alpha, -num * q), (d_alpha, 0)", "return j, (alpha, num * q), (d_alpha, 0)",
+     [BOUNDS]),
+    ("_terms: sign of alpha flipped, e = 1", "trinomials.py",
+     "return j, (den * sp * p, ", "return j, (-den * sp * p, ", [BOUNDS]),
+    ("sign: power-of-two q shifted one power short", "trinomials.py",
+     "q_power = 1 << s * (n - 1) if", "q_power = 1 << s * (n - 2) if", [BOUNDS]),
+    ("sign: a straddling interval trusted", "trinomials.py",
+     "            if _sgn(lo) == _sgn(hi):\n                return _sgn(lo)\n",
+     "            return _sgn(lo)\n", [BOUNDS]),
+    ("truncate: no fallback to sign where bounds straddle 0", "trinomials.py",
+     "return self.sign(Fraction(k, scale)), 0", "return value, slope", [PINNED]),
+    ("_critical_signs: k-th powers compared the wrong way", "trinomials.py",
+     "- abs(rhs.numerator) ** k * n ** n)", "+ abs(rhs.numerator) ** k * n ** n)",
+     ["tests/test_trinomials.py::TestSolveTrinomial"]),
+    ("_refine: the float sign trusted within its noise", "trinomials.py",
+     "side = fx if abs(fx) > noise else poly.sign(x)", "side = fx",
+     ["tests/test_trinomials.py::TestCloseRootFamily"]),
+    ("_expand: no step back from an overflow", "trinomials.py",
+     "step = 0.5 * (good + bad)", "step = bad", ["tests/test_trinomials.py::TestOverflowingWalk"]),
+    ("RootSet.truncate: a negative exact root floored away from 0", "trinomials.py",
+     "abs(p) * 10 ** digits // q", "(abs(p) * 10 ** digits + (p < 0) * (q - 1)) // q",
+     [EXACT_DIGITS]),
+    ("surds._floor_scaled: floor of a negative radical off by one", "surds.py",
+     "return (whole - t - 1) // den", "return (whole - t) // den",
+     ["tests/test_surds.py", "tests/test_nearest_double.py"]),
+    ("cli.run: a domain error exits 1", "cli.py",
+     "        return EXIT_DOMAIN\n", "        return EXIT_USAGE\n",
+     ["tests/test_cli.py::TestExitCodes"]),
+]
+
+
+def _copy(destination: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", "out")  # perfbench/out: results
+    for part in ("src", "tests", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(destination, part), ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), destination)
+
+
+def _pytest(tree: str, selection: list[str]) -> tuple[int, float, str]:
+    """pytest's exit code on ``selection`` in ``tree``, its seconds and its last line."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *selection], cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=900)
+    tail = (proc.stdout.strip().splitlines() or [""])[-1]
+    return proc.returncode, time.perf_counter() - start, tail
+
+
+def main() -> int:
+    failed = False
+    print("| mutant | tests | result | seconds |\n|---|---|---|---|")
+    with tempfile.TemporaryDirectory() as tree:
+        _copy(tree)
+        selections = sorted({test for *_, tests in MUTANTS for test in tests})
+        code, seconds, tail = _pytest(tree, selections)
+        failed |= code != 0
+        print(f"| none | every selection | {'passed' if code == 0 else tail} | {seconds:.1f} |")
+    for name, module, snippet, replacement, tests in MUTANTS:
+        with tempfile.TemporaryDirectory() as tree:
+            _copy(tree)
+            path = os.path.join(tree, "src", "goldmean", module)
+            with open(path, encoding="utf-8") as f:
+                source = f.read()
+            count = source.count(snippet)
+            if count != 1:
+                failed = True
+                print(f"| {name} | | error: the snippet occurs {count} times in {module} | |")
+                continue
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(source.replace(snippet, replacement))
+            code, seconds, tail = _pytest(tree, tests)
+        # pytest exits 1 when a test failed; any other code is an error, not a kill
+        result = {0: "SURVIVED", 1: "killed"}.get(code, f"error: pytest exit {code}: {tail}")
+        failed |= code != 1
+        print(f"| {name} | {' '.join(tests)} | {result} | {seconds:.1f} |", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

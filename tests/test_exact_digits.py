@@ -139,6 +139,25 @@ class TestPinned:
         assert out == ("x1 = 0.5000000000000000000000000000000000000000 (satisfactory)\n"
                        "x2 = -0.5000000000000000000000000000000000000000\n")
 
+    @pytest.mark.parametrize("argv,roots", [
+        (["euler", "--a", "0", "--n", "1000", "--x=1/1000", "--mode", "direct"], (1, -1)),
+        (["solve", "--n", "1000", "--m", "4"], (1,)),  # x2 = -1.0010995828... is off the grid
+        (["mmf", "--n", "999", "--p", "1", "--sign", "minus", "--m", "0"], (1, 0, -1)),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_roots_on_the_grid_at_the_degree_bound(self, capsys, argv, roots):
+        # f(k/N) is 0 at these grid points, where no bounds decide a sign: the exact sign
+        # at the reduced fraction k/N does, with no integer of n * 3322 bits
+        start = time.perf_counter()
+        out = self._text(capsys, *argv, "--digits", "1000")
+        assert time.perf_counter() - start < 0.3
+        lines = out.splitlines()
+        for i, root in enumerate(roots):
+            label, decimal = lines[i].split(" = ")
+            whole, frac = decimal.removesuffix(" (satisfactory)").split(".")
+            assert (label, len(frac)) == (f"x{i + 1}", 1000)
+            assert int(whole + frac) == root * 10 ** 1000
+            assert decimal.endswith(" (satisfactory)") == (root > 0)
+
     @pytest.mark.parametrize("argv,poly", [
         (["solve", "--n", "3", "--m", "2", "--tol", "1e-300"], (3, 1, 1, Fraction(1))),
         (["mmf", "--n", "3", "--p", "1000000", "--sign", "minus", "--m", "1000000"],

@@ -179,11 +179,20 @@ LOADS_A_SURD_LAYER = {
         "doublet q=2 at (1,2)/(2,1) -> integer pair (1, 2)\n")),
     ("metallic", "--p", "1", "--q", "1"): (SURD_LAYERS, (
         "metallic mean (p=1, q=1) = (1 + √5)/2 = 1.6180339887\n")),
-    # x**3 - 3x - 2 = (x - 2)(x + 1)**2: the root -1 is known exactly, at a critical point,
-    # and RootSet.truncate renders it by surds.to_decimal
-    ("mmf", "--n", "3", "--p", "3", "--sign", "minus", "--m", "4", "--digits", "30"): (("surds",), (
+}
+
+#: trinomial argv with a root known exactly, and their stdout: RootSet.truncate floors such a
+#: root, a Fraction, by integer division, so the run loads the trinomial solver and no surd layer
+EXACT_TRINOMIAL_ROOTS = {
+    # x**3 - 3x - 2 = (x - 2)(x + 1)**2: the root -1 is known exactly, at a critical point
+    ("mmf", "--n", "3", "--p", "3", "--sign", "minus", "--m", "4", "--digits", "30"): (
         "x1 = 2.000000000000000000000000000000 (satisfactory)\n"
-        "x2 = -1.000000000000000000000000000000\n")),
+        "x2 = -1.000000000000000000000000000000\n"),
+    # x + 2x = 3/2, the linear case
+    ("mmf", "--n", "1", "--p", "2", "--sign", "plus", "--m", "3"): (
+        "x1 = 0.5000000000 (satisfactory)\n"),
+    # (1 + b)/1 = 1: b = 0
+    ("euler", "--a", "1", "--n", "1", "--x", "1", "--mode", "direct"): "x1 = 0.0000000000\n",
 }
 
 
@@ -208,7 +217,15 @@ class TestColdImport:
         assert ("".join(lines), code) == (expected, "0")
         assert {f"goldmean.{layer}" for layer in layers} <= set(loaded)
         assert ("goldmean.quadratics" in loaded) == ("quadratics" in layers)
-        assert ("goldmean.trinomials" in loaded) == (argv[0] == "mmf")
+        assert "goldmean.trinomials" not in loaded
+
+    @pytest.mark.parametrize("argv", EXACT_TRINOMIAL_ROOTS, ids=" ".join)
+    def test_an_exact_trinomial_root_prints_with_the_trinomial_layer_alone(self, argv):
+        *lines, status = _fresh(RUN_AND_SHOW, *argv).splitlines(keepends=True)
+        code, *loaded = status.split()
+        assert ("".join(lines), code) == (EXACT_TRINOMIAL_ROOTS[argv], "0")
+        assert "goldmean.trinomials" in loaded
+        assert not {f"goldmean.{module}" for module in NOT_LOADED[argv[0]]} & set(loaded)
 
     def test_the_trinomial_module_alone_loads_no_surd_layer(self):
         code = ("import goldmean.trinomials, sys; "

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldmean import (
@@ -191,6 +191,9 @@ class TestBoundedSigns:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.integers(1, 1000), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
            st.fractions(max_denominator=1000), _points(10 ** 6), _points(2))
+    @example(n=1, linear=True, c=3, rhs=Fraction(5, 2), x=Fraction(-7, 3), root=0)  # e = 1
+    @example(n=1, linear=False, c=-2, rhs=Fraction(1, 3), x=0.75, root=0)  # e = 0
+    @example(n=1, linear=False, c=5, rhs=Fraction(0), x=0, root=Fraction(-3, 7))
     def test_bounded_sign_defers_or_agrees(self, n, linear, c, rhs, x, root):
         # a root inside ±2 keeps the rhs it sets in the float range
         e = 1 if linear else n - 1
@@ -200,8 +203,13 @@ class TestBoundedSigns:
         p, q = x.as_integer_ratio()
         den, num = rhs.denominator, rhs.numerator
         exact = den * p ** n + den * c * p ** e * q ** (n - e) - num * q ** n
+        slope = den * n * p ** (n - 1) + (den * c * e * p ** (e - 1) * q ** (n - e) if e else 0)
         want = (exact > 0) - (exact < 0)
         poly = _Poly(n, c, e, rhs)
+        # the one expression behind bounds and signs is this integer, and its slope in p
+        j, (alpha, beta), (d_alpha, d_beta) = poly._terms(p, q)
+        assert alpha * abs(p) ** j + beta * q ** (n - 1) == exact
+        assert d_alpha * abs(p) ** j + d_beta * q ** (n - 1) == slope
         for bits in (8, 2 * n.bit_length() + 64, 400):
             lo, hi, value, _ = poly.bounds(p, q, bits)
             assert lo <= hi

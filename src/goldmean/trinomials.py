@@ -9,13 +9,17 @@ exact zero at a critical point.  Signs of f there are certain.
 Brackets are refined to binary64 diagnostics by bisection with a
 safeguarded Newton step; printed digits come from :meth:`RootSet.truncate`,
 which decides them by sign tests on the decimal grid.  Each sign is that of
-one integer, decided where it is wide by bounds on its two powers first and
-exactly only where they straddle 0 (Ziv's strategy).  Exact closed forms
-live in :mod:`goldmean.quadratics`.
+one integer, decided in three tiers: f in doubles under a proven rounding
+error bound first (the cheapest tier of Shewchuk's adaptive predicates), then,
+where the integer is wide, bounds on its two powers (Ziv's strategy), and the
+integer itself only where both leave the sign open.  Exact closed forms live
+in :mod:`goldmean.quadratics`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from typing import Literal, Optional
@@ -76,6 +80,10 @@ MAX_DEGREE = 1000
 #: where an exact and a bounded evaluation cost the same (25 µs, CPython 3.11 on a Xeon vCPU)
 _EXACT_BITS = 8000
 
+#: the least normal and the greatest finite double, between which the relative rounding
+#: bounds of :meth:`_Poly._float` hold; U is the unit roundoff 2**-53
+_NORMAL, _HUGE, _U = sys.float_info.min, sys.float_info.max, 2.0 ** -53
+
 
 def _round(lo: int, hi: int, s: int, bits: int) -> tuple[int, int, int]:
     """(lo, hi, s) cut to ``bits`` bits of hi: lo rounded down, hi up, s raised to match."""
@@ -116,13 +124,24 @@ def _sum(bits: int, *terms: tuple[int, tuple[int, int, int]]) -> tuple[int, int,
     return lo, hi, top
 
 
+def _float_power(x: float, k: int) -> float:
+    """x**k for k >= 1 by square-and-multiply in doubles, within k - 1 roundings of the power
+    of x: a square doubles the relative error it is given.  libm's ``pow`` has no such bound."""
+    y = x
+    for bit in bin(k)[3:]:
+        y *= y
+        if bit == "1":
+            y *= x
+    return y
+
+
 class _Poly:
     """f(x) = x**n + c*x**e - rhs with float and exact evaluation.
 
     Exact signs at x = p/q, q > 0, are those of v = f(p/q) * den * q**n, with den the
     denominator of rhs; :meth:`_terms` alone writes v."""
 
-    __slots__ = ("n", "c", "e", "rhs", "_rhs_f")
+    __slots__ = ("n", "c", "e", "rhs", "_rhs_f", "_c_f", "_gammas", "_rhs_err")
 
     def __init__(self, n: int, c: int, e: int, rhs: Fraction):
         if n > MAX_DEGREE:
@@ -132,6 +151,14 @@ class _Poly:
         self.e = e
         self.rhs = rhs
         self._rhs_f = float(rhs)
+        try:
+            self._c_f = float(c)
+        except OverflowError:  # no double: :meth:`_float` then always declines
+            self._c_f = math.inf
+        # the rounding bounds of :meth:`_float` on x**n and c*x**e, for x a double and for x
+        # rounded to one, and on rhs plus what rounds below the normal range
+        self._gammas = (((n + 2) * _U, (e + 4) * _U), ((2 * n + 2) * _U, (2 * e + 4) * _U))
+        self._rhs_err = 3 * _U * abs(self._rhs_f) + 2.0 ** -1073
 
     def __call__(self, x: float) -> float:
         return x ** self.n + self.c * x ** self.e - self._rhs_f
@@ -160,9 +187,44 @@ class _Poly:
         _, d_hi, ds = _sum(bits, *zip(dv, powers))
         return lo, hi, hi << max(s - ds, 0), d_hi << max(ds - s, 0)
 
+    def _float(self, x: float, rounded: bool) -> tuple[float, float]:
+        """(f, x*f') at the double x, where f there has the sign of f at the point x stands
+        for; (0.0, 0.0) where the rounding error bound cannot decide it.
+
+        The point is x itself, or, where ``rounded``, one that x is the nearest double to.
+        Each term of f carries factors 1 + delta, |delta| <= U (Higham's gamma_k, §3.1):
+        x**n has n from a rounded x, n - 1 from its power and 2 from the two sums;
+        c*x**e has e, e - 1, one from float(c), one from the product and 2; rhs one from
+        float(rhs) and one from the last sum.  Each bound counts one factor more, for
+        gamma_k's 1/(1 - k*U), the terms' computed magnitudes and the rounding of the
+        bound itself.  They hold where x**n is normal, so that x, both powers and the
+        product (|c| >= 1) are, and nothing overflowed, so f is finite.
+        """
+        n, e = self.n, self.e
+        if e > 1:  # e = n - 1
+            xe = _float_power(x, e)
+            xn = xe * x
+        else:
+            xn, xe = _float_power(x, n), x if e else 1.0
+        t = self._c_f * xe
+        fx = xn + t - self._rhs_f
+        if not (_NORMAL <= abs(xn) and abs(fx) <= _HUGE):
+            return 0.0, 0.0
+        g_n, g_e = self._gammas[rounded]
+        if abs(fx) > g_n * abs(xn) + g_e * abs(t) + self._rhs_err:
+            return fx, n * xn + e * t
+        return 0.0, 0.0
+
     def sign(self, x) -> int:
-        """Exact sign of f(x) for an int, float or Fraction x: where v would be wide,
-        :meth:`bounds` at a few more bits than n has decide it, v only where they straddle 0."""
+        """Exact sign of f(x) for an int, float or Fraction x, in three tiers: :meth:`_float`
+        where its error bound decides it; where v would be wide, :meth:`bounds` at a few more
+        bits than n has; and v itself only where both leave it open."""
+        try:
+            fx = self._float(float(x), type(x) is not float)[0]
+        except OverflowError:  # x is past the float range
+            fx = 0.0
+        if fx:
+            return _sgn(fx)
         p, q = x.as_integer_ratio()
         n = self.n
         if n * max(p.bit_length(), q.bit_length()) > _EXACT_BITS:
@@ -183,9 +245,12 @@ class _Poly:
         f must be monotone on [lo, hi] with x its only root there.  k =
         floor(x*N), N = 10**digits, is decided by the signs of v at grid points
         k/N: Newton steps from ``guess`` under the safeguard of :func:`_refine`.
-        Where v is wide, :meth:`bounds` kept to about 4 bits a digit give each sign
-        and step, so the cost grows with digits rather than with n * digits; where
-        they straddle 0, :meth:`sign` at the reduced k/N decides and the step bisects.
+        Each sign comes from the first tier that decides it.  :meth:`_float` at the
+        double nearest k/N decides wherever k/N is farther from x than f's rounding
+        error in doubles, and its f and f' give the step.  Where v is wide, :meth:`bounds`
+        kept to about 4 bits a digit give the sign and step, so the cost grows with
+        digits rather than with n * digits; where they straddle 0, :meth:`sign` at the
+        reduced k/N decides and the step bisects.
         """
         _check_digits(digits)
         scale = 10 ** digits
@@ -193,16 +258,26 @@ class _Poly:
         bits = 4 * digits + 2 * n.bit_length() + 64 if n * scale.bit_length() > _EXACT_BITS else 0
         q_power = 0 if bits else scale ** (n - 1)  # N**(n-1), for the exact v alone
 
-        def at(k: int) -> tuple[int, int]:
-            """v at k/N, or a value of its sign, and dv/dk, or 0 for a bisection step."""
+        def at(k: int) -> tuple[float, Optional[int]]:
+            """A value of v's sign at k/N, 0 only where v is, and the Newton estimate of
+            floor(x*N) - k, or None for a bisection step."""
+            x = k / scale  # the nearest double; k/N is inside the bracket's finite range
+            fx, xdf = self._float(x, True)
+            if fx:
+                dx = -fx / xdf * x if xdf else math.inf
+                if abs(dx) <= _HUGE:
+                    p, q = dx.as_integer_ratio()  # q is a power of 2: floor(dx*N) is a shift
+                    return fx, p * scale >> q.bit_length() - 1
+                return fx, None
             if bits:
                 lo, hi, value, slope = self.bounds(k, scale, bits)
                 if _sgn(lo) != _sgn(hi):  # v may be 0 here
-                    return self.sign(Fraction(k, scale)), 0
-                return value, slope
-            j, (alpha, beta), (d_alpha, d_beta) = self._terms(k, scale)
-            k_power = abs(k) ** j
-            return alpha * k_power + beta * q_power, d_alpha * k_power + d_beta * q_power
+                    return self.sign(Fraction(k, scale)), None
+            else:
+                j, (alpha, beta), (d_alpha, d_beta) = self._terms(k, scale)
+                k_power = abs(k) ** j
+                value, slope = alpha * k_power + beta * q_power, d_alpha * k_power + d_beta * q_power
+            return value, (-value) // slope if slope else None
 
         # a/N < lo <= x < b/N, so every k strictly between lies in [lo, hi]
         lo_p, lo_q = lo.as_integer_ratio()
@@ -216,8 +291,8 @@ class _Poly:
         while b - a > 1:
             if not a < k < b:
                 k = (a + b) // 2
-            value, slope = at(k)
-            value, slope = orient * value, orient * slope
+            value, newton = at(k)
+            value *= orient
             if value == 0:
                 a, b, hit = k, k + 1, True
                 break
@@ -225,8 +300,9 @@ class _Poly:
                 a = k
             else:
                 b = k
-            # aim just past the Newton estimate, onto the other side of x
-            nxt = k + (-value) // slope + (value < 0) if slope > 0 else a
+            # aim just past the Newton estimate, onto the other side of x; a step the wrong
+            # way, as from a slope of the wrong sign, leaves (a, b) and bisects
+            nxt = a if newton is None else k + newton + (value < 0)
             if not (a < nxt < b and 2 * abs(nxt - k) <= older):
                 nxt = (a + b) // 2
             older, step, k = step, abs(nxt - k), nxt

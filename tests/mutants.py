@@ -47,7 +47,17 @@ MUTANTS = [
      "            if _sgn(lo) == _sgn(hi):\n                return _sgn(lo)\n",
      "            return _sgn(lo)\n", [BOUNDS]),
     ("truncate: no fallback to sign where bounds straddle 0", "trinomials.py",
-     "return self.sign(Fraction(k, scale)), 0", "return value, slope", [PINNED]),
+     "return self.sign(Fraction(k, scale)), None", "pass", [PINNED]),
+    ("truncate: orientation from lo not flipped", "trinomials.py",
+     "orient = self.sign(hi) or -self.sign(lo)", "orient = self.sign(hi) or self.sign(lo)",
+     [PINNED]),
+    ("_float: the error bound dropped", "trinomials.py",
+     "if abs(fx) > g_n * abs(xn) + g_e * abs(t) + self._rhs_err:", "if abs(fx) > 0:", [BOUNDS]),
+    ("_float: no guard for subnormal powers or overflow", "trinomials.py",
+     "        if not (_NORMAL <= abs(xn) and abs(fx) <= _HUGE):\n            return 0.0, 0.0\n",
+     "", [BOUNDS]),
+    ("_float: no term for a rounded x", "trinomials.py",
+     "((2 * n + 2) * _U, (2 * e + 4) * _U)", "((n + 2) * _U, (e + 4) * _U)", [BOUNDS]),
     ("_critical_signs: k-th powers compared the wrong way", "trinomials.py",
      "- abs(rhs.numerator) ** k * n ** n)", "+ abs(rhs.numerator) ** k * n ** n)",
      ["tests/test_trinomials.py::TestSolveTrinomial"]),
@@ -62,9 +72,23 @@ MUTANTS = [
     ("surds._floor_scaled: floor of a negative radical off by one", "surds.py",
      "return (whole - t - 1) // den", "return (whole - t) // den",
      ["tests/test_surds.py", "tests/test_nearest_double.py"]),
+    ("surds._doubles: the double below taken as the nearest", "surds.py",
+     "nearest = hi if a & 1 else lo", "nearest = lo", ["tests/test_nearest_double.py"]),
+    ("surds._root_parts: no MAX_RADICAND check", "surds.py",
+     "if num > MAX_RADICAND or den > MAX_RADICAND:", "if False:",
+     ["tests/test_surds.py::TestRadicandBound"]),
     ("cli.run: a domain error exits 1", "cli.py",
      "        return EXIT_DOMAIN\n", "        return EXIT_USAGE\n",
      ["tests/test_cli.py::TestExitCodes"]),
+    ("cli._cmd_solve: --tol not checked at n = 2", "cli.py",
+     "    if not ns.tol > 0:", "    if False:", ["tests/test_cli.py::TestExitCodes"]),
+    ("cli._float_json: an overflowed residual written as inf", "cli.py",
+     'return "Infinity" if x == inf else repr(x)', "return repr(x)",
+     ["tests/test_cli.py::TestJsonRoundTrip"]),
+    ("cli.__getattr__: no name guard", "cli.py",
+     "    if name not in _HOME:\n        raise AttributeError(f\"module {__name__!r} has no attribute "
+     "{name!r}\")\n", "",
+     ["tests/test_tracer_contract.py::TestNameGuard"]),
 ]
 
 

@@ -123,6 +123,39 @@ class TestExitCodes:
         assert err.startswith("error: input-too-large:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("template,code", [
+        ("mmf --n 3 --p 1e308 --sign plus --m 1", 0),
+        ("mmf --n 3 --p 1e308 --sign minus --m 1", 2),
+        ("mmf --n 3 --p 1e309 --sign plus --m 1", 2),
+        ("mmf --n 3 --p 1e309 --sign minus --m 1", 2),
+        ("mmf --n 3 --p 1e400 --sign plus --m 1", 2),
+        ("mmf --n 3 --p 1e400 --sign minus --m 1", 2),
+        ("mmf --n 3 --p 1 --sign plus --m 1e308", 0),
+        ("mmf --n 3 --p 1 --sign minus --m 1e308", 0),
+        ("mmf --n 3 --p 1 --sign plus --m 1e309", 2),
+        ("mmf --n 3 --p 1 --sign minus --m 1e309", 2),
+        ("mmf --n 3 --p 1 --sign plus --m 1e400", 2),
+        ("mmf --n 3 --p 1 --sign minus --m 1e400", 2),
+        ("euler --a 0 --n 3 --x=1e307 --mode direct", 0),
+        ("euler --a 0 --n 3 --x=-1e307 --mode constrained", 0),
+        ("euler --a 0 --n 3 --x=1e308 --mode direct", 2),
+        ("euler --a 0 --n 3 --x=-1e308 --mode constrained", 2),
+        ("euler --a 0 --n 3 --x=1e309 --mode constrained", 2),
+        ("euler --a 0 --n 3 --x=-1e400 --mode direct", 2),
+    ])
+    def test_where_input_too_large_begins_for_huge_coefficients(self, capsys, template, code):
+        # the float stage holds values below about 1.8e308; past that the exit is 2, with
+        # one error line and no traceback.  --p and --m take integers: 1eN is written out
+        argv = [str(10 ** int(a[2:])) if a[:2] == "1e" else a for a in template.split()]
+        got, out, err = invoke(capsys, *argv)
+        assert got == code
+        if code == 0:
+            assert err == "" and out.startswith("x1 = ")
+        else:
+            assert out == ""
+            assert err == ("error: input-too-large: values of the equation exceed the float "
+                           "range (about 1.8e308) of the first refinement stage\n")
+
 
 class TestCatalogBounds:
     """Each catalog size one above its bound exits 2 at once; the bounds are

@@ -13,6 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from goldmean import solve_euler
 from goldmean.cli import run
 from goldmean.trinomials import _critical_signs, _Poly
 from oracles import has_multiple_root, mp_real_roots, mp_root_in, truncate_mpf
@@ -138,6 +139,19 @@ class TestPinned:
                          "--mode", "direct", "--digits", "40")
         assert out == ("x1 = 0.5000000000000000000000000000000000000000 (satisfactory)\n"
                        "x2 = -0.5000000000000000000000000000000000000000\n")
+
+    def test_root_on_the_end_of_its_bracket(self, capsys):
+        # b**10 + b = 10x with x set so that hi, where the bracket walk from the critical
+        # point first finds f >= 0, is an exact root; f in doubles is not 0.0 there, so the
+        # refinement does not return hi, and truncate orients itself from the bracket's lo
+        hi = 1.225736317318873
+        x = (Fraction(hi) ** 10 + Fraction(hi)) / 10
+        [record] = [r for r in solve_euler(0, 10, x).roots if r.value > 0]
+        assert record.bracket[1] == hi and _Poly(10, 1, 1, 10 * x)(hi) != 0.0
+        assert run(["euler", "--a", "0", "--n", "10", f"--x={x}", "--mode", "constrained",
+                    "--digits", "30", "--format", "json"]) == 0
+        printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
+        assert f"{Fraction(hi) * 10 ** 30 // 1}" in [d.replace(".", "") for d in printed]
 
     @pytest.mark.parametrize("argv,roots", [
         (["euler", "--a", "0", "--n", "1000", "--x=1/1000", "--mode", "direct"], (1, -1)),

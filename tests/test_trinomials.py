@@ -25,7 +25,7 @@ from goldmean import (
     stakhov_decimal,
 )
 from goldmean.cli import run
-from goldmean.trinomials import MAX_DEGREE, _power, _Poly, _round, _sum
+from goldmean.trinomials import MAX_DEGREE, _float_power, _power, _Poly, _round, _sum
 from oracles import (bisect_root, grid_sign_changes, has_multiple_root, mp_real_roots,
                      mp_root_in, truncate_mpf)
 
@@ -194,6 +194,11 @@ class TestBoundedSigns:
     @example(n=1, linear=True, c=3, rhs=Fraction(5, 2), x=Fraction(-7, 3), root=0)  # e = 1
     @example(n=1, linear=False, c=-2, rhs=Fraction(1, 3), x=0.75, root=0)  # e = 0
     @example(n=1, linear=False, c=5, rhs=Fraction(0), x=0, root=Fraction(-3, 7))
+    # a root at a double, where f in doubles is 0.0 and cannot decide
+    @example(n=3, linear=True, c=1, rhs=Fraction(0), x=0, root=0.5)
+    # a root where f in doubles is rounding noise and the bounds of sign straddle 0
+    @example(n=1000, linear=True, c=1, rhs=Fraction(0), x=0, root=1.1)
+    @example(n=3, linear=False, c=1, rhs=Fraction(1, 2), x=Fraction(1, 3), root=0)  # e = n-1
     def test_bounded_sign_defers_or_agrees(self, n, linear, c, rhs, x, root):
         # a root inside ±2 keeps the rhs it sets in the float range
         e = 1 if linear else n - 1
@@ -217,6 +222,62 @@ class TestBoundedSigns:
                 assert (lo > 0) - (lo < 0) == want == (value > 0) - (value < 0)
         assert poly.sign(x) == want
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.floats(-2, 2, allow_subnormal=True), st.integers(1, 1000))
+    def test_float_power_is_within_k_minus_1_roundings(self, x, k):
+        y, want = _float_power(x, k), Fraction(x) ** k
+        if x and math.ulp(0.0) <= abs(want) and 2.0 ** -1022 <= abs(y) <= 1.7976931348623157e308:
+            assert abs(Fraction(y) - want) <= (k - 1) * 2 ** -53 / (1 - k * 2 ** -53) * abs(want)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 1000), st.booleans(),
+           st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 307, 10 ** 307),
+                     st.sampled_from([0, 2 ** 53 + 1, -10 ** 307, 10 ** 306, -10 ** 306])),
+           st.one_of(st.floats(-2, 2, allow_subnormal=True), st.floats(allow_nan=False,
+                                                                       allow_infinity=False)),
+           st.booleans(), st.integers(-2 ** 63, 2 ** 63), st.integers(-3, 3),
+           st.sampled_from(["float", "fraction", "grid"]), st.integers(1, 40),
+           st.fractions(max_denominator=1000))
+    # x**999 underflows to 0.0, so f in doubles is -rhs at the root 0.4
+    @example(n=1000, linear=False, c=10 ** 306, r=0.4, on_root=True, jitter=0, ulps=0,
+             form="float", digits=1, rhs=Fraction(0))
+    # 0.5000000001067412 is the nearest double to k/10**40, with the root between them
+    @example(n=292, linear=True, c=0, r=0.5000000001067412, on_root=True,
+             jitter=9213442041861646908, ulps=1, form="grid", digits=40, rhs=Fraction(0))
+    @example(n=990, linear=False, c=2, r=0.5000000000647217, on_root=True,
+             jitter=9203470990676873662, ulps=1, form="grid", digits=40, rhs=Fraction(0))
+    def test_float_filter_declines_or_agrees(self, n, linear, c, r, on_root, jitter, ulps, form,
+                                            digits, rhs):
+        """The sign of f in doubles, where the error bound decides it, is the exact sign of f
+        at a double, at a Fraction or at k/10**D: at and a few ulps or grid steps from a
+        root within half an ulp of r, with rhs set by that root, and elsewhere, where powers
+        are subnormal or overflow."""
+        e = 1 if linear else n - 1
+        root = Fraction(r) + Fraction(jitter, 2 ** 64) * Fraction(math.ulp(r))
+        if on_root and 2 ** -64 <= abs(r) and n * abs(math.frexp(r)[1]) <= 2000:
+            rhs = root ** n + c * root ** e
+            if not abs(rhs) < 2 ** 1023:
+                rhs = Fraction(1, 2)
+        if form == "float":
+            x = r
+            for _ in range(abs(ulps)):
+                x = math.nextafter(x, math.copysign(math.inf, ulps))
+            if math.isinf(x):
+                return
+        elif form == "fraction":
+            x = root + Fraction(ulps, 2 ** 70) * Fraction(math.ulp(r))
+        else:
+            x = Fraction(math.floor(root * 10 ** digits) + ulps, 10 ** digits)
+        poly = _Poly(n, c, e, rhs)
+        try:
+            fx = poly._float(float(x), form != "float")[0]
+        except OverflowError:  # x is past the float range
+            return
+        if fx:
+            p, q = x.as_integer_ratio()
+            den, num = rhs.denominator, rhs.numerator
+            exact = den * p ** n + den * c * p ** e * q ** (n - e) - num * q ** n
+            assert (fx > 0) - (fx < 0) == (exact > 0) - (exact < 0)
 
 class TestRootsBelowTheNewtonTarget:
     """x**3 + p*x = 1/2 for p from 10**92 to 10**296: the root, near 1/(2p), is so small

@@ -15,8 +15,8 @@ if TYPE_CHECKING:
 MAX_DIGITS = 1000
 
 #: default tolerance: a float root is accepted once its scaled residual
-#: |f(x)| / (1 + |x|**n) and the rounding error of f(x), scaled alike, are at
-#: most this, or once its bracket is two adjacent floats
+#: |f(x)| / (1 + |x|**n) and the proven bound on the rounding error of f(x) in
+#: doubles, scaled alike, are at most this, or once its bracket is two adjacent floats
 TOLERANCE = 1e-12
 
 Sign = Literal["plus", "minus"]

@@ -16,7 +16,7 @@ import sys
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import chain
-from math import gcd, inf
+from math import gcd
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -82,11 +82,6 @@ def _surd_fields(surd: QuadraticSurd) -> str:
             + ', "surd": "%s"' % str(surd).replace("√", "\\u221a"))
 
 
-def _float_json(x: float) -> str:
-    """``x`` as json.dumps writes it: a float residual that overflowed is ``Infinity``."""
-    return "Infinity" if x == inf else repr(x)
-
-
 def _roots(inputs: dict, records: Iterable[RootRecord],
            decide: Callable[[RootRecord], tuple[str, int]], footer: tuple[str, ...] = (),
            surds: bool = False) -> _Output:
@@ -103,8 +98,8 @@ def _roots(inputs: dict, records: Iterable[RootRecord],
         i, root = record
         decimal, sign = decide(root)
         line = ('{"label": "x%d", "decimal": "%s", "value": %r, "bracket_lo": %r, '
-                '"bracket_hi": %r, "residual": %s, "iterations": %d, "satisfactory": %s' % (
-                    i, decimal, root.value, *root.bracket, _float_json(root.residual),
+                '"bracket_hi": %r, "residual": %r, "iterations": %d, "satisfactory": %s' % (
+                    i, decimal, root.value, *root.bracket, root.residual,
                     root.iterations, "true" if sign > 0 else "false"))
         return line + (", " + _surd_fields(root.exact) + "}" if surds else "}")
 

@@ -6,14 +6,15 @@ critical points f is strictly monotone; each sign change there brackets
 exactly one root, and every real root is either such a sign change or an
 exact zero at a critical point.  Signs of f there are certain.
 
-Brackets are refined to binary64 diagnostics by bisection with a
-safeguarded Newton step; printed digits come from :meth:`RootSet.truncate`,
-which decides them by sign tests on the decimal grid.  Each sign is that of
-one integer, decided in three tiers: f in doubles under a proven rounding
-error bound first (the cheapest tier of Shewchuk's adaptive predicates), then,
-where the integer is wide, bounds on its two powers (Ziv's strategy), and the
-integer itself only where both leave the sign open.  Exact closed forms live
-in :mod:`goldmean.quadratics`.
+One float evaluator, :meth:`_Poly._float`, gives f in doubles with a proven
+bound on its rounding error.  Brackets are refined with it to binary64
+diagnostics by bisection with a safeguarded Newton step; printed digits come
+from :meth:`RootSet.truncate`, which decides them by sign tests on the decimal
+grid.  Each sign is that of one integer, decided in three tiers: f in doubles
+where it exceeds its error bound first (the cheapest tier of Shewchuk's
+adaptive predicates), then, where the integer is wide, bounds on its two
+powers (Ziv's strategy), and the integer itself only where both leave the
+sign open.  Exact closed forms live in :mod:`goldmean.quadratics`.
 """
 
 from __future__ import annotations
@@ -124,24 +125,15 @@ def _sum(bits: int, *terms: tuple[int, tuple[int, int, int]]) -> tuple[int, int,
     return lo, hi, top
 
 
-def _float_power(x: float, k: int) -> float:
-    """x**k for k >= 1 by square-and-multiply in doubles, within k - 1 roundings of the power
-    of x: a square doubles the relative error it is given.  libm's ``pow`` has no such bound."""
-    y = x
-    for bit in bin(k)[3:]:
-        y *= y
-        if bit == "1":
-            y *= x
-    return y
-
-
 class _Poly:
     """f(x) = x**n + c*x**e - rhs with float and exact evaluation.
 
     Exact signs at x = p/q, q > 0, are those of v = f(p/q) * den * q**n, with den the
-    denominator of rhs; :meth:`_terms` alone writes v."""
+    denominator of rhs; :meth:`_terms` alone writes v.  A c or rhs past the float range
+    raises ``OverflowError`` here."""
 
-    __slots__ = ("n", "c", "e", "rhs", "_rhs_f", "_c_f", "_gammas", "_rhs_err")
+    __slots__ = ("n", "c", "e", "rhs", "_rhs_f", "_c_f", "_bits", "_gammas", "_rhs_err",
+                 "_slopes")
 
     def __init__(self, n: int, c: int, e: int, rhs: Fraction):
         if n > MAX_DEGREE:
@@ -151,17 +143,16 @@ class _Poly:
         self.e = e
         self.rhs = rhs
         self._rhs_f = float(rhs)
-        try:
-            self._c_f = float(c)
-        except OverflowError:  # no double: :meth:`_float` then always declines
-            self._c_f = math.inf
+        self._c_f = float(c)
+        # the square-and-multiply steps of :meth:`_float`'s one power, x**(n-1) or x**n
+        self._bits = bin(e if e > 1 else n)[3:]
         # the rounding bounds of :meth:`_float` on x**n and c*x**e, for x a double and for x
         # rounded to one, and on rhs plus what rounds below the normal range
         self._gammas = (((n + 2) * _U, (e + 4) * _U), ((2 * n + 2) * _U, (2 * e + 4) * _U))
         self._rhs_err = 3 * _U * abs(self._rhs_f) + 2.0 ** -1073
-
-    def __call__(self, x: float) -> float:
-        return x ** self.n + self.c * x ** self.e - self._rhs_f
+        # n and e times 2**-11: x*f' = n*x**n + e*c*x**e scaled so is finite wherever both
+        # terms are, as e <= n <= MAX_DEGREE < 2**10
+        self._slopes = n * 2.0 ** -11, e * 2.0 ** -11
 
     def _terms(self, p: int, q: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
         """Exact (j, (alpha, beta), (d_alpha, d_beta)) with v = alpha * |p|**j + beta * q**(n-1)
@@ -177,6 +168,13 @@ class _Poly:
         # e = 1 or 0: den * p * p**(n-1) + (den * c * p**e * q**(1-e) - num * q) * q**(n-1)
         return j, (den * sp * p, den * c * (p if e else q) - num * q), (den * sp * n, den * c * e)
 
+    def exact(self, p: int, q: int) -> int:
+        """v at p/q, from :meth:`_terms`; powers of a float's denominator are shifts."""
+        j, (alpha, beta), _ = self._terms(p, q)
+        n, s = self.n, q.bit_length() - 1
+        q_power = 1 << s * (n - 1) if q == 1 << s else q ** (n - 1)
+        return alpha * abs(p) ** j + beta * q_power
+
     def bounds(self, p: int, q: int, bits: int) -> tuple[int, int, int, int]:
         """(lo, hi, value, slope): lo <= v/2**s <= hi at some scale s, from the powers of
         :meth:`_terms` kept to ``bits`` bits, so where lo and hi have one sign it is v's;
@@ -187,43 +185,56 @@ class _Poly:
         _, d_hi, ds = _sum(bits, *zip(dv, powers))
         return lo, hi, hi << max(s - ds, 0), d_hi << max(ds - s, 0)
 
-    def _float(self, x: float, rounded: bool) -> tuple[float, float]:
-        """(f, x*f') at the double x, where f there has the sign of f at the point x stands
-        for; (0.0, 0.0) where the rounding error bound cannot decide it.
+    def _float(self, x: float, rounded: bool) -> tuple[float, float, float, float]:
+        """(f, err, x**n, dx) in doubles at the double x, where f is within err of f at the
+        point x stands for, so f decides that sign where |f| > err; err is inf where the
+        bound does not hold.  dx = -f/f' is the Newton step, from x*f' scaled by 2**-11 so
+        that it is lost only where x**n or c*x**e overflows; it is inf or nan where there
+        is none.
 
         The point is x itself, or, where ``rounded``, one that x is the nearest double to.
-        Each term of f carries factors 1 + delta, |delta| <= U (Higham's gamma_k, §3.1):
-        x**n has n from a rounded x, n - 1 from its power and 2 from the two sums;
-        c*x**e has e, e - 1, one from float(c), one from the product and 2; rhs one from
-        float(rhs) and one from the last sum.  Each bound counts one factor more, for
-        gamma_k's 1/(1 - k*U), the terms' computed magnitudes and the rounding of the
-        bound itself.  They hold where x**n is normal, so that x, both powers and the
-        product (|c| >= 1) are, and nothing overflowed, so f is finite.
+        The one power is x**(n-1) (e = n-1) or x**n by square-and-multiply, within k - 1
+        roundings of x**k: a square doubles the relative error it is given, where libm's
+        ``pow`` has no such bound.  Each term of f carries factors 1 + delta, |delta| <= U
+        (Higham's gamma_k, §3.1): x**n has n from a rounded x, n - 1 from its power and 2
+        from the two sums; c*x**e has e, e - 1, one from float(c), one from the product and
+        2; rhs one from float(rhs) and one from the last sum.  Each bound counts one factor
+        more, for gamma_k's 1/(1 - k*U), the terms' computed magnitudes and the rounding of
+        the bound itself.  They hold where x**n is normal, so that x, both powers and the
+        product (|c| >= 1) are, and nothing overflowed, so f is finite.  Below the normal
+        range, with e <= 1 and x normal, the computed and the true x**n are both below
+        2**-1021 (a computed power that stays normal while the true one is at least
+        2**-1021 is within its relative bound), so 2**-1020 more bounds that term.
         """
-        n, e = self.n, self.e
-        if e > 1:  # e = n - 1
-            xe = _float_power(x, e)
-            xn = xe * x
-        else:
-            xn, xe = _float_power(x, n), x if e else 1.0
+        y = x
+        for bit in self._bits:
+            y *= y
+            if bit == "1":
+                y *= x
+        e = self.e
+        xn, xe = (y * x, y) if e > 1 else (y, x if e else 1.0)
         t = self._c_f * xe
         fx = xn + t - self._rhs_f
-        if not (_NORMAL <= abs(xn) and abs(fx) <= _HUGE):
-            return 0.0, 0.0
         g_n, g_e = self._gammas[rounded]
-        if abs(fx) > g_n * abs(xn) + g_e * abs(t) + self._rhs_err:
-            return fx, n * xn + e * t
-        return 0.0, 0.0
+        err = g_n * abs(xn) + g_e * abs(t) + self._rhs_err
+        if not abs(fx) <= _HUGE:
+            err = math.inf
+        elif abs(xn) < _NORMAL:
+            err = err + 2.0 ** -1020 if e <= 1 and abs(x) >= _NORMAL else math.inf
+        n_s, e_s = self._slopes
+        xdf = n_s * xn + e_s * t  # x*f' * 2**-11
+        return fx, err, xn, -fx / xdf * (x * 2.0 ** -11) if xdf else math.inf
 
     def sign(self, x) -> int:
         """Exact sign of f(x) for an int, float or Fraction x, in three tiers: :meth:`_float`
         where its error bound decides it; where v would be wide, :meth:`bounds` at a few more
-        bits than n has; and v itself only where both leave it open."""
+        bits than n has; and v itself only where both leave it open.  Raises
+        ``OverflowError`` for an infinite x."""
         try:
-            fx = self._float(float(x), type(x) is not float)[0]
+            fx, err = self._float(float(x), type(x) is not float)[:2]
         except OverflowError:  # x is past the float range
-            fx = 0.0
-        if fx:
+            fx, err = 0.0, math.inf
+        if abs(fx) > err:
             return _sgn(fx)
         p, q = x.as_integer_ratio()
         n = self.n
@@ -231,13 +242,7 @@ class _Poly:
             lo, hi = self.bounds(p, q, 2 * n.bit_length() + 64)[:2]
             if _sgn(lo) == _sgn(hi):
                 return _sgn(lo)
-        j, (alpha, beta), _ = self._terms(p, q)
-        s = q.bit_length() - 1  # powers of a float's denominator are shifts
-        q_power = 1 << s * (n - 1) if q == 1 << s else q ** (n - 1)
-        return _sgn(alpha * abs(p) ** j + beta * q_power)
-
-    def deriv(self, x: float) -> float:
-        return self.n * x ** (self.n - 1) + self.c * self.e * x ** (self.e - 1)
+        return _sgn(self.exact(p, q))
 
     def truncate(self, guess: float, lo: float, hi: float, digits: int) -> tuple[str, int]:
         """The root x in [lo, hi] truncated toward zero to ``digits`` places, and its sign.
@@ -262,9 +267,8 @@ class _Poly:
             """A value of v's sign at k/N, 0 only where v is, and the Newton estimate of
             floor(x*N) - k, or None for a bisection step."""
             x = k / scale  # the nearest double; k/N is inside the bracket's finite range
-            fx, xdf = self._float(x, True)
-            if fx:
-                dx = -fx / xdf * x if xdf else math.inf
+            fx, err, _, dx = self._float(x, True)
+            if abs(fx) > err:
                 if abs(dx) <= _HUGE:
                     p, q = dx.as_integer_ratio()  # q is a power of 2: floor(dx*N) is a shift
                     return fx, p * scale >> q.bit_length() - 1
@@ -370,30 +374,21 @@ def _critical_signs(poly: _Poly) -> list[tuple[float, Optional[Fraction], int]]:
 
 
 def _expand(poly: _Poly, anchor: float, direction: int, inner_sign: int) -> float:
-    """Walk outward geometrically until f changes sign (or hits zero), confirmed exactly.
-
-    A point where the float f overflows cannot end a bracket: the walk steps back to
-    halfway between it and the last point where f was finite, the anchor first, and
-    raises ``OverflowError`` once no float lies between the two.
-    """
-    poly(anchor)  # the step back ends at the anchor, so f must be finite there
-    good, bad = 0.0, None  # the last step where f was finite, the least where it overflowed
-    for _ in range(600):
-        if bad is None:
-            step = good * _BRACKET_GROWTH or 1.0
-        else:
-            step = 0.5 * (good + bad)
-            if anchor + direction * step in (anchor + direction * good, anchor + direction * bad):
-                raise OverflowError("the float f overflows next to the last point it was finite")
-        x = anchor + direction * step
-        try:
-            if inner_sign * poly(x) <= 0.0 and poly.sign(x) != inner_sign:
-                return x
-        except OverflowError:
-            bad = step
+    """Walk outward geometrically from the anchor until the exact sign of f changes (or f
+    is 0).  f is monotone beyond the anchor, so where it keeps its sign at an x on the
+    walk's side of 0 with |x|**n >= 2**1025, the root lies farther out, where x**n in
+    doubles is inf and f in doubles is not finite: the walk raises ``OverflowError``
+    there.  A step that reaches inf ends in the ``OverflowError`` of :meth:`_Poly.sign`."""
+    step, x = 1.0, None
+    while True:
+        last, x = x, anchor + direction * step
+        step *= _BRACKET_GROWTH
+        if x == last:  # anchor + step rounds to the last point, whose sign is known
             continue
-        good = step
-    raise NoConvergence("outward bracket search failed")
+        if poly.sign(x) != inner_sign:
+            return x
+        if direction * x > 0 and poly.n * (math.frexp(x)[1] - 1) > 1024:
+            raise OverflowError("x**n overflows in doubles before f changes sign")
 
 
 def _pull_off(poly: _Poly, lo: float, hi: float, s_lo: int) -> float:
@@ -449,43 +444,45 @@ def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
             tolerance: float) -> tuple[float, float, int]:
     """Bisection with a safeguarded Newton step inside a sign-change bracket.
 
-    Stops once the scaled residual and the rounding error of f there are
-    within ``tolerance``, or the bracket is two adjacent floats, where no
-    float lies closer to the root.  Where the float f is within its rounding
-    error, the exact sign of f picks the bracket end that moves.  A Newton
-    step is taken only when it lands inside the bracket and is at most half
-    the step before the previous one (the rule of Numerical Recipes'
-    ``rtsafe``), so a steep convex piece is bisected rather than walked down
-    in steps of about x/n.
+    Each step evaluates :meth:`_Poly._float` once.  It stops once the scaled residual
+    |f|/(1 + |x|**n) and f's error bound, scaled alike, are within ``tolerance``, or the
+    bracket is two adjacent floats, where no float lies closer to the root.  Where the
+    bound cannot decide f's sign, the exact sign picks the bracket end that moves.  A
+    Newton step is taken only when it lands inside the bracket and is at most half the
+    step before the previous one (the rule of Numerical Recipes' ``rtsafe``), so a steep
+    convex piece is bisected rather than walked down in steps of about x/n.  Where x**n
+    overflows, err is inf, so the exact sign goes on bisecting there.  Raises
+    ``OverflowError`` where f in doubles is not finite at the point it returns.
     """
     for end in (lo, hi):
-        if poly(end) == 0.0 and poly.sign(end) == 0:
+        if poly.sign(end) == 0:
             return end, 0.0, 0
-    c, e, rhs = poly.c, poly.e, abs(poly._rhs_f)
     x = 0.5 * (lo + hi)
     step = older = hi - lo
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        fx, xn = poly(x), abs(x) ** poly.n
-        # fx is off f(x) by less than noise, 9 ulps of the sum of its terms: no sign inside that
-        noise, scale = 1e-15 * (xn + abs(c * x ** e) + rhs), tolerance * (1.0 + xn)
+        fx, err, xn, dx = poly._float(x, False)
+        scale = tolerance * (1.0 + abs(xn))
         # x is an end of the bracket only once lo and hi are adjacent floats
-        if abs(fx) <= scale and noise <= scale or not lo < x < hi:
-            return x, abs(fx), iteration
-        side = fx if abs(fx) > noise else poly.sign(x)
+        if abs(fx) <= scale and err <= min(scale, _HUGE) or not lo < x < hi:
+            break
+        side = fx if abs(fx) > err else poly.sign(x)
         if side == 0:
-            return x, abs(fx), iteration
+            break
         if (side < 0) == (s_lo < 0):
             lo = x
         else:
             hi = x
-        slope = poly.deriv(x)
-        nxt = x - fx / slope if slope != 0.0 else lo
+        nxt = x + dx
         if not (lo < nxt < hi and 2.0 * abs(nxt - x) <= older):
             nxt = 0.5 * (lo + hi)
         older, step, x = step, abs(nxt - x), nxt
-    raise NoConvergence(
-        f"no root to tolerance {tolerance} within {_MAX_ITERATIONS} iterations"
-    )
+    else:
+        raise NoConvergence(
+            f"no root to tolerance {tolerance} within {_MAX_ITERATIONS} iterations"
+        )
+    if not abs(fx) <= _HUGE:
+        raise OverflowError("f in doubles is not finite at the root's float")
+    return x, abs(fx), iteration
 
 
 def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) -> RootSet:
@@ -497,7 +494,9 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) 
         records = []
         for root in exact_roots:
             fv = float(root)
-            records.append(RootRecord(fv, (fv, fv), abs(poly(fv)), 0, root))
+            p, q = fv.as_integer_ratio()  # |f(fv)|, rounded once
+            residual = abs(poly.exact(p, q)) / (poly.rhs.denominator * q ** n)
+            records.append(RootRecord(fv, (fv, fv), residual, 0, root))
         for lo, hi, s_lo in brackets:
             value, residual, iterations = _refine(poly, lo, hi, s_lo, tolerance)
             records.append(RootRecord(value, (lo, hi), residual, iterations))

@@ -24,6 +24,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BOUNDS = "tests/test_trinomials.py::TestBoundedSigns"
 PINNED = "tests/test_exact_digits.py::TestPinned"
+OVERFLOW = "tests/test_trinomials.py::TestOverflowingWalk"
 EXACT_DIGITS = "tests/test_exact_digits.py"
 
 #: (name, file under src/goldmean, snippet, replacement, test selection)
@@ -41,7 +42,7 @@ MUTANTS = [
      [BOUNDS]),
     ("_terms: sign of alpha flipped, e = 1", "trinomials.py",
      "return j, (den * sp * p, ", "return j, (-den * sp * p, ", [BOUNDS]),
-    ("sign: power-of-two q shifted one power short", "trinomials.py",
+    ("exact: power-of-two q shifted one power short", "trinomials.py",
      "q_power = 1 << s * (n - 1) if", "q_power = 1 << s * (n - 2) if", [BOUNDS]),
     ("sign: a straddling interval trusted", "trinomials.py",
      "            if _sgn(lo) == _sgn(hi):\n                return _sgn(lo)\n",
@@ -52,20 +53,36 @@ MUTANTS = [
      "orient = self.sign(hi) or -self.sign(lo)", "orient = self.sign(hi) or self.sign(lo)",
      [PINNED]),
     ("_float: the error bound dropped", "trinomials.py",
-     "if abs(fx) > g_n * abs(xn) + g_e * abs(t) + self._rhs_err:", "if abs(fx) > 0:", [BOUNDS]),
+     "err = g_n * abs(xn) + g_e * abs(t) + self._rhs_err", "err = 0.0", [BOUNDS]),
     ("_float: no guard for subnormal powers or overflow", "trinomials.py",
-     "        if not (_NORMAL <= abs(xn) and abs(fx) <= _HUGE):\n            return 0.0, 0.0\n",
+     "        if not abs(fx) <= _HUGE:\n            err = math.inf\n        elif abs(xn) < _NORMAL:\n"
+     "            err = err + 2.0 ** -1020 if e <= 1 and abs(x) >= _NORMAL else math.inf\n",
      "", [BOUNDS]),
+    ("_float: declines wherever x**n is below the normal range", "trinomials.py",
+     "err = err + 2.0 ** -1020 if e <= 1 and abs(x) >= _NORMAL else math.inf", "err = math.inf",
+     ["tests/test_trinomials.py::TestResiduals"]),
     ("_float: no term for a rounded x", "trinomials.py",
      "((2 * n + 2) * _U, (2 * e + 4) * _U)", "((n + 2) * _U, (e + 4) * _U)", [BOUNDS]),
+    ("_float: x*f' not scaled, so it overflows with n*x**n", "trinomials.py",
+     "xdf = n_s * xn + e_s * t  # x*f' * 2**-11\n"
+     "        return fx, err, xn, -fx / xdf * (x * 2.0 ** -11) if xdf else math.inf",
+     "xdf = 2048 * n_s * xn + 2048 * e_s * t\n"
+     "        return fx, err, xn, -fx / xdf * x if xdf else math.inf", [OVERFLOW]),
     ("_critical_signs: k-th powers compared the wrong way", "trinomials.py",
      "- abs(rhs.numerator) ** k * n ** n)", "+ abs(rhs.numerator) ** k * n ** n)",
      ["tests/test_trinomials.py::TestSolveTrinomial"]),
-    ("_refine: the float sign trusted within its noise", "trinomials.py",
-     "side = fx if abs(fx) > noise else poly.sign(x)", "side = fx",
+    ("_refine: the float sign trusted within its error bound", "trinomials.py",
+     "side = fx if abs(fx) > err else poly.sign(x)", "side = fx",
      ["tests/test_trinomials.py::TestCloseRootFamily"]),
-    ("_expand: no step back from an overflow", "trinomials.py",
-     "step = 0.5 * (good + bad)", "step = bad", ["tests/test_trinomials.py::TestOverflowingWalk"]),
+    ("_refine: a root whose f in doubles is not finite returned", "trinomials.py",
+     "    if not abs(fx) <= _HUGE:\n        raise OverflowError", "    if False:\n        raise OverflowError",
+     ["tests/test_cli.py::TestExitCodes"]),
+    ("_refine: stops where x**n overflows", "trinomials.py",
+     "err <= min(scale, _HUGE)", "err <= scale", [OVERFLOW]),
+    ("_expand: walks on where x**n overflows", "trinomials.py",
+     "        if direction * x > 0 and", "        if False and", ["tests/test_cli.py::TestExitCodes"]),
+    ("_expand: a float crossing inside the error bound taken", "trinomials.py",
+     "if poly.sign(x) != inner_sign:", "if inner_sign * poly._float(x, False)[0] <= 0:", [PINNED]),
     ("RootSet.truncate: a negative exact root floored away from 0", "trinomials.py",
      "abs(p) * 10 ** digits // q", "(abs(p) * 10 ** digits + (p < 0) * (q - 1)) // q",
      [EXACT_DIGITS]),
@@ -82,9 +99,6 @@ MUTANTS = [
      ["tests/test_cli.py::TestExitCodes"]),
     ("cli._cmd_solve: --tol not checked at n = 2", "cli.py",
      "    if not ns.tol > 0:", "    if False:", ["tests/test_cli.py::TestExitCodes"]),
-    ("cli._float_json: an overflowed residual written as inf", "cli.py",
-     'return "Infinity" if x == inf else repr(x)', "return repr(x)",
-     ["tests/test_cli.py::TestJsonRoundTrip"]),
     ("cli.__getattr__: no name guard", "cli.py",
      "    if name not in _HOME:\n        raise AttributeError(f\"module {__name__!r} has no attribute "
      "{name!r}\")\n", "",

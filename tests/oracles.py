@@ -5,12 +5,13 @@ checks: plain bisection, full factorization by trial division up to the
 square root, naive float continued fractions, exact continued fractions whose
 period is found from a dict of every state, truncation via the decimal
 module, numpy grid sign counting, exact polynomial gcd over Fractions for
-multiple-root detection, and mpmath's polynomial roots, or its bisection, at
-250 digits.
+multiple-root detection, mpmath's polynomial roots, or its bisection, at
+250 digits, and a JSON parser as strict as RFC 8259.
 """
 
 from __future__ import annotations
 
+import json
 from decimal import ROUND_DOWN, Decimal
 from fractions import Fraction
 from math import floor, isqrt, lcm
@@ -245,3 +246,12 @@ def truncate_mpf(x, digits: int, dps: int = MP_DIGITS) -> str:
         whole = int(nearest) if on_grid else int(mpmath.floor(scaled))
         text = f"{whole // 10 ** digits}.{whole % 10 ** digits:0{digits}d}"
         return f"-{text}" if x < 0 and not (on_grid and whole == 0) else text
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_json(text: str):
+    """``json.loads`` refusing ``Infinity``, ``-Infinity`` and ``NaN``, as strict parsers do."""
+    return json.loads(text, parse_constant=_no_constant)

@@ -15,6 +15,7 @@ from goldmean import QuadraticSurd, cli
 from goldmean.cli import run
 from goldmean.surds import MAX_CF_TERMS
 from goldmean.trinomials import RootSet
+from oracles import strict_json
 
 
 def invoke(capsys, *argv):
@@ -84,8 +85,12 @@ class TestExitCodes:
         # degrees above trinomials.MAX_DEGREE; solving them takes 40 s or more
         ("mmf", "--n", "10000001", "--p", "3", "--sign", "minus", "--m", "3"),
         ("euler", "--a", "0", "--n", "1000000", "--x", "1/1000000", "--mode", "direct"),
-        # the root 2e154 squares past the float range: the bracket walk steps back to it
+        # the root 2e154 squares past the float range, so f in doubles there is not finite
         ("mmf", "--n", "2", "--p", "2" + "0" * 154, "--sign", "minus", "--m", "0"),
+        # the roots 2**1000 and 10**300 square past it: the bracket walk stops where x**n
+        # overflows, before the exact root 2**1000 ends it
+        ("mmf", "--n", "2", "--p", str(2 ** 1000), "--sign", "minus", "--m", "0"),
+        ("mmf", "--n", "2", "--p", "1" + "0" * 300, "--sign", "minus", "--m", "0"),
     ])
     def test_input_too_large(self, capsys, argv):
         start = time.perf_counter()
@@ -244,7 +249,7 @@ class TestOneParserPerProcess:
 
 
 def parse_json(out):
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert set(payload) == {"command", "inputs", "results", "errors"}
     assert payload["errors"] == []
     return payload
@@ -270,7 +275,7 @@ class TestJsonRoundTrip:
         ("mmf", "--n", "3", "--p", "3", "--sign", "minus", "--m", "4"),
         ("metallic", "--p", "1", "--q", "65/64", "--cf-terms", "2"),
         ("solve", "--n", "2", "--m", "0"),
-        # the float residual of this exact root, -1.8e308, overflows: json.dumps writes Infinity
+        # the exact root -1.8e308, where f in doubles overflows: its residual is finite
         pytest.param(("mmf", "--n", "1", "--p", "2", "--sign", "minus",
                       "--m", str(2 * int(sys.float_info.max))), id="mmf --m 2*DBL_MAX"),
     ], ids=" ".join)

@@ -5,7 +5,8 @@ degree stays at most 300 and width at most 200 digits, and the sizes of the
 catalog commands stay small, so every example has a bounded cost.  Each
 invocation must return exit code 0, 1 or 2 without an exception, print at
 most one ``error: <code>:`` line, and on exit 2 print nothing to stdout.  JSON
-that exits 0 is the bytes ``json.dumps`` makes of the parsed object.
+that exits 0 parses with no ``Infinity`` or ``NaN`` and is the bytes ``json.dumps``
+makes of the parsed object.
 """
 
 import io
@@ -18,6 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from goldmean.cli import run
+from oracles import strict_json
 
 _huge = st.one_of(
     st.integers(-3, 10 ** 6),
@@ -91,4 +93,4 @@ def test_every_argv_exits_cleanly(command, data):
     if code == 2:
         assert out.getvalue() == "" and len(errors) == 1 and err.getvalue().count("\n") == 1
     if code == 0 and argv[argv.index("--format") + 1] == "json":
-        assert json.dumps(json.loads(out.getvalue())) + "\n" == out.getvalue()
+        assert json.dumps(strict_json(out.getvalue())) + "\n" == out.getvalue()

@@ -99,9 +99,9 @@ GOLDEN = {
     "solve-n2-zero-root-json": "4ac3ac2a771622558654b39d68b520f0b0208824880ac882c99f8f5095614d72",
     "solve-n2-zero-root-text": "56e89d4d9f00f693c8e2369bfc1b4f67a5d9cf412b78a3bf02295336f9b8d657",
     "solve-n2-zero-root-tsv": "2174e770d59cd0e513683b637654887e24a2c4fc2d4c60e02e359e2610bf6f65",
-    "solve-n3-json": "b4ca3f3b35f5bd15eb7b2dd60b65a0f967374e82cb8a454582e9a41e59e9b77e",
+    "solve-n3-json": "98343197ef39a8ece313d93705631cf70b835728af9ce014f230fab8f7ca3305",
     "solve-n3-text": "8351e3a0ebd7159e11d4cebba51d5efd71b7b5f29ee12f6c197b13692d4828c5",
-    "solve-n3-tsv": "7c8c6c561a673441ee6b176a747099b02553f9641328a2b375e92a0958b9956a",
+    "solve-n3-tsv": "2e6cc8600f58c3a7cc742e677b078a30328977650782b552c23df01e4c93dfa4",
     "stakhov-json": "a839ed24692f6e509f8b6a8bc9f7cd386b95101f1074cfa1ab7cc1c3c29603d7",
     "stakhov-text": "59586fbc3bdae62bccb2ea54fa49630d9831c4b6c8870286222f7bcae409c13c",
     "stakhov-tsv": "acb566e030aac371f47174542e3b60c849c2a2121f8a82409a40692b2bc1182c",

@@ -142,16 +142,30 @@ class TestPinned:
 
     def test_root_on_the_end_of_its_bracket(self, capsys):
         # b**10 + b = 10x with x set so that hi, where the bracket walk from the critical
-        # point first finds f >= 0, is an exact root; f in doubles is not 0.0 there, so the
-        # refinement does not return hi, and truncate orients itself from the bracket's lo
+        # point first finds f >= 0, is an exact root; the refinement returns hi, and
+        # truncate orients itself from the bracket's lo, as f is 0 at hi
         hi = 1.225736317318873
         x = (Fraction(hi) ** 10 + Fraction(hi)) / 10
         [record] = [r for r in solve_euler(0, 10, x).roots if r.value > 0]
-        assert record.bracket[1] == hi and _Poly(10, 1, 1, 10 * x)(hi) != 0.0
+        assert record.bracket[1] == record.value == hi and _Poly(10, 1, 1, 10 * x).sign(hi) == 0
         assert run(["euler", "--a", "0", "--n", "10", f"--x={x}", "--mode", "constrained",
                     "--digits", "30", "--format", "json"]) == 0
         printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
         assert f"{Fraction(hi) * 10 ** 30 // 1}" in [d.replace(".", "") for d in printed]
+
+    def test_root_just_inside_a_walk_point(self, capsys):
+        # the walk above with the root 2**-56 below hi: f is positive at hi, but f in doubles
+        # there is negative and inside its error bound, so only the exact sign ends the walk
+        hi = 1.225736317318873
+        root = Fraction(hi) - Fraction(1, 2 ** 56)
+        x = (root ** 10 + root) / 10
+        poly = _Poly(10, 1, 1, 10 * x)
+        fx, err = poly._float(hi, False)[:2]
+        assert -err < fx < 0 < poly.sign(hi)
+        assert run(["euler", "--a", "0", "--n", "10", f"--x={x}", "--mode", "constrained",
+                    "--digits", "30", "--format", "json"]) == 0
+        printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
+        assert f"{root * 10 ** 30 // 1}" in [d.replace(".", "") for d in printed]
 
     @pytest.mark.parametrize("argv,roots", [
         (["euler", "--a", "0", "--n", "1000", "--x=1/1000", "--mode", "direct"], (1, -1)),

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from goldmean import (
     stakhov_decimal,
 )
 from goldmean.cli import run
-from goldmean.trinomials import MAX_DEGREE, _float_power, _power, _Poly, _round, _sum
+from goldmean.trinomials import MAX_DEGREE, _power, _Poly, _round, _sum
 from oracles import (bisect_root, grid_sign_changes, has_multiple_root, mp_real_roots,
                      mp_root_in, truncate_mpf)
 
@@ -124,8 +125,9 @@ class TestCloseRootFamily:
 
 
 class TestOverflowingWalk:
-    """Roots near ±1 of degrees where the outward bracket walk overflows x**n at x = 3:
-    the walk steps back between the last finite point and the overflowing one."""
+    """Roots whose bracket holds points where x**n overflows in doubles, and so f in doubles
+    is not finite: near ±1 at degrees where that happens at x = 3, the bracket walk's third
+    point, and near 5e102 at n = 3 and 4e61 at n = 5.  The exact sign decides there."""
 
     @staticmethod
     def _run(argv):
@@ -161,6 +163,21 @@ class TestOverflowingWalk:
             d = Fraction(decimal)
             far = d - unit if decimal.startswith("-") else d + unit
             assert abs(d) < 2 and (f(d) == 0 or f(d) * f(far) < 0)
+
+    @pytest.mark.parametrize("n, m", [(3, 25 * 10 ** 307), (3, 34 * 10 ** 307),
+                                      (5, 12 * 10 ** 307)],
+                             ids=["n3-m2.5e308", "n3-m3.4e308", "n5-m1.2e308"])
+    def test_a_root_below_the_overflow_of_x_n_is_found(self, n, m):
+        # x**n + x = m/2: the root's x**n is finite, but x**n overflows at points of its
+        # bracket, where the exact sign decides and the refinement goes on
+        [decimal] = self._run(["mmf", "--n", str(n), "--p", "1", "--sign", "plus", "--m", str(m),
+                               "--format", "json"])
+        d, unit = Fraction(decimal), Fraction(1, 10 ** 10)
+        f = lambda x: x ** n + x - Fraction(m, 2)  # noqa: E731
+        assert f(d) <= 0 < f(d + unit)
+        # n*x**n overflows before x**n does: the Newton step, from x*f' scaled, is kept there
+        [record] = solve_trinomial(TrinomialSpec(n, 1, "plus", m)).roots
+        assert record.iterations <= 10
 
 
 def _points(bound):
@@ -223,9 +240,11 @@ class TestBoundedSigns:
         assert poly.sign(x) == want
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.floats(-2, 2, allow_subnormal=True), st.integers(1, 1000))
-    def test_float_power_is_within_k_minus_1_roundings(self, x, k):
-        y, want = _float_power(x, k), Fraction(x) ** k
+    @given(st.floats(-2, 2, allow_subnormal=True), st.integers(1, 1000), st.booleans())
+    def test_float_power_is_within_k_minus_1_roundings(self, x, k, linear):
+        # the x**k of _float, as a power of x (e = 1) or as x**(k-1) * x (e = k - 1)
+        y = _Poly(k, 1, 1 if linear else k - 1, Fraction(0))._float(x, False)[2]
+        want = Fraction(x) ** k
         if x and math.ulp(0.0) <= abs(want) and 2.0 ** -1022 <= abs(y) <= 1.7976931348623157e308:
             assert abs(Fraction(y) - want) <= (k - 1) * 2 ** -53 / (1 - k * 2 ** -53) * abs(want)
 
@@ -270,14 +289,29 @@ class TestBoundedSigns:
             x = Fraction(math.floor(root * 10 ** digits) + ulps, 10 ** digits)
         poly = _Poly(n, c, e, rhs)
         try:
-            fx = poly._float(float(x), form != "float")[0]
+            fx, err = poly._float(float(x), form != "float")[:2]
         except OverflowError:  # x is past the float range
             return
-        if fx:
+        if err < math.inf:
             p, q = x.as_integer_ratio()
             den, num = rhs.denominator, rhs.numerator
             exact = den * p ** n + den * c * p ** e * q ** (n - e) - num * q ** n
-            assert (fx > 0) - (fx < 0) == (exact > 0) - (exact < 0)
+            # f in doubles is within its bound of f at x, so it decides the sign beyond it
+            assert abs(Fraction(fx) - Fraction(exact, den * q ** n)) <= err
+            if abs(fx) > err:
+                assert (fx > 0) - (fx < 0) == (exact > 0) - (exact < 0)
+
+    @pytest.mark.parametrize("x, want", [(Fraction(10 ** 400), 1), (-10 ** 400, -1),
+                                         (Fraction(10 ** 400, 3), 1), (math.inf, None)])
+    def test_sign_past_the_float_range(self, x, want):
+        # x**3 + x = 1/2: x has no double, so the exact integer decides; inf has no ratio
+        poly = _Poly(3, 1, 1, Fraction(1, 2))
+        if want is None:
+            with pytest.raises(OverflowError):
+                poly.sign(x)
+        else:
+            assert poly.sign(x) == want
+
 
 class TestRootsBelowTheNewtonTarget:
     """x**3 + p*x = 1/2 for p from 10**92 to 10**296: the root, near 1/(2p), is so small
@@ -293,6 +327,42 @@ class TestRootsBelowTheNewtonTarget:
         f = lambda x: x ** 3 + p * x - Fraction(1, 2)  # noqa: E731
         # the digits are exact: f rises through the root, in [d, d + 10**-digits)
         assert d > 0 and f(d) <= 0 < f(d + Fraction(1, 10 ** digits))
+
+
+class TestResiduals:
+    """A float root's residual is |f| in doubles at its value, within the error bound of
+    _Poly._float of the exact |f(value)|; an exact root's is the exact |f(value)| rounded once."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 300), st.booleans(), st.integers(1, 10 ** 6),
+           st.sampled_from(["plus", "minus"]), st.integers(0, 10 ** 6))
+    @example(n=1, linear=True, p=2, sign="plus", m=1)  # x = 1/6 has no double
+    @example(n=3, linear=True, p=3, sign="minus", m=4)  # the exact root -1
+    # the exact root -1.8e308, where |f| in doubles at it overflows
+    @example(n=1, linear=True, p=2, sign="minus", m=2 * int(sys.float_info.max))
+    def test_residual_is_f_at_the_value(self, n, linear, p, sign, m):
+        spec = TrinomialSpec(n, p, sign, m, "one" if linear else "n_minus_one")
+        try:
+            roots = solve_trinomial(spec)
+        except (DegenerateIdentity, InputTooLarge):  # n = 1, p = 1, minus; roots past 1.8e308
+            return
+        c, e = spec.signed_p, spec.exponent
+        for record in roots.roots:
+            x = Fraction(record.value)
+            exact = abs(x ** n + c * x ** e - spec.rhs)
+            if record.exact is None:
+                fx, err = roots.poly._float(record.value, False)[:2]
+                assert record.residual == abs(fx) and abs(Fraction(record.residual) - exact) <= err
+            else:
+                assert record.residual == float(exact)
+
+    def test_a_power_below_the_normal_range_still_stops_on_the_tolerance(self):
+        # x**300 + 100x = 1/2 has a root near 0.005, where x**300 is far below the normal
+        # range: the error bound of f still holds there, so the refinement needs no bisection
+        # down to adjacent floats
+        [iterations] = [r.iterations for r in solve_trinomial(TrinomialSpec(300, 100, "plus", 1))
+                        .roots if r.value > 0]
+        assert iterations <= 3
 
 
 class TestSolveTrinomial:

@@ -12,6 +12,7 @@ Each public name is imported from its submodule on first use (PEP 562), so
 __version__ = "0.1.0"
 
 _HOMES = {
+    "_exact": ("TOLERANCE", "RootRecord"),
     "errors": ("CrossCheckFailed", "DegenerateIdentity", "DomainError", "InputTooLarge",
                "MixedRadicands", "NoConvergence", "NonPositive", "NoRealRoot", "NoRealRoots"),
     "harmonic": ("DoubletReport", "HarmonicTable", "build_table", "cross_check_integer_means",
@@ -22,9 +23,8 @@ _HOMES = {
               "surd_compare", "to_decimal"),
     "triangles": ("PythagoreanTriple", "TableOneRow", "TripletClass", "classify_triplet",
                   "diophantus_triple", "four_k_sequence", "left_to_right_index", "table_one"),
-    "trinomials": ("TOLERANCE", "RootRecord", "RootSet", "TrinomialSpec", "isolate_real_roots",
-                   "solve_euler", "solve_gm_general", "solve_stakhov", "solve_trinomial",
-                   "stakhov_decimal"),
+    "trinomials": ("RootSet", "TrinomialSpec", "isolate_real_roots", "solve_euler",
+                   "solve_gm_general", "solve_stakhov", "solve_trinomial", "stakhov_decimal"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

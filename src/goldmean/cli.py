@@ -6,26 +6,29 @@ output.  Three formats are supported everywhere: ``text`` (human-readable),
 (tab-separated, one record per line).  The JSON ``errors`` key is reserved
 and always ``[]``.  Exit codes: 0 success, 1 usage error, 2 domain error;
 domain errors print a single ``error: <code>: ...`` line to stderr and
-nothing to stdout.
+nothing to stdout.  A command imports only the modules its answer runs:
+each library layer on its first use, and ``fractions``, ``json`` and
+``argparse`` inside the functions that need them.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Callable, Iterable
-from fractions import Fraction
+from collections import namedtuple
 from itertools import chain
 from math import gcd
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple
 
 from . import _HOME
 from ._exact import MAX_DIGITS, TOLERANCE, RootRecord
 from .errors import DomainError, InputTooLarge
 
+TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Callable, Iterable
+    from fractions import Fraction
 
     from .surds import QuadraticSurd
     from .trinomials import RootSet
@@ -51,7 +54,7 @@ EXIT_DOMAIN = 2
 MAX_EXPONENT = 1000
 
 
-class _Output(NamedTuple):
+class _Output(namedtuple("_Output", "inputs records text tsv json footer", defaults=((),))):
     """A command's records, made as they are read, and each format's line of one record.
     Text writes ``text(record)`` lines and then the ``footer``, TSV ``tsv(record)`` lines,
     and JSON each ``json(record)``, joined by ", ", inside a frame of the command, its
@@ -60,12 +63,7 @@ class _Output(NamedTuple):
     line computes only what its format prints: TSV prints floats and decides no digits.
     """
 
-    inputs: dict
-    records: Iterable
-    text: Callable[..., str]
-    tsv: Callable[..., str]
-    json: Callable[..., str]
-    footer: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def _surd_json(surd: QuadraticSurd) -> dict:
@@ -242,13 +240,15 @@ def _nonneg_int(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    import fractions  # only a rational option needs it, so a cold start skips it
+
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
         raise _usage_error(
             f"decimal exponent must be at most {MAX_EXPONENT} in magnitude: {text!r}")
     try:
-        return Fraction(text)
+        return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _usage_error(f"not a rational number: {text!r}") from exc
 

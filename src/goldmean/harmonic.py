@@ -8,10 +8,13 @@ verifies against the quadratic solver.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import CrossCheckFailed, InputTooLarge
+
+TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 #: Largest grid :meth:`HarmonicTable.rows` yields (at the bound about 0.6 s to print in
 #: text or TSV and 0.7 s in JSON, on a 2-vCPU machine with Python 3.11).
@@ -20,12 +23,12 @@ MAX_GRID_SIZE = 2000
 MAX_SIZE = 10 ** 5
 
 
-class HarmonicTable(NamedTuple):
+class HarmonicTable(namedtuple("HarmonicTable", "size")):
     """Multiplication grid of side ``size``.  ``cell(i, j) == i * j`` is computed
     when read; :meth:`rows` yields the grid one row at a time.
     """
 
-    size: int
+    __slots__ = ()
 
     def cell(self, i: int, j: int) -> int:
         return i * j
@@ -39,12 +42,10 @@ class HarmonicTable(NamedTuple):
         return (tuple(range(0, i * size, i)) if i else (0,) * size for i in range(size))
 
 
-class DoubletReport(NamedTuple):
-    """One diagonal doublet: value q = k(k+1) at (k, k+1) and (k+1, k)."""
+class DoubletReport(namedtuple("DoubletReport", "k q positions")):
+    """One diagonal doublet: value q = k(k+1) at the ``positions`` (k, k+1) and (k+1, k)."""
 
-    k: int
-    q: int
-    positions: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ()
 
 
 def build_table(size: int) -> HarmonicTable:

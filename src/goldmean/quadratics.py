@@ -11,7 +11,6 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple, Optional
 
 from ._exact import Sign, _as_fraction, sign_value
 from .errors import NoRealRoots
@@ -35,16 +34,14 @@ class QuadraticSpec(namedtuple("QuadraticSpec", "p q p_sign")):
         return sign_value(self.p_sign)
 
 
-class RootPair(NamedTuple):
+class RootPair(namedtuple("RootPair", "x1 x2 discriminant")):
     """Both real roots, exact; ``x1`` is the algebraically larger one.
 
     ``discriminant`` is ``p^2 + 4q``.  For the generalized golden mean
     (p = 1, q = m/2) it equals the odd radicand 2m + 1 under the root.
     """
 
-    x1: QuadraticSurd
-    x2: QuadraticSurd
-    discriminant: Fraction
+    __slots__ = ()
 
 
 def solve_quadratic(spec: QuadraticSpec) -> RootPair:
@@ -90,7 +87,7 @@ def metallic_mean(p: int, q) -> QuadraticSurd:
     return solve_quadratic(QuadraticSpec(p, q, "minus")).x1
 
 
-def integer_metallic(q: int) -> Optional[tuple[int, int]]:
+def integer_metallic(q: int) -> tuple[int, int] | None:
     """Detect an integer metallic mean.
 
     Returns ``(k, k+1)`` when ``q = k(k+1)`` -- the absolute values of the

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from typing import Literal, NamedTuple, Optional
 
 from .errors import CrossCheckFailed, InputTooLarge
 from .quadratics import generalized_gm
-from .surds import QuadraticSurd
 
-Side = Literal["left", "right"]
+TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
+if TYPE_CHECKING:
+    from .surds import QuadraticSurd
 
 #: Most rows :func:`table_one` builds (a right-side row costs about 0.010 ms, so
 #: ``table1 --rows 10000 --side right`` takes about 0.2 s in any format).
@@ -82,7 +82,7 @@ class TableOneRow(namedtuple("TableOneRow", "side index m h r")):
 
     __slots__ = ()
 
-    def __new__(cls, side: Side, index: int, m: int, h: int, r: int):
+    def __new__(cls, side: str, index: int, m: int, h: int, r: int):
         if h * h != m * m + r:
             raise ValueError(f"h^2 != m^2 + r for row {index} ({side})")
         return super().__new__(cls, side, index, m, h, r)
@@ -167,16 +167,15 @@ def left_to_right_index(index: int) -> int:
     return mapped
 
 
-class TripletClass(NamedTuple):
+class TripletClass(namedtuple("TripletClass", "tag member_indices", defaults=(None,))):
     """Whether a value triple is three consecutive Fibonacci or Lucas numbers.
 
-    ``member_indices`` gives the starting positions in the matched sequence
-    (F0 = 0, F1 = 1; L0 = 2, L1 = 1).  Triples matching both sequences
-    classify as fibonacci.
+    ``tag`` is "fibonacci", "lucas" or "neither"; ``member_indices`` gives the three
+    positions in the matched sequence (F0 = 0, F1 = 1; L0 = 2, L1 = 1).  Triples
+    matching both sequences classify as fibonacci.
     """
 
-    tag: Literal["fibonacci", "lucas", "neither"]
-    member_indices: Optional[tuple[int, int, int]] = None
+    __slots__ = ()
 
 
 def _sequence_up_to(first: int, second: int, cap: int) -> list[int]:
@@ -186,7 +185,7 @@ def _sequence_up_to(first: int, second: int, cap: int) -> list[int]:
     return out
 
 
-def _find_window(triple: tuple[int, int, int], seq: list[int]) -> Optional[int]:
+def _find_window(triple: tuple[int, int, int], seq: list[int]) -> int | None:
     for i in range(len(seq) - 2):
         if (seq[i], seq[i + 1], seq[i + 2]) == triple:
             return i

@@ -23,9 +23,8 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from typing import Literal, Optional
 
-# TOLERANCE and RootRecord stay importable from here, as the package's table names them
+# TOLERANCE and RootRecord, at home in _exact, stay importable from here as well
 from ._exact import (TOLERANCE, RootRecord, Sign, _as_fraction, _check_digits, _decimal_text,
                      _sgn, sign_value)
 from .errors import DegenerateIdentity, InputTooLarge, NoConvergence, NoRealRoot
@@ -41,7 +40,7 @@ class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
     __slots__ = ()
 
     def __new__(cls, n: int, p: int = 1, p_sign: Sign = "plus", m: int = 0,
-                lower_exponent: Literal["one", "n_minus_one"] = "one"):
+                lower_exponent: str = "one"):
         if n < 1:
             raise ValueError("n must be >= 1")
         if p < 1:
@@ -263,7 +262,7 @@ class _Poly:
         bits = 4 * digits + 2 * n.bit_length() + 64 if n * scale.bit_length() > _EXACT_BITS else 0
         q_power = 0 if bits else scale ** (n - 1)  # N**(n-1), for the exact v alone
 
-        def at(k: int) -> tuple[float, Optional[int]]:
+        def at(k: int) -> tuple[float, int | None]:
             """A value of v's sign at k/N, 0 only where v is, and the Newton estimate of
             floor(x*N) - k, or None for a bisection step."""
             x = k / scale  # the nearest double; k/N is inside the bracket's finite range
@@ -343,7 +342,7 @@ class RootSet(namedtuple("RootSet", "roots")):
         return self.poly.truncate(record.value, *record.bracket, digits)
 
 
-def _critical_signs(poly: _Poly) -> list[tuple[float, Optional[Fraction], int]]:
+def _critical_signs(poly: _Poly) -> list[tuple[float, Fraction | None, int]]:
     """Real zeros of f', ascending, as (float, exact value or None, exact sign of f there).
 
     The exact value is given whenever f is 0 there.  f'(x) = n*x**(n-1) +

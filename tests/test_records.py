@@ -73,6 +73,9 @@ RECORDS = {
 }
 #: every record whose fields are all hashable
 HASHABLE = [name for name in RECORDS if name != "_Output"]
+#: each record's field defaults; a record not named here has none
+FIELD_DEFAULTS = {"RootRecord": {"exact": None}, "_Output": {"footer": ()},
+                  "TripletClass": {"member_indices": None}}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -105,6 +108,26 @@ def test_fields_cannot_be_assigned(name):
 
 
 @pytest.mark.parametrize("name", RECORDS)
+def test_fields_and_defaults(name):
+    record, _, fields = RECORDS[name]
+    assert type(record)._fields == fields
+    assert type(record)._field_defaults == FIELD_DEFAULTS.get(name, {})
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_no_instance_dict_but_the_root_sets_polynomial(name):
+    record, _, _ = RECORDS[name]
+    assert hasattr(record, "__dict__") == (name == "RootSet")
+
+
+def test_a_record_built_with_its_default_is_equal_and_shows_it():
+    record = TripletClass("neither")
+    assert record == classify_triplet((1, 2, 4)) == TripletClass("neither", None)
+    assert hash(record) == hash(classify_triplet((1, 2, 4)))
+    assert repr(record) == "TripletClass(tag='neither', member_indices=None)"
+
+
+@pytest.mark.parametrize("name", RECORDS)
 def test_pickle_round_trip(name):
     record, _, _ = RECORDS[name]
     copy = pickle.loads(pickle.dumps(record))
@@ -128,23 +151,30 @@ class TestRootSetIsItsRoots:
         assert copy.truncate(copy.roots[0], 30) == roots.truncate(roots.roots[0], 30)
 
 
-def _fresh(code: str, *argv: str) -> str:
-    """Stdout of ``code`` run by a fresh interpreter on this checkout's ``src``."""
+def _fresh(code: str, *argv: str, flags: tuple[str, ...] = ()) -> str:
+    """Stdout of ``code`` run by a fresh interpreter with ``flags`` on this checkout's ``src``."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-#: the exit code of ``cli.run(sys.argv[1:])``, then argparse and goldmean's submodules if loaded
+#: the exit code of ``cli.run(sys.argv[1:])``, then every module loaded
 RUN_AND_LIST = """import contextlib, io, sys
 from goldmean import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.run(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m == "argparse" or m.startswith("goldmean.")))
+print(code, *sys.modules)
 """
+
+#: each argv and the standard-library modules its run must not load: no record or annotation
+#: needs typing, and a harmonic grid or key run reads no rational, so it skips fractions and
+#: the modules fractions imports
+NO_STDLIB = {**{tuple(argv): ("typing",) for argv in WELL_FORMED}, **dict.fromkeys(
+    [("harmonic", "--size", "3"), ("harmonic", "--size", "3", "--key", "2")],
+    ("typing", "fractions", "decimal", "numbers", "re"))}
 
 #: ``cli.run(sys.argv[1:])``'s stdout, then its exit code and goldmean's submodules loaded
 RUN_AND_SHOW = """import contextlib, io, sys
@@ -208,6 +238,13 @@ class TestColdImport:
         assert code == "0"
         assert "argparse" not in loaded
         assert not {f"goldmean.{module}" for module in NOT_LOADED[argv[0]]} & set(loaded)
+
+    @pytest.mark.parametrize("argv", NO_STDLIB, ids=" ".join)
+    def test_a_well_formed_run_loads_no_standard_module_it_does_not_run(self, argv):
+        # -S: a .pth file in site-packages may import typing or re before goldmean does
+        code, *loaded = _fresh(RUN_AND_LIST, *argv, flags=("-S",)).split()
+        assert code == "0"
+        assert not set(NO_STDLIB[argv]) & set(loaded)
 
     @pytest.mark.parametrize("argv", LOADS_A_SURD_LAYER, ids=" ".join)
     def test_a_run_that_uses_a_surd_layer_loads_it_and_prints_its_digits(self, argv):

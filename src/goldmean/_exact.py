@@ -39,6 +39,8 @@ def _sgn(x) -> int:
 
 def _as_fraction(value) -> Fraction:
     import fractions  # "from fractions import Fraction" here costs 0.6 µs more on 3.11
+    if type(value) is fractions.Fraction:  # immutable, so it is returned with no copy
+        return value
     import numbers
     if not isinstance(value, numbers.Rational):
         raise TypeError(f"exact types only: pass Fraction or int, not {type(value).__name__}")

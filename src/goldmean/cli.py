@@ -56,11 +56,12 @@ MAX_EXPONENT = 1000
 
 class _Output(namedtuple("_Output", "inputs records text tsv json footer", defaults=((),))):
     """A command's records, made as they are read, and each format's line of one record.
-    Text writes ``text(record)`` lines and then the ``footer``, TSV ``tsv(record)`` lines,
-    and JSON each ``json(record)``, joined by ", ", inside a frame of the command, its
-    inputs and the empty errors, so no format holds the whole result.  A record is a
-    library value, such as a catalog's tuple or a root's ``(index, RootRecord)``, and a
-    line computes only what its format prints: TSV prints floats and decides no digits.
+    Text writes ``text(record)`` lines and then those of ``footer``, an iterable, lazy where
+    a line costs work, that no other format reads; TSV ``tsv(record)`` lines, and JSON each ``json(record)``, joined by
+    ", ", inside a frame of the command, its inputs and the empty errors, so no format holds
+    the whole result.  A record is a library value, such as a catalog's tuple or a root's
+    ``(index, RootRecord)``, and a line computes only what its format prints: TSV prints
+    floats and decides no digits.
     """
 
     __slots__ = ()
@@ -125,9 +126,20 @@ def _cmd_solve(ns) -> _Output:
         lo, value, hi = _doubles(surd)
         return RootRecord(value, (lo, hi), abs(value ** 2 + value - ns.m / 2), 0, surd)
 
-    return _roots(inputs, map(record, (pair.x1, pair.x2)),
-                  lambda root: (_cli.to_decimal(root.exact, ns.digits), root.exact.sign()),
-                  (f"r = {inputs['r']}\n",), surds=True)
+    x1_text = ""
+
+    def decide(root: RootRecord) -> tuple[str, int]:
+        nonlocal x1_text
+        if root.exact is pair.x1:  # records come largest first, so x1 is decided before x2
+            x1_text = _cli.to_decimal(pair.x1, ns.digits)
+            return x1_text, pair.x1.sign()
+        # x2 = -1 - x1 with x1 >= 0, so floor(|x2| * 10**D) = 10**D + floor(x1 * 10**D):
+        # x2's digits are x1's with the whole part one larger
+        whole, _, frac = x1_text.partition(".")
+        return f"-{int(whole) + 1}.{frac}", -1
+
+    return _roots(inputs, map(record, (pair.x1, pair.x2)), decide, (f"r = {inputs['r']}\n",),
+                  surds=True)
 
 
 def _cmd_mmf(ns) -> _Output:
@@ -160,7 +172,7 @@ def _cmd_metallic(ns) -> _Output:
         cf_json = ', "cf_initial": [%s], "cf_period": [%s], "cf_truncated": %s}' % (
             initial.replace(",", ", "), period.replace(",", ", "),
             "true" if cf.truncated else "false")
-        footer = (f"continued fraction: {cf}\n",)
+        footer = map("continued fraction: {}\n".format, (cf,))  # str(cf) only where text reads it
     return _Output({"p": ns.p, "q": str(ns.q)}, (mean,),
                    lambda s: f"metallic mean (p={ns.p}, q={ns.q}) = {s} = "
                              f"{_cli.to_decimal(s, ns.digits)}\n",
@@ -242,12 +254,16 @@ def _nonneg_int(text: str) -> int:
 def _fraction(text: str) -> Fraction:
     import fractions  # only a rational option needs it, so a cold start skips it
 
-    _, e, exponent = text.lower().rpartition("e")
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
-        raise _usage_error(
-            f"decimal exponent must be at most {MAX_EXPONENT} in magnitude: {text!r}")
+    num, slash, den = text.partition("/")
     try:
+        # plain ASCII "a" or "a/b" skips the regex; 0/0 and 4301 digits raise as in Fraction(text)
+        if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            return fractions.Fraction(int(num), int(den) if slash else 1)
+        _, e, exponent = text.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+            raise _usage_error(
+                f"decimal exponent must be at most {MAX_EXPONENT} in magnitude: {text!r}")
         return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _usage_error(f"not a rational number: {text!r}") from exc
@@ -305,11 +321,6 @@ _COMMANDS = {
 }
 
 
-def _default(keywords: dict):
-    """The value argparse gives an option that is not on the command line."""
-    return keywords.get("default", False if "action" in keywords else None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """argparse's parser of the command table; ``run`` needs it only for help and errors."""
     import argparse
@@ -328,11 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plan(options: dict) -> tuple[dict, frozenset]:
-    """A command's options as flag -> (attribute name, keywords), and its required flags."""
-    options = {**_COMMON, **options}
-    return ({flag: (flag[2:].replace("-", "_"), keywords) for flag, keywords in options.items()},
-            frozenset(flag for flag, keywords in options.items() if keywords.get("required")))
+def _plan(options: dict) -> tuple[dict, frozenset, dict]:
+    """A command's options as flag -> (attribute name, type, choices, is a flag), the
+    attributes of its required options, and the value argparse gives each attribute whose
+    option is not on the command line."""
+    flags, required, defaults = {}, set(), {}
+    for flag, keywords in {**_COMMON, **options}.items():
+        attr, is_flag = flag[2:].replace("-", "_"), "action" in keywords  # a store_true flag
+        flags[flag] = (attr, keywords.get("type", str), keywords.get("choices"), is_flag)
+        defaults[attr] = keywords.get("default", False if is_flag else None)
+        if keywords.get("required"):
+            required.add(attr)
+    return flags, frozenset(required), defaults
 
 
 #: each command's option plan, made once; the handler is read from ``_COMMANDS`` per call
@@ -349,7 +367,7 @@ def _strict(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _PLANS:
         return None
-    flags, required = _PLANS[argv[0]]
+    flags, required, defaults = _PLANS[argv[0]]
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -357,28 +375,27 @@ def _strict(argv: list[str]) -> SimpleNamespace | None:
         entry = flags.get(flag)
         if entry is None:
             return None
-        keywords = entry[1]
-        if "action" in keywords:  # a store_true flag
+        attr, kind, choices, is_flag = entry
+        if is_flag:
             if eq:
                 return None
-            given[flag] = True
+            given[attr] = True
             continue
         if not eq:
             value = next(tokens, None)
             if value is None or value.startswith("-"):
                 return None
         try:
-            value = keywords.get("type", str)(value)
+            value = kind(value)
         except Exception:  # whatever it raises, argparse calls it again and reports it
             return None
-        if value not in keywords.get("choices", (value,)):
+        if choices is not None and value not in choices:
             return None
-        given[flag] = value
+        given[attr] = value
     if not required <= given.keys():
         return None
-    return SimpleNamespace(command=argv[0], handler=_COMMANDS[argv[0]][0], **{
-        attr: given[flag] if flag in given else _default(keywords)
-        for flag, (attr, keywords) in flags.items()})
+    return SimpleNamespace(command=argv[0], handler=_COMMANDS[argv[0]][0],
+                           **{**defaults, **given})
 
 
 _parser: argparse.ArgumentParser | None = None  # built by the first argv argparse reads

@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate, chain, cycle
 from math import gcd, isqrt, ldexp
 
 # MAX_DIGITS is not used here; it stays importable as goldmean.surds.MAX_DIGITS
@@ -25,7 +26,8 @@ from .errors import InputTooLarge, MixedRadicands, NonPositive
 #: The exact scalar used throughout the library.
 Rational = Fraction
 
-#: Largest integer :func:`_root_parts` splits (about 0.1 s of trial division).
+#: Largest integer :func:`_root_parts` splits; its worst case, the prime 10**18 - 11, takes
+#: about 0.03 s of trial division (CPython 3.11 on a shared 2-vCPU Xeon).
 MAX_RADICAND = 10 ** 18
 #: Most terms :func:`continued_fraction_of` expands; it keeps one state to find the
 #: period, so memory grows only with the terms: 10**4 take about 0.03 s, 10**5 about 0.2 s.
@@ -35,13 +37,16 @@ MAX_CF_TERMS = 10 ** 4
 def _split_square(n: int) -> tuple[int, int]:
     """Return ``(root, free)`` with ``n == root**2 * free`` and ``free`` square-free.
 
-    Trial division only while f**3 <= rest, so the cost is O(n**(1/3)).  The
-    cofactor left then has at most two prime factors, all above f, so it is
+    Trial division by 2, 3, 5 and then over a mod-30 wheel (7, 11, 13, ..., 29, 31,
+    37: the 8 in every 30 prime to 30) while f**3 <= rest, so the cost is O(n**(1/3)).
+    The cofactor left then has at most two prime factors, all above f, so it is
     1, p, p*q or p**2, and it is a square exactly when ``isqrt(rest)**2 == rest``.
     """
     root = free = 1
-    rest, f = n, 2
-    while f * f * f <= rest:
+    rest = n
+    for f in chain((2, 3, 5), accumulate(cycle((4, 2, 4, 2, 4, 6, 2, 6)), initial=7)):
+        if f * f * f > rest:
+            break
         if rest % f == 0:
             k = 0
             while rest % f == 0:
@@ -50,7 +55,6 @@ def _split_square(n: int) -> tuple[int, int]:
             root *= f ** (k >> 1)
             if k & 1:
                 free *= f
-        f += 1 if f == 2 else 2
     r = isqrt(rest)
     if r * r == rest:
         return root * r, free
@@ -456,7 +460,7 @@ class ContinuedFraction(namedtuple("ContinuedFraction", "initial period truncate
         if not initial:
             raise ValueError("a continued fraction needs at least its integer part")
         tail = initial[1:] + period
-        if any(t < 1 for t in tail):
+        if tail and min(tail) < 1:
             raise ValueError("all terms after the first must be >= 1")
         return super().__new__(cls, initial, period, truncated)
 
@@ -469,10 +473,10 @@ class ContinuedFraction(namedtuple("ContinuedFraction", "initial period truncate
 
     def __str__(self) -> str:
         head = str(self.initial[0])
-        rest = ", ".join(str(t) for t in self.initial[1:])
+        rest = ", ".join(map(str, self.initial[1:]))
         if self.period:
-            cycle = f"({', '.join(str(t) for t in self.period)})"
-            rest = f"{rest}, {cycle}" if rest else cycle
+            period = f"({', '.join(map(str, self.period))})"
+            rest = f"{rest}, {period}" if rest else period
         body = f"{head}; {rest}" if rest else head
         suffix = ", ..." if self.truncated else ""
         return f"[{body}{suffix}]"
@@ -520,15 +524,11 @@ def continued_fraction_of(value, max_terms: int) -> ContinuedFraction:
 
     t = isqrt(big_n)  # big_n is never a perfect square here
     terms = []
-    start = 0  # index of the first reduced state, once it is found
-    while len(terms) < max_terms:
-        if start:
-            if (big_p, big_q) == first:
-                return ContinuedFraction(tuple(terms[:start]), tuple(terms[start:]), False)
-        # past the integer part a complete quotient exceeds 1, so it is reduced (its
-        # conjugate (P - sqrt(N))/Q in (-1, 0)) exactly when P < sqrt(N) < P + Q
-        elif terms and big_p <= t < big_p + big_q:
-            start, first = len(terms), (big_p, big_q)
+    # past the integer part a complete quotient exceeds 1, so it is reduced (its
+    # conjugate (P - sqrt(N))/Q in (-1, 0)) exactly when P < sqrt(N) < P + Q
+    while not terms or not big_p <= t < big_p + big_q:
+        if len(terms) == max_terms:
+            return ContinuedFraction(tuple(terms), (), True)
         if big_q > 0:
             term = (big_p + t) // big_q
         else:
@@ -536,4 +536,15 @@ def continued_fraction_of(value, max_terms: int) -> ContinuedFraction:
         terms.append(term)
         big_p = term * big_q - big_p
         big_q = (big_n - big_p * big_p) // big_q
+    # the period starts at this first reduced state; every later state is reduced too, so
+    # Q > 0 and the floor needs no sign rule, and the period closes when this state is back
+    start, first_p, first_q = len(terms), big_p, big_q
+    while len(terms) < max_terms:
+        term = (big_p + t) // big_q
+        terms.append(term)
+        big_p = term * big_q - big_p
+        big_q = (big_n - big_p * big_p) // big_q
+        # a period that closes with the last term allowed is reported truncated
+        if big_p == first_p and big_q == first_q and len(terms) < max_terms:
+            return ContinuedFraction(tuple(terms[:start]), tuple(terms[start:]), False)
     return ContinuedFraction(tuple(terms), (), True)

@@ -94,6 +94,21 @@ MUTANTS = [
     ("surds._root_parts: no MAX_RADICAND check", "surds.py",
      "if num > MAX_RADICAND or den > MAX_RADICAND:", "if False:",
      ["tests/test_surds.py::TestRadicandBound"]),
+    ("surds._split_square: the wheel skips 7", "surds.py",
+     "for f in chain((2, 3, 5), accumulate(cycle((4, 2, 4, 2, 4, 6, 2, 6)), initial=7)):",
+     "for f in filter((7).__ne__, chain((2, 3, 5), accumulate(cycle((4, 2, 4, 2, 4, 6, 2, 6)),"
+     " initial=7))):",
+     ["tests/test_surds.py::TestSplitSquareOverTheWheel"]),
+    ("surds.continued_fraction_of: a period closing at max_terms taken as closed", "surds.py",
+     "and big_q == first_q and len(terms) < max_terms:", "and big_q == first_q:",
+     ["tests/test_surds.py::TestContinuedFractionByFieldArithmetic"]),
+    ("cli._cmd_solve: x2's whole part not one larger than x1's", "cli.py",
+     'f"-{int(whole) + 1}.{frac}"', 'f"-{int(whole)}.{frac}"',
+     ["tests/test_cli.py::TestSolveTwoRootsDigits"]),
+    ("cli._fraction: 0/0 read as 0", "cli.py",
+     "fractions.Fraction(int(num), int(den) if slash else 1)",
+     "fractions.Fraction(int(num), int(den) or 1 if slash else 1)",
+     ["tests/test_cli.py::TestFractionOption"]),
     ("cli.run: a domain error exits 1", "cli.py",
      "        return EXIT_DOMAIN\n", "        return EXIT_USAGE\n",
      ["tests/test_cli.py::TestExitCodes"]),

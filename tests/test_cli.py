@@ -1,5 +1,7 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -480,3 +482,77 @@ class TestCfTermsBound:
         assert time.perf_counter() - start < 5.0
         assert code == 0
         assert len(out.split("\t")[1].split(",")) == MAX_CF_TERMS
+
+
+#: texts a rational option may get: plain ASCII ones that ``int()`` reads, and every other
+#: form Fraction's regex reads or refuses
+_FRACTION_TEXTS = [
+    "0", "7", "007", "07/010", "0/5", "12/8", "0/0", "1/0", "1/00", "5/", "/5", "/", "",
+    " 3", "3 ", " 3/4 ", "3 /4", "+3", "-3/4", "3/-4", "1_000", "1_000/1_0", "1__000", "_1",
+    "١٢/٣", "٣", "²", "3/4/5", "1.5", "1e3", "1e-3", ".5", "0x10", "inf", "nan",
+    "1" * 4300, "1" * 4301, "1/" + "1" * 4301, "1" * 4301 + "/3",
+]
+
+
+def _fraction_or_error(text: str):
+    """``Fraction(text)``, or the usage error ``_fraction`` gives where Fraction raises."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"not a rational number: {text!r}"
+
+
+def _cli_fraction_or_error(text: str):
+    try:
+        value = cli._fraction(text)
+    except Exception as exc:  # argparse's ArgumentTypeError
+        return str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+class TestFractionOption:
+    """``_fraction`` reads plain ``a`` and ``a/b`` with ``int()``, and gives what
+    ``Fraction(text)`` gives, or the same usage error, for every text."""
+
+    @pytest.mark.parametrize("text", _FRACTION_TEXTS, ids=lambda t: repr(t)[:20])
+    def test_as_fraction_reads_it(self, text):
+        assert _cli_fraction_or_error(text) == _fraction_or_error(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text("0123456789/+-_ .٣²", max_size=12))
+    def test_any_text(self, text):
+        assert _cli_fraction_or_error(text) == _fraction_or_error(text)
+
+    @pytest.mark.parametrize("q", ["0/0", "1/00"])
+    def test_a_zero_denominator_is_a_usage_error(self, capsys, q):
+        code, out, err = invoke(capsys, "metallic", "--p", "1", "--q", q)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"argument --q: not a rational number: {q!r}\n")
+
+
+_PERFECT = st.builds(lambda k: (k * k - 1) // 2, st.integers(0, 10 ** 6).map(lambda k: 2 * k + 1))
+
+
+class TestSolveTwoRootsDigits:
+    """``solve --n 2`` prints x2 = -1 - x1 as x1's digits with the whole part one larger."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.just(0), _PERFECT, st.integers(0, 10 ** 12),
+                     st.sampled_from([499999999999999994, 499999999999999999])),
+           st.one_of(st.integers(1, 1000), st.sampled_from([1, 1000])))
+    def test_x2_as_to_decimal_renders_it(self, m, digits):
+        pair = cli.generalized_gm(m)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["solve", "--n", "2", "--m", str(m), "--digits", str(digits),
+                        "--format", "json"]) == 0
+        x1, x2 = json.loads(out.getvalue())["results"]
+        assert x1["decimal"] == cli.to_decimal(pair.x1, digits)
+        assert x2["decimal"] == cli.to_decimal(pair.x2, digits)
+        assert (x1["satisfactory"], x2["satisfactory"]) == (m > 0, False)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            run(["solve", "--n", "2", "--m", str(m), "--digits", str(digits)])
+        assert text.getvalue().splitlines()[1].startswith(
+            f"x2 = {cli.to_decimal(pair.x2, digits)}   [")

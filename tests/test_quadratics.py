@@ -1,6 +1,7 @@
 """Closed-form quadratic roots, metallic means, integer mean detection."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from goldmean import (
     solve_quadratic,
     to_decimal,
 )
+from goldmean._exact import _as_fraction
 from oracles import solve_quadratic_reference, sqrt_decimal_string
 
 
@@ -196,3 +198,44 @@ class TestSolveQuadraticBuildsTwoSurds:
         pair = solve_quadratic(spec)
         assert len(built) == 2
         assert pair.x1 * pair.x2 == -q and pair.x1 + pair.x2 == -spec.sign * p
+
+
+class _Sub(Fraction):
+    pass
+
+
+class TestExactInputs:
+    """``_as_fraction`` hands a Fraction back as it is and converts every other exact type."""
+
+    def test_a_fraction_is_not_copied(self):
+        f = Fraction(7, 3)
+        assert _as_fraction(f) is f
+
+    @pytest.mark.parametrize("value, expected", [(5, Fraction(5)), (-2, Fraction(-2)),
+                                                 (True, Fraction(1)), (False, Fraction(0)),
+                                                 (_Sub(3, 4), Fraction(3, 4))])
+    def test_other_rationals_convert(self, value, expected):
+        got = _as_fraction(value)
+        assert type(got) is Fraction and got == expected
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, Decimal("1.5"), "3", "1/2", None])
+    def test_inexact_types_raise(self, value):
+        with pytest.raises(TypeError, match="exact types only"):
+            _as_fraction(value)
+
+    @pytest.mark.parametrize("p, q, error, match", [
+        (0, -1, ValueError, "the metallic family takes q >= 0"),
+        (0, 1.5, TypeError, "exact types only"),
+        (1, -1, ValueError, "the metallic family takes q >= 0"),
+        (1, Fraction(-1, 2), ValueError, "the metallic family takes q >= 0"),
+        (0, 1, ValueError, "p must be a positive integer"),
+        (0, Fraction(1), ValueError, "p must be a positive integer"),
+    ])
+    def test_metallic_mean_refuses_as_before(self, p, q, error, match):
+        with pytest.raises(error, match=match):
+            metallic_mean(p, q)
+
+    def test_the_spec_keeps_the_fraction(self):
+        q = Fraction(7, 5)
+        assert QuadraticSpec(3, q, "minus").q is q
+        assert metallic_mean(3, q) == metallic_mean(3, _Sub(7, 5)) == metallic_mean(3, Fraction(14, 10))

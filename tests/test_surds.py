@@ -633,3 +633,83 @@ class TestOneNormalizer:
         assert _parts(QuadraticSurd(True, numpy.int64(3), 5)) == (1, 3, 1, 5)
         assert _parts(QuadraticSurd(numpy.int8(-1), Fraction(1, 2), 5)) == (-2, 1, 2, 5)
         assert metallic_mean(1, numpy.int32(1)) == GOLDEN + 1
+
+
+def _cf_by_field_arithmetic(value, max_terms: int):
+    """``(initial, period, truncated)`` by x -> 1/(x - floor(x)) in QuadraticSurd arithmetic,
+    floors from ``_floor_scaled(x, 1)``, the period found as the first complete quotient past
+    the integer part that comes back, and closed only if it comes back before ``max_terms``."""
+    terms, seen, x = [], {}, QuadraticSurd(value) if isinstance(value, Fraction) else value
+    while True:
+        whole = surds._floor_scaled(x, 1)
+        terms.append(whole)
+        if x == whole:
+            return tuple(terms), (), False
+        x = 1 / (x - whole)
+        if x in seen and len(terms) < max_terms:
+            return tuple(terms[:seen[x]]), tuple(terms[seen[x]:]), False
+        if len(terms) == max_terms:
+            return tuple(terms), (), True
+        seen[x] = len(terms)
+
+
+_POSITIVE = st.one_of(
+    _cf_surds(),
+    st.builds(metallic_mean, st.integers(1, 30), st.fractions(0, 10 ** 6, max_denominator=30)),
+    st.builds(QuadraticSurd, st.integers(0, 50), st.integers(1, 50), st.integers(2, 10 ** 6)),
+    st.fractions(Fraction(1, 10 ** 4), 10 ** 6, max_denominator=10 ** 4),
+)
+
+
+class TestContinuedFractionByFieldArithmetic:
+    """The two-loop recurrence against complete quotients computed in the surd field."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_POSITIVE, st.integers(1, 120))
+    def test_matches(self, v, max_terms):
+        assume(v > 0)
+        assert tuple(continued_fraction_of(v, max_terms)) == _cf_by_field_arithmetic(v, max_terms)
+
+    # sqrt(13) = [3; (1, 1, 1, 1, 6)] closes its period with the 6th term, the golden mean
+    # (1 + sqrt5)/2 = [1; (1)] with the 2nd: at max_terms equal to that count it is not closed
+    @pytest.mark.parametrize("v, closing", [(QuadraticSurd(0, 1, 13), 6), (GOLDEN + 1, 2),
+                                            (metallic_mean(3, Fraction(7, 5)), 4)])
+    def test_a_period_closing_at_max_terms_is_truncated(self, v, closing):
+        at = continued_fraction_of(v, closing)
+        assert at.truncated and at.period == () and len(at.initial) == closing
+        after = continued_fraction_of(v, closing + 1)
+        assert not after.truncated and len(after.initial) + len(after.period) == closing
+        assert tuple(at) == _cf_by_field_arithmetic(v, closing)
+        assert tuple(after) == _cf_by_field_arithmetic(v, closing + 1)
+
+
+#: primes checked by a primality test: near 10**9, and near 10**18 on both sides of the bound
+_PRIMES_NEAR_1E9 = (999999929, 999999937, 1000000007, 1000000009)
+_PRIMES_NEAR_1E18 = (10 ** 18 - 33, 10 ** 18 - 11, 10 ** 18 + 3)
+
+
+def _square_free(n: int) -> bool:
+    return all(n % (f * f) for f in range(2, isqrt(n) + 1))
+
+
+class TestSplitSquareOverTheWheel:
+    """``root**2 * free == n`` with ``free`` square-free, where the divisors come from the wheel."""
+
+    @pytest.mark.parametrize("p", _PRIMES_NEAR_1E9 + _PRIMES_NEAR_1E18)
+    def test_a_prime_is_free(self, p):
+        assert _split_square(p) == (1, p)
+
+    @pytest.mark.parametrize("p", [*_PRIMES_NEAR_1E9, *_BIG_PRIMES[:3], *_BIG_PRIMES[-3:]])
+    def test_a_prime_square(self, p):
+        assert _split_square(p * p) == (p, 1)
+        assert _split_square(30 * p * p) == (p, 30)
+        assert _split_square(7 ** 3 * p * p) == (7 * p, 7)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 9), st.integers(0, 7), st.integers(0, 7),
+           st.sampled_from((1, 11, 13, 29, 31, 37, 49, 121, 143, 961)))
+    def test_smooth(self, a, b, c, d, rest):
+        n = 2 ** a * 3 ** b * 5 ** c * 7 ** d * rest
+        root, free = _split_square(n)
+        assert root * root * free == n and _square_free(free)
+        assert (root, free) == split_square_reference(n)

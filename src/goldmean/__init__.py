@@ -22,7 +22,8 @@ _HOMES = {
     "surds": ("ContinuedFraction", "QuadraticSurd", "Rational", "continued_fraction_of",
               "surd_compare", "to_decimal"),
     "triangles": ("PythagoreanTriple", "TableOneRow", "TripletClass", "classify_triplet",
-                  "diophantus_triple", "four_k_sequence", "left_to_right_index", "table_one"),
+                  "diophantus_triple", "diophantus_triples", "four_k_sequence",
+                  "left_to_right_index", "table_one"),
     "trinomials": ("RootSet", "TrinomialSpec", "isolate_real_roots", "solve_euler",
                    "solve_gm_general", "solve_stakhov", "solve_trinomial", "stakhov_decimal"),
 }

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from . import _HOME
 from ._exact import MAX_DIGITS, TOLERANCE, RootRecord
-from .errors import DomainError, InputTooLarge
+from .errors import DomainError
 
 TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
 if TYPE_CHECKING:
@@ -188,12 +188,10 @@ def _cmd_table1(ns) -> _Output:
 
 
 def _cmd_diophantus(ns) -> _Output:
-    from .triangles import MAX_TRIPLES
-    if ns.count > MAX_TRIPLES:
-        raise InputTooLarge(f"count {ns.count} exceeds the bound {MAX_TRIPLES}")
-    return _Output({"count": ns.count}, map(_cli.diophantus_triple, range(ns.count)),
-                   lambda t: "%d^2 = %d^2 + %d^2\n" % t[::-1], "%d\t%d\t%d\n".__mod__,
-                   '{"a": %d, "b": %d, "c": %d}'.__mod__)
+    # text prints c first, so its triples come as (c, b, a) and every format is one `%`
+    triples = _cli.diophantus_triples(ns.count, hypotenuse_first=ns.format == "text")
+    return _Output({"count": ns.count}, triples, "%d^2 = %d^2 + %d^2\n".__mod__,
+                   "%d\t%d\t%d\n".__mod__, '{"a": %d, "b": %d, "c": %d}'.__mod__)
 
 
 def _cmd_harmonic(ns) -> _Output:
@@ -209,12 +207,13 @@ def _cmd_harmonic(ns) -> _Output:
     # a doublet (q, (k, k + 1)) is the record (k, q, i1, j1, i2, j2, pair_low, pair_high), a key
     # row (k, k^2 + k, k(k + 1)) is one as it is, and each format tells them apart by length
     records = chain(((k, q, k, k + 1, k + 1, k, k, high) for q, (k, high) in doublets), keys)
+    tsv = {8: "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n", 3: "%d\t%d\t%d\n"}
     as_json = {8: '{"k": %d, "q": %d, "i1": %d, "j1": %d, "i2": %d, "j2": %d, "pair_low": %d, '
                   '"pair_high": %d}', 3: '{"k": %d, "square_plus_side": %d, "product": %d}'}
     return _Output(inputs, records, lambda r: (
         "doublet q=%d at (%d,%d)/(%d,%d) -> integer pair (%d, %d)\n" % r[1:] if len(r) == 8
         else f"({r[0]} x {r[0]}) + {r[0]} = {r[1]} = {r[0]} x {r[0] + 1}\n"),
-        lambda r: "\t".join(map(str, r)) + "\n", lambda r: as_json[len(r)] % r)
+        lambda r: tsv[len(r)] % r, lambda r: as_json[len(r)] % r)
 
 
 def _emit(ns, out: _Output) -> None:

@@ -96,12 +96,13 @@ def cross_check_integer_means(table: HarmonicTable) -> list[tuple[int, tuple[int
     data condition.
     """
     from .quadratics import integer_metallic  # only doublets need the quadratic layer
+    if table.size > MAX_SIZE:
+        raise InputTooLarge(f"size {table.size} exceeds the doublet bound {MAX_SIZE}")
     out = []
-    for report in find_doublets(table):
-        pair = integer_metallic(report.q)
-        if pair != (report.k, report.k + 1):
-            raise CrossCheckFailed(
-                f"doublet q = {report.q} maps to {pair}, expected {(report.k, report.k + 1)}"
-            )
-        out.append((report.q, pair))
+    for k in range(table.size - 1):  # the doublets of find_doublets, read in the same pass
+        q = table.cell(k, k + 1)
+        pair = integer_metallic(q)
+        if not (q == table.cell(k + 1, k) and pair == (k, k + 1)):
+            raise CrossCheckFailed(f"doublet q = {q} maps to {pair}, expected {(k, k + 1)}")
+        out.append((q, pair))
     return out

@@ -9,19 +9,36 @@ of value triples against the Fibonacci and Lucas sequences.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import namedtuple
+from itertools import accumulate
 
 from .errors import CrossCheckFailed, InputTooLarge
-from .quadratics import generalized_gm
 
 TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .surds import QuadraticSurd
 
-#: Most rows :func:`table_one` builds (a right-side row costs about 0.010 ms, so
-#: ``table1 --rows 10000 --side right`` takes about 0.2 s in any format).
+#: this module; :func:`_right_row` calls ``_triangles.generalized_gm``, so a wrapper set
+#: here by ``setattr`` is called
+_triangles = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Bind ``generalized_gm`` on its first read: only right-side rows load the surd layer."""
+    if name != "generalized_gm":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .quadratics import generalized_gm
+    globals()[name] = generalized_gm
+    return generalized_gm
+
+
+#: Most rows :func:`table_one` builds (a right-side row costs about 0.005 ms, so
+#: ``table1 --rows 10000 --side right`` takes 0.12-0.15 s cold in any format).
 MAX_ROWS = 10 ** 4
-#: Most triples the ``diophantus`` command lists (about 3-4 µs each in any format).
+#: Most triples :func:`diophantus_triples` makes (about 1-2 µs each to print, in any format).
 MAX_TRIPLES = 10 ** 6
 
 
@@ -53,6 +70,22 @@ def diophantus_triple(index: int) -> PythagoreanTriple:
     return PythagoreanTriple(2 * index + 1, b, b + 1)
 
 
+def diophantus_triples(count: int, hypotenuse_first: bool = False) -> Iterator[tuple[int, ...]]:
+    """The first ``count`` triples ``(a, b, c)`` of :func:`diophantus_triple`, as plain tuples
+    made when they are read, or ``(c, b, a)`` with ``hypotenuse_first``.
+
+    b and c grow by 4N from 0 and 1, the ``m += 4k`` recurrence, so a^2 + b^2 = c^2 holds
+    by construction and no row is checked again.  The bound is checked at the call.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if count > MAX_TRIPLES:
+        raise InputTooLarge(f"count {count} exceeds the bound {MAX_TRIPLES}")
+    steps = range(4, 4 * count, 4)
+    a, b, c = range(1, 2 * count, 2), accumulate(steps, initial=0), accumulate(steps, initial=1)
+    return zip(c, b, a) if hypotenuse_first else zip(a, b, c)
+
+
 def four_k_sequence(count: int) -> list[int]:
     """The second-cathetus sequence 0, 4, 12, 24, 40, ...
 
@@ -77,7 +110,9 @@ class TableOneRow(namedtuple("TableOneRow", "side index m h r")):
     right side: m = N, h = N + 1, r = 2N + 1           (roots of x^2 + x = m/2)
 
     Both sides satisfy the triangle identity h^2 = m^2 + r, i.e.
-    (sqrt(r), m, h) is a right triangle.
+    (sqrt(r), m, h) is a right triangle.  ``TableOneRow(...)`` checks it;
+    :func:`table_one` builds its rows from the closed forms, which satisfy it
+    identically, with ``tuple.__new__`` and no second check.
     """
 
     __slots__ = ()
@@ -89,8 +124,9 @@ class TableOneRow(namedtuple("TableOneRow", "side index m h r")):
 
 
 def _left_row(index: int) -> TableOneRow:
+    # (m + 1)^2 - m^2 = 2m + 1 = (2N + 1)^2
     m = 2 * index * (index + 1)
-    return TableOneRow("left", index, m, m + 1, (2 * index + 1) ** 2)
+    return tuple.__new__(TableOneRow, ("left", index, m, m + 1, (2 * index + 1) ** 2))
 
 
 def _roots_give(x1: QuadraticSurd, x2: QuadraticSurd, h: int, r: int) -> bool:
@@ -118,12 +154,12 @@ def _roots_give(x1: QuadraticSurd, x2: QuadraticSurd, h: int, r: int) -> bool:
 
 
 def _right_row(index: int) -> TableOneRow:
-    row = TableOneRow("right", index, index, index + 1, 2 * index + 1)
-    # the roots of x^2 + x = m/2 must reproduce the h and r columns exactly
-    pair = generalized_gm(index)
-    if not _roots_give(pair.x1, pair.x2, row.h, row.r):
+    # (N + 1)^2 - N^2 = 2N + 1; the roots of x^2 + x = m/2 must reproduce h and r exactly
+    h, r = index + 1, 2 * index + 1
+    pair = _triangles.generalized_gm(index)
+    if not _roots_give(pair.x1, pair.x2, h, r):
         raise CrossCheckFailed(f"x1^2 + x2^2 != h or (|x1| + |x2|)^2 != r at N = {index}")
-    return row
+    return tuple.__new__(TableOneRow, ("right", index, index, h, r))
 
 
 def table_one(rows: int, side: str = "both") -> list[TableOneRow]:
@@ -136,15 +172,10 @@ def table_one(rows: int, side: str = "both") -> list[TableOneRow]:
         raise ValueError("rows must be >= 1")
     if rows > MAX_ROWS:
         raise InputTooLarge(f"rows {rows} exceeds the bound {MAX_ROWS}")
-    if side not in ("left", "right", "both"):
+    makers = {"left": (_left_row,), "right": (_right_row,), "both": (_left_row, _right_row)}
+    if side not in makers:
         raise ValueError(f"side must be 'left', 'right' or 'both', got {side!r}")
-    out: list[TableOneRow] = []
-    for index in range(rows):
-        if side in ("left", "both"):
-            out.append(_left_row(index))
-        if side in ("right", "both"):
-            out.append(_right_row(index))
-    return out
+    return [make(index) for index in range(rows) for make in makers[side]]
 
 
 def left_to_right_index(index: int) -> int:

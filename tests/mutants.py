@@ -114,6 +114,13 @@ MUTANTS = [
      ["tests/test_cli.py::TestExitCodes"]),
     ("cli._cmd_solve: --tol not checked at n = 2", "cli.py",
      "    if not ns.tol > 0:", "    if False:", ["tests/test_cli.py::TestExitCodes"]),
+    ("triangles.diophantus_triples: hypotenuse starts at 0", "triangles.py",
+     "accumulate(steps, initial=1)", "accumulate(steps, initial=0)",
+     ["tests/test_triangles.py::TestStreamedTriples"]),
+    ("cli._cmd_harmonic: doublet TSV columns k and q swapped", "cli.py",
+     "lambda r: tsv[len(r)] % r",
+     "lambda r: tsv[len(r)] % (r[1::-1] + r[2:] if len(r) == 8 else r)",
+     ["tests/test_cli.py::TestFormatsAgree"]),
     ("cli.__getattr__: no name guard", "cli.py",
      "    if name not in _HOME:\n        raise AttributeError(f\"module {__name__!r} has no attribute "
      "{name!r}\")\n", "",

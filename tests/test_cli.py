@@ -172,6 +172,8 @@ class TestCatalogBounds:
         ("table1", "--rows", "10001", "--side", "left"),
         ("table1", "--rows", "100000000"),
         ("diophantus", "--count", "1000001"),
+        ("diophantus", "--count", "1000001", "--format", "json"),
+        ("diophantus", "--count", "1000001", "--format", "tsv"),
         ("harmonic", "--size", "2001"),
         ("harmonic", "--size", "2001", "--format", "tsv"),
         ("harmonic", "--size", "100001", "--doublets"),
@@ -345,6 +347,17 @@ class TestFormatsAgree:
             assert side == record["side"]
             assert [int(index), int(m), int(h), int(r)] == [
                 record["index"], record["m"], record["h"], record["r"]]
+
+    def test_harmonic_doublets_and_key_json_vs_tsv(self, capsys):
+        argv = ("harmonic", "--size", "6", "--doublets", "--key", "4")
+        _, json_out, _ = invoke(capsys, *argv, "--format", "json")
+        _, tsv_out, _ = invoke(capsys, *argv, "--format", "tsv")
+        records = parse_json(json_out)["results"]
+        lines = tsv_out.splitlines()
+        assert len(lines) == len(records) == 5 + 5
+        # a TSV line is its JSON record's values in field order, 8 for a doublet and 3 for a key
+        for record, line in zip(records, lines):
+            assert [int(v) for v in line.split("\t")] == list(record.values())
 
     def test_stakhov_json_vs_tsv(self, capsys):
         _, json_out, _ = invoke(capsys, "stakhov", "--n", "3", "--variant", "b",

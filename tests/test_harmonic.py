@@ -153,6 +153,7 @@ class TestOnlyThePrintedGridIsBuilt:
 
     @pytest.mark.parametrize("argv", [
         ["harmonic", "--size", "1000", "--format", "tsv"],
+        ["diophantus", "--count", "100000", "--format", "text"],
         ["diophantus", "--count", "100000", "--format", "tsv"],
         ["diophantus", "--count", "100000", "--format", "json"],
         ["harmonic", "--size", "1000", "--format", "json"],

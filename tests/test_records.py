@@ -193,7 +193,8 @@ SURD_LAYERS = ("surds", "quadratics")
 NOT_LOADED = {
     **dict.fromkeys(("solve", "mmf", "stakhov", "euler"), ("triangles", "harmonic", *SURD_LAYERS)),
     "metallic": ("trinomials", "triangles", "harmonic"),
-    **dict.fromkeys(("table1", "diophantus"), ("trinomials", "harmonic")),
+    "table1": ("trinomials", "harmonic"),
+    "diophantus": ("trinomials", "harmonic", *SURD_LAYERS),
     "harmonic": ("trinomials", "triangles", *SURD_LAYERS),
 }
 
@@ -209,7 +210,15 @@ LOADS_A_SURD_LAYER = {
         "doublet q=2 at (1,2)/(2,1) -> integer pair (1, 2)\n")),
     ("metallic", "--p", "1", "--q", "1"): (SURD_LAYERS, (
         "metallic mean (p=1, q=1) = (1 + √5)/2 = 1.6180339887\n")),
+    # each right-side row checks its h and r against the roots of x^2 + x = m/2
+    ("table1", "--rows", "2", "--side", "right"): (SURD_LAYERS, (
+        "right  N=0  m=0  h=1  r=1\n"
+        "right  N=1  m=1  h=2  r=3\n")),
 }
+
+#: catalog argv that print no surd and run none: neither surd layer nor ``fractions`` and the
+#: modules it imports may load, though ``triangles`` holds the right-side rows' check
+NO_SURD_RUN = [("diophantus", "--count", "3"), ("table1", "--rows", "3", "--side", "left")]
 
 #: trinomial argv with a root known exactly, and their stdout: RootSet.truncate floors such a
 #: root, a Fraction, by integer division, so the run loads the trinomial solver and no surd layer
@@ -255,6 +264,15 @@ class TestColdImport:
         assert {f"goldmean.{layer}" for layer in layers} <= set(loaded)
         assert ("goldmean.quadratics" in loaded) == ("quadratics" in layers)
         assert "goldmean.trinomials" not in loaded
+
+    @pytest.mark.parametrize("argv", NO_SURD_RUN, ids=" ".join)
+    def test_a_catalog_run_with_no_surd_loads_no_surd_layer(self, argv):
+        # -S: a .pth file in site-packages may import re or decimal before goldmean does
+        code, *loaded = _fresh(RUN_AND_LIST, *argv, flags=("-S",)).split()
+        assert code == "0"
+        assert "goldmean.triangles" in loaded
+        unloaded = {"goldmean.surds", "goldmean.quadratics", "fractions", "decimal", "numbers"}
+        assert not unloaded & set(loaded)
 
     @pytest.mark.parametrize("argv", EXACT_TRINOMIAL_ROOTS, ids=" ".join)
     def test_an_exact_trinomial_root_prints_with_the_trinomial_layer_alone(self, argv):

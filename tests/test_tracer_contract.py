@@ -28,7 +28,7 @@ CALLS = {
     ("metallic", "--p", "1", "--q", "1", "--cf-terms", "3"): {"metallic_mean", "to_decimal",
                                                              "continued_fraction_of"},
     ("table1", "--rows", "2"): {"table_one"},
-    ("diophantus", "--count", "2"): {"diophantus_triple"},
+    ("diophantus", "--count", "2"): {"diophantus_triples"},
     ("harmonic", "--size", "3", "--doublets", "--key", "2"): {"build_table",
                                                              "cross_check_integer_means",
                                                              "key_rows"},
@@ -59,6 +59,22 @@ def test_each_wrapper_is_called(fresh_cli, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert fresh_cli.run(list(argv)) == 0
     assert called == CALLS[argv]
+
+
+class TestTrianglesBindsTheQuadraticSolverLate:
+    """``triangles`` binds ``generalized_gm`` on its first read, and its right-side rows call
+    it as ``_triangles.generalized_gm``, so a wrapper set there with ``setattr`` is called
+    (``tests/test_triangles.py::TestInvariantsRaise`` sets such wrappers)."""
+
+    def test_the_name_is_the_quadratic_solver(self):
+        from goldmean import quadratics, triangles
+        assert triangles.generalized_gm is quadratics.generalized_gm
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        from goldmean import triangles
+        with pytest.raises(AttributeError,
+                           match="^module 'goldmean.triangles' has no attribute 'x'$"):
+            triangles.x
 
 
 class TestNameGuard:

@@ -1,14 +1,21 @@
 """Triangle catalog: triples, the two-sided table, 4k mapping, triplet classes."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldmean import (
     CrossCheckFailed,
+    InputTooLarge,
     PythagoreanTriple,
     QuadraticSurd,
     RootPair,
+    TableOneRow,
     classify_triplet,
     diophantus_triple,
     four_k_sequence,
@@ -17,6 +24,7 @@ from goldmean import (
     table_one,
 )
 from goldmean import triangles
+from goldmean.cli import run
 
 BOX_TRIPLES = [(1, 0, 1), (3, 4, 5), (5, 12, 13), (7, 24, 25),
                (9, 40, 41), (11, 60, 61), (13, 84, 85)]
@@ -42,6 +50,43 @@ class TestDiophantusTriples:
             PythagoreanTriple(4, 3, 4)
         with pytest.raises(ValueError):
             diophantus_triple(-1)
+
+
+def _printed_triples(count: int) -> list[tuple[int, int, int]]:
+    """The triples ``diophantus --count`` prints, read back from its JSON."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["diophantus", "--count", str(count), "--format", "json"]) == 0
+    return [(t["a"], t["b"], t["c"]) for t in json.loads(out.getvalue())["results"]]
+
+
+class TestStreamedTriples:
+    """``diophantus_triples`` builds its rows by the 4k recurrence and checks none of them
+    again, so each must be the triple ``diophantus_triple`` builds and checks."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    def test_the_indexed_triples(self, count):
+        expected = [diophantus_triple(index) for index in range(count)]
+        assert list(triangles.diophantus_triples(count)) == expected
+        assert list(triangles.diophantus_triples(count, hypotenuse_first=True)) == [
+            t[::-1] for t in expected]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5000))
+    def test_every_streamed_triple_is_right(self, count):
+        triples = list(triangles.diophantus_triples(count))
+        assert triples == [diophantus_triple(index) for index in range(count)]
+        assert all(a * a + b * b == c * c and c == b + 1 for a, b, c in triples)
+
+    @pytest.mark.parametrize("count", [1, 2, 3001])
+    def test_the_printed_triples(self, count):
+        assert _printed_triples(count) == [diophantus_triple(index) for index in range(count)]
+
+    def test_the_bound_is_checked_at_the_call(self):
+        with pytest.raises(InputTooLarge):
+            triangles.diophantus_triples(triangles.MAX_TRIPLES + 1)
+        with pytest.raises(ValueError):
+            triangles.diophantus_triples(-1)
 
 
 class TestFourKSequence:
@@ -95,6 +140,26 @@ class TestTableOne:
     def test_left_h_matches_box_hypotenuses(self):
         left = table_one(7, "left")
         assert [r.h for r in left] == [t[2] for t in BOX_TRIPLES]
+
+    @pytest.mark.parametrize("rows", [1, 2, 2000])
+    @pytest.mark.parametrize("side", ["left", "right", "both"])
+    def test_rows_equal_the_checked_rows(self, side, rows):
+        # table_one skips TableOneRow's check of h^2 = m^2 + r, which its closed forms
+        # satisfy identically; the checking constructor must accept every row it makes
+        expected = []
+        for index in range(rows):
+            m = 2 * index * (index + 1)
+            if side != "right":
+                expected.append(TableOneRow("left", index, m, m + 1, (2 * index + 1) ** 2))
+            if side != "left":
+                expected.append(TableOneRow("right", index, index, index + 1, 2 * index + 1))
+        made = table_one(rows, side)
+        assert made == expected
+        assert {type(row) for row in made} == {TableOneRow}
+
+    def test_the_checking_constructor_still_checks(self):
+        with pytest.raises(ValueError, match=r"h\^2 != m\^2 \+ r for row 1 \(left\)"):
+            TableOneRow("left", 1, 4, 5, 10)
 
     def test_side_validation(self):
         with pytest.raises(ValueError):

@@ -202,8 +202,8 @@ def _cmd_harmonic(ns) -> _Output:
         row = "\t".join(["%d"] * ns.size) + "\n"
         return _Output(inputs, table.rows(), row.__mod__, row.__mod__,
                        ("[" + ", ".join(["%d"] * ns.size) + "]").__mod__)
-    doublets = _cli.cross_check_integer_means(table) if ns.doublets else []
-    keys = _cli.key_rows(ns.key) if ns.key is not None else []
+    doublets = _cli.cross_check_integer_means(table) if ns.doublets else ()
+    keys = _cli.key_rows(ns.key) if ns.key is not None else ()
     # a doublet (q, (k, k + 1)) is the record (k, q, i1, j1, i2, j2, pair_low, pair_high), a key
     # row (k, k^2 + k, k(k + 1)) is one as it is, and each format tells them apart by length
     records = chain(((k, q, k, k + 1, k + 1, k, k, high) for q, (k, high) in doublets), keys)

@@ -19,7 +19,8 @@ if TYPE_CHECKING:
 #: Largest grid :meth:`HarmonicTable.rows` yields (at the bound about 0.6 s to print in
 #: text or TSV and 0.7 s in JSON, on a 2-vCPU machine with Python 3.11).
 MAX_GRID_SIZE = 2000
-#: Largest size the doublet scan and largest K the key rows take (O(size) records).
+#: Largest size the doublets and largest K the key rows take; their rows stream, so only
+#: the time to print them grows with it.
 MAX_SIZE = 10 ** 5
 
 
@@ -54,55 +55,45 @@ def build_table(size: int) -> HarmonicTable:
     return HarmonicTable(size)
 
 
-def find_doublets(table: HarmonicTable) -> list[DoubletReport]:
-    """All diagonal doublets, ascending in q (one per k in 0..size-2).
+def find_doublets(table: HarmonicTable) -> Iterator[DoubletReport]:
+    """All diagonal doublets, ascending in q (one per k in 0..size-2), each made from
+    q = k(k+1) when it is read; the bound is checked at the call.
 
     For k = 0 the doublet is the diagonal-adjacent pair (0,1)/(1,0) only,
-    even though zero fills the whole first row and column.  Reads only the
-    2(size - 1) cells flanking the diagonal.
+    even though zero fills the whole first row and column.
     """
     if table.size > MAX_SIZE:
         raise InputTooLarge(f"size {table.size} exceeds the doublet bound {MAX_SIZE}")
-    out = []
-    for k in range(table.size - 1):
-        q = table.cell(k, k + 1)
-        if not q == table.cell(k + 1, k) == k * (k + 1):
-            raise CrossCheckFailed(f"grid is not i*j at ({k}, {k + 1})")
-        out.append(DoubletReport(k, q, ((k, k + 1), (k + 1, k))))
-    return out
+    return (DoubletReport(k, k * (k + 1), ((k, k + 1), (k + 1, k))) for k in range(table.size - 1))
 
 
-def key_rows(k_max: int) -> list[tuple[int, int, int]]:
-    """Rows (k, k^2 + k, k*(k+1)) with the two expressions computed independently."""
+def key_rows(k_max: int) -> Iterator[tuple[int, int, int]]:
+    """Rows (k, k^2 + k, k(k+1)) for k in 0..k_max, made when they are read.  Both sides
+    are the one product q = k(k+1), so no row compares them.  The argument is checked at
+    the call."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     if k_max > MAX_SIZE:
         raise InputTooLarge(f"key {k_max} exceeds the bound {MAX_SIZE}")
-    out = []
-    for k in range(k_max + 1):
-        square_plus = k * k + k
-        product = k * (k + 1)
-        if square_plus != product:
-            raise CrossCheckFailed(f"k^2 + k != k(k+1) at k = {k}")
-        out.append((k, square_plus, product))
-    return out
+    return ((k, q := k * (k + 1), q) for k in range(k_max + 1))
 
 
-def cross_check_integer_means(table: HarmonicTable) -> list[tuple[int, tuple[int, int]]]:
-    """Associate every doublet q with its integer metallic mean pair (k, k+1).
-
-    Raises :class:`CrossCheckFailed` if the quadratic-side detection ever
-    disagrees with the grid -- that would be an implementation bug, not a
-    data condition.
+def cross_check_integer_means(table: HarmonicTable) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Every doublet q = k(k+1) with its integer metallic mean pair, made when it is read;
+    the bound is checked at the call.  Raises :class:`CrossCheckFailed` where the stream
+    reaches a q whose pair from the quadratic side is not (k, k+1) -- that would be an
+    implementation bug, not a data condition.
     """
     from .quadratics import integer_metallic  # only doublets need the quadratic layer
     if table.size > MAX_SIZE:
         raise InputTooLarge(f"size {table.size} exceeds the doublet bound {MAX_SIZE}")
-    out = []
-    for k in range(table.size - 1):  # the doublets of find_doublets, read in the same pass
-        q = table.cell(k, k + 1)
-        pair = integer_metallic(q)
-        if not (q == table.cell(k + 1, k) and pair == (k, k + 1)):
-            raise CrossCheckFailed(f"doublet q = {q} maps to {pair}, expected {(k, k + 1)}")
-        out.append((q, pair))
-    return out
+
+    def pairs() -> Iterator[tuple[int, tuple[int, int]]]:
+        for k in range(table.size - 1):
+            q = k * (k + 1)
+            pair = integer_metallic(q)
+            if pair != (k, k + 1):
+                raise CrossCheckFailed(f"doublet q = {q} maps to {pair}, expected {(k, k + 1)}")
+            yield q, pair
+
+    return pairs()

@@ -466,6 +466,8 @@ class ContinuedFraction(namedtuple("ContinuedFraction", "initial period truncate
 
     def terms(self, count: int) -> list[int]:
         """First ``count`` terms, unrolling the periodic part as needed."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
         out = list(self.initial[:count])
         while self.period and len(out) < count:
             out.extend(self.period[: count - len(out)])

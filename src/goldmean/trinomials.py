@@ -253,8 +253,8 @@ class _Poly:
         double nearest k/N decides wherever k/N is farther from x than f's rounding
         error in doubles, and its f and f' give the step.  Where v is wide, :meth:`bounds`
         kept to about 4 bits a digit give the sign and step, so the cost grows with
-        digits rather than with n * digits; where they straddle 0, :meth:`sign` at the
-        reduced k/N decides and the step bisects.
+        digits rather than with n * digits; where they straddle 0, only the exact v at the
+        reduced k/N (:meth:`exact`) decides, and the step bisects.
         """
         _check_digits(digits)
         scale = 10 ** digits
@@ -275,7 +275,7 @@ class _Poly:
             if bits:
                 lo, hi, value, slope = self.bounds(k, scale, bits)
                 if _sgn(lo) != _sgn(hi):  # v may be 0 here
-                    return self.sign(Fraction(k, scale)), None
+                    return _sgn(self.exact(*Fraction(k, scale).as_integer_ratio())), None
             else:
                 j, (alpha, beta), (d_alpha, d_beta) = self._terms(k, scale)
                 k_power = abs(k) ** j

@@ -26,6 +26,7 @@ BOUNDS = "tests/test_trinomials.py::TestBoundedSigns"
 PINNED = "tests/test_exact_digits.py::TestPinned"
 OVERFLOW = "tests/test_trinomials.py::TestOverflowingWalk"
 EXACT_DIGITS = "tests/test_exact_digits.py"
+HARMONIC = "tests/test_harmonic.py"
 
 #: (name, file under src/goldmean, snippet, replacement, test selection)
 MUTANTS = [
@@ -47,8 +48,8 @@ MUTANTS = [
     ("sign: a straddling interval trusted", "trinomials.py",
      "            if _sgn(lo) == _sgn(hi):\n                return _sgn(lo)\n",
      "            return _sgn(lo)\n", [BOUNDS]),
-    ("truncate: no fallback to sign where bounds straddle 0", "trinomials.py",
-     "return self.sign(Fraction(k, scale)), None", "pass", [PINNED]),
+    ("truncate: no exact fallback where bounds straddle 0", "trinomials.py",
+     "return _sgn(self.exact(*Fraction(k, scale).as_integer_ratio())), None", "pass", [PINNED]),
     ("truncate: orientation from lo not flipped", "trinomials.py",
      "orient = self.sign(hi) or -self.sign(lo)", "orient = self.sign(hi) or self.sign(lo)",
      [PINNED]),
@@ -117,6 +118,10 @@ MUTANTS = [
     ("triangles.diophantus_triples: hypotenuse starts at 0", "triangles.py",
      "accumulate(steps, initial=1)", "accumulate(steps, initial=0)",
      ["tests/test_triangles.py::TestStreamedTriples"]),
+    ("harmonic.key_rows: the product spelled k * k", "harmonic.py",
+     "(k, q := k * (k + 1), q)", "(k, q := k * k, q)", [HARMONIC]),
+    ("harmonic.cross_check_integer_means: a wrong pair never raises", "harmonic.py",
+     "            if pair != (k, k + 1):\n", "            if False:\n", [HARMONIC]),
     ("cli._cmd_harmonic: doublet TSV columns k and q swapped", "cli.py",
      "lambda r: tsv[len(r)] % r",
      "lambda r: tsv[len(r)] % (r[1::-1] + r[2:] if len(r) == 8 else r)",

@@ -3,15 +3,19 @@
 import json
 import os
 import tracemalloc
+from collections import deque
 from contextlib import redirect_stdout
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goldmean import (InputTooLarge, build_table, cross_check_integer_means, find_doublets,
-                      key_rows)
+import goldmean.quadratics
+from goldmean import (CrossCheckFailed, DoubletReport, HarmonicTable, InputTooLarge, build_table,
+                      cross_check_integer_means, find_doublets, key_rows)
 from goldmean.cli import run
-from goldmean.harmonic import MAX_GRID_SIZE
+from goldmean.harmonic import MAX_GRID_SIZE, MAX_SIZE
 
 
 class TestBuildTable:
@@ -76,13 +80,13 @@ class TestDoublets:
         assert reports[12].positions == ((3, 4), (4, 3))
 
     def test_size_two_single_doublet(self):
-        reports = find_doublets(build_table(2))
+        reports = list(find_doublets(build_table(2)))
         assert len(reports) == 1 and reports[0].q == 0
         assert reports[0].positions == ((0, 1), (1, 0))
 
     def test_count_is_size_minus_one(self):
         for size in range(2, 13):
-            assert len(find_doublets(build_table(size))) == size - 1
+            assert len(list(find_doublets(build_table(size)))) == size - 1
 
     def test_discriminant_link(self):
         for report in find_doublets(build_table(12)):
@@ -91,21 +95,21 @@ class TestDoublets:
 
     def test_deterministic_and_ordered(self):
         table = build_table(10)
-        first = find_doublets(table)
-        second = find_doublets(table)
+        first = list(find_doublets(table))
+        second = list(find_doublets(table))
         assert first == second
         assert [r.q for r in first] == sorted(r.q for r in first)
 
 
 class TestKeyRows:
     def test_row_seven(self):
-        assert key_rows(7)[7] == (7, 56, 56)
+        assert list(key_rows(7))[7] == (7, 56, 56)
 
     def test_row_nine(self):
-        assert key_rows(9)[9] == (9, 90, 90)
+        assert list(key_rows(9))[9] == (9, 90, 90)
 
     def test_row_zero(self):
-        assert key_rows(0) == [(0, 0, 0)]
+        assert list(key_rows(0)) == [(0, 0, 0)]
 
     def test_equality_for_all_k(self):
         for k, square_plus, product in key_rows(500):
@@ -116,9 +120,80 @@ class TestKeyRows:
             key_rows(-1)
 
 
+def _reference(size):
+    """Doublets, cross-checked pairs and key rows for ``size``, the doublets read from the
+    grid's two cells beside the diagonal and each identity compared spelling by spelling."""
+    table = build_table(size)
+    doublets, pairs, keys = [], [], []
+    for k in range(size - 1):
+        q = table.cell(k, k + 1)
+        assert q == table.cell(k + 1, k) == k * (k + 1) == k * k + k
+        root = isqrt(1 + 4 * q)
+        assert root * root == 1 + 4 * q
+        doublets.append(DoubletReport(k, q, ((k, k + 1), (k + 1, k))))
+        pairs.append((q, ((root - 1) // 2, (root + 1) // 2)))
+    for k in range(size):
+        assert k * k + k == k * (k + 1)
+        keys.append((k, k * k + k, k * (k + 1)))
+    return doublets, pairs, keys
+
+
+def _streams(size):
+    table = build_table(size)
+    return (list(find_doublets(table)), list(cross_check_integer_means(table)),
+            list(key_rows(size - 1)))
+
+
+class TestStreamsFromTheClosedForm:
+    """The three catalogs are iterators whose rows equal the grid's cells and both spellings
+    of k(k+1), checked at the call and O(1) in memory however many rows are read."""
+
+    @pytest.mark.parametrize("size", [1, 2, 10, 1000])
+    def test_rows_equal_the_grid_and_both_spellings(self, size):
+        assert _streams(size) == _reference(size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3000))
+    def test_rows_equal_the_grid_over_a_range(self, size):
+        assert _streams(size) == _reference(size)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: find_doublets(HarmonicTable(MAX_SIZE + 1)), InputTooLarge),
+        (lambda: cross_check_integer_means(HarmonicTable(MAX_SIZE + 1)), InputTooLarge),
+        (lambda: key_rows(MAX_SIZE + 1), InputTooLarge),
+        (lambda: key_rows(-1), ValueError),
+    ])
+    def test_arguments_are_checked_at_the_call(self, call, error):
+        with pytest.raises(error):
+            call()  # not iterated: the call itself raises
+
+    def test_bounds_are_accepted(self):
+        table = HarmonicTable(MAX_SIZE)
+        assert next(find_doublets(table)) == (0, 0, ((0, 1), (1, 0)))
+        assert next(cross_check_integer_means(table)) == (0, (0, 1))
+        assert next(key_rows(MAX_SIZE)) == (0, 0, 0)
+
+    def test_a_wrong_pair_raises_where_the_stream_reaches_it(self, monkeypatch):
+        right = goldmean.quadratics.integer_metallic
+        monkeypatch.setattr(goldmean.quadratics, "integer_metallic",
+                            lambda q: (3, 5) if q == 12 else right(q))
+        pairs = cross_check_integer_means(build_table(10))
+        assert [next(pairs) for _ in range(3)] == [(0, (0, 1)), (2, (1, 2)), (6, (2, 3))]
+        with pytest.raises(CrossCheckFailed, match="q = 12"):
+            next(pairs)
+
+    @pytest.mark.parametrize("consume", [
+        lambda: find_doublets(HarmonicTable(MAX_SIZE)),
+        lambda: cross_check_integer_means(HarmonicTable(MAX_SIZE)),
+        lambda: key_rows(MAX_SIZE),
+    ])
+    def test_read_at_the_bound_in_constant_memory(self, consume):
+        assert peak_bytes(lambda: deque(consume(), maxlen=0)) < 2 * 1024 * 1024
+
+
 class TestCrossCheck:
     def test_pairs_for_size_ten(self):
-        pairs = cross_check_integer_means(build_table(10))
+        pairs = list(cross_check_integer_means(build_table(10)))
         assert pairs == [(k * (k + 1), (k, k + 1)) for k in range(9)]
 
     def test_examples(self):
@@ -144,7 +219,8 @@ class TestOnlyThePrintedGridIsBuilt:
     LIMIT = 2 * 1024 * 1024
 
     def test_cross_check_reads_only_flanking_cells(self):
-        assert peak_bytes(lambda: cross_check_integer_means(build_table(1000))) < self.LIMIT
+        pairs = cross_check_integer_means(build_table(1000))
+        assert peak_bytes(lambda: deque(pairs, maxlen=0)) < self.LIMIT
 
     def test_cli_doublets_and_key(self, capsys):
         argv = ["harmonic", "--size", "1000", "--doublets", "--key", "5"]

@@ -57,8 +57,8 @@ RECORDS = {
     "TripletClass": (classify_triplet((1, 1, 2)), TripletClass("fibonacci", (1, 2, 3)),
                      ("tag", "member_indices")),
     "HarmonicTable": (HarmonicTable(4), build_table(4), ("size",)),
-    "DoubletReport": (find_doublets(build_table(3))[1], DoubletReport(1, 2, ((1, 2), (2, 1))),
-                      ("k", "q", "positions")),
+    "DoubletReport": (list(find_doublets(build_table(3)))[1],
+                      DoubletReport(1, 2, ((1, 2), (2, 1))), ("k", "q", "positions")),
     "TrinomialSpec": (TrinomialSpec(n=3, p=2, p_sign="minus", m=1, lower_exponent="n_minus_one"),
                       TrinomialSpec(3, 2, "minus", 1, "n_minus_one"),
                       ("n", "p", "p_sign", "m", "lower_exponent")),

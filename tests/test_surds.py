@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goldmean import (
+    ContinuedFraction,
     InputTooLarge,
     MixedRadicands,
     NonPositive,
@@ -248,6 +249,13 @@ class TestContinuedFractions:
     def test_terms_unrolls_period(self):
         cf = continued_fraction_of(QuadraticSurd(1, 1, 2), 50)
         assert cf.terms(6) == [2, 2, 2, 2, 2, 2]
+
+    def test_terms_refuses_a_negative_count(self):
+        cf = ContinuedFraction((1, 2, 3), (4, 5))
+        assert cf.terms(0) == []
+        assert cf.terms(7) == [1, 2, 3, 4, 5, 4, 5]
+        with pytest.raises(ValueError):
+            cf.terms(-1)  # initial[:-1] would quietly give [1, 2]
 
 
 _RATS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))

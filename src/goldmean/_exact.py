@@ -6,6 +6,7 @@ arithmetic, and ``solve`` at n = 2 builds its records here, so it loads no trino
 from __future__ import annotations
 
 from collections import namedtuple
+from math import inf
 
 TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
 if TYPE_CHECKING:
@@ -52,11 +53,24 @@ def _check_digits(digits) -> None:
         raise ValueError(f"digits must be an integer in 1..{MAX_DIGITS}")
 
 
+def _check_tolerance(tolerance) -> None:
+    # an infinite tolerance would accept the first point of any bracket as its root
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
+    if tolerance == inf:
+        raise ValueError("tolerance must be finite")
+
+
 def _decimal_text(negative: bool, scaled: int, digits: int) -> str:
-    """``[-]whole.frac`` of ``scaled / 10**digits``; a negative value may print as ``-0.000...``."""
-    whole, frac = divmod(scaled, 10 ** digits)
-    text = f"{whole}.{frac:0{digits}d}"
-    return f"-{text}" if negative else text
+    """``[-]whole.frac`` of ``scaled / 10**digits`` for ``scaled >= 0`` and ``digits >= 1``,
+    cut from one ``str(scaled)``; a negative value may print as ``-0.000...``."""
+    try:
+        s = str(scaled).zfill(digits + 1)
+    except ValueError:  # past str()'s digit limit, where the whole part alone may still print
+        whole, frac = divmod(scaled, 10 ** digits)
+        s = f"{whole}{frac:0{digits}d}"
+    text = s[:-digits] + "." + s[-digits:]
+    return "-" + text if negative else text
 
 
 class RootRecord(namedtuple("RootRecord", "value bracket residual iterations exact",

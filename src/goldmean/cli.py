@@ -7,8 +7,9 @@ output.  Three formats are supported everywhere: ``text`` (human-readable),
 and always ``[]``.  Exit codes: 0 success, 1 usage error, 2 domain error;
 domain errors print a single ``error: <code>: ...`` line to stderr and
 nothing to stdout.  A command imports only the modules its answer runs:
-each library layer on its first use, and ``fractions``, ``json`` and
-``argparse`` inside the functions that need them.
+each library layer on its first use, and ``fractions`` and ``argparse``
+inside the functions that need them; JSON is written by ``%`` formats, so
+no command imports ``json``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from . import _HOME
-from ._exact import MAX_DIGITS, TOLERANCE, RootRecord
+from ._exact import MAX_DIGITS, TOLERANCE, RootRecord, _check_tolerance
 from .errors import DomainError
 
 TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
@@ -58,8 +59,10 @@ class _Output(namedtuple("_Output", "inputs records text tsv json footer", defau
     """A command's records, made as they are read, and each format's line of one record.
     Text writes ``text(record)`` lines and then those of ``footer``, an iterable, lazy where
     a line costs work, that no other format reads; TSV ``tsv(record)`` lines, and JSON each ``json(record)``, joined by
-    ", ", inside a frame of the command, its inputs and the empty errors, so no format holds
-    the whole result.  A record is a library value, such as a catalog's tuple or a root's
+    ", ", inside a frame of the command, its ``inputs`` and the empty errors, so no format
+    holds the whole result.  ``inputs`` is the members of the JSON inputs object as text:
+    ints, finite floats, flags, null, and ASCII words and rationals, which need no escape.
+    A record is a library value, such as a catalog's tuple or a root's
     ``(index, RootRecord)``, and a line computes only what its format prints: TSV prints
     floats and decides no digits.
     """
@@ -81,7 +84,7 @@ def _surd_fields(surd: QuadraticSurd) -> str:
             + ', "surd": "%s"' % str(surd).replace("√", "\\u221a"))
 
 
-def _roots(inputs: dict, records: Iterable[RootRecord],
+def _roots(inputs: str, records: Iterable[RootRecord],
            decide: Callable[[RootRecord], tuple[str, int]], footer: tuple[str, ...] = (),
            surds: bool = False) -> _Output:
     """Each root as (index, RootRecord), from ``records`` largest first.  Text and JSON take
@@ -107,20 +110,19 @@ def _roots(inputs: dict, records: Iterable[RootRecord],
                    as_json, footer)
 
 
-def _root_set(inputs: dict, roots: RootSet, digits: int) -> _Output:
+def _root_set(inputs: str, roots: RootSet, digits: int) -> _Output:
     """A solver's roots, their digits and signs decided by ``RootSet.truncate``."""
     return _roots(inputs, reversed(roots.roots), lambda root: roots.truncate(root, digits))
 
 
 def _cmd_solve(ns) -> _Output:
-    inputs = {"n": ns.n, "m": ns.m, "tolerance": ns.tol}
+    inputs = '"n": %d, "m": %d, "tolerance": %r' % (ns.n, ns.m, ns.tol)
     if ns.n != 2:
         return _root_set(inputs, _cli.solve_gm_general(ns.n, ns.m, tolerance=ns.tol), ns.digits)
-    if not ns.tol > 0:  # checked as the solver checks it, though the surds need no tolerance
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(ns.tol)  # as the solver checks it, though the surds need no tolerance
     from .surds import _doubles  # only this branch needs the surd layer, so it is loaded here
     pair = _cli.generalized_gm(ns.m)
-    inputs["r"] = 2 * ns.m + 1
+    r = 2 * ns.m + 1
 
     def record(surd: QuadraticSurd) -> RootRecord:
         lo, value, hi = _doubles(surd)
@@ -138,13 +140,13 @@ def _cmd_solve(ns) -> _Output:
         whole, _, frac = x1_text.partition(".")
         return f"-{int(whole) + 1}.{frac}", -1
 
-    return _roots(inputs, map(record, (pair.x1, pair.x2)), decide, (f"r = {inputs['r']}\n",),
+    return _roots(f'{inputs}, "r": {r}', map(record, (pair.x1, pair.x2)), decide, (f"r = {r}\n",),
                   surds=True)
 
 
 def _cmd_mmf(ns) -> _Output:
     spec = _cli.TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
-    inputs = {"n": ns.n, "p": ns.p, "sign": ns.sign, "m": ns.m}
+    inputs = '"n": %d, "p": %d, "sign": "%s", "m": %d' % (ns.n, ns.p, ns.sign, ns.m)
     return _root_set(inputs, _cli.solve_trinomial(spec), ns.digits)
 
 
@@ -152,13 +154,14 @@ def _cmd_stakhov(ns) -> _Output:
     def decimal(root: float) -> str:
         return _cli.stakhov_decimal(ns.n, ns.variant, root, ns.digits)
 
-    return _Output({"n": ns.n, "variant": ns.variant}, (_cli.solve_stakhov(ns.n, ns.variant),),
+    return _Output('"n": %d, "variant": "%s"' % (ns.n, ns.variant),
+                   (_cli.solve_stakhov(ns.n, ns.variant),),
                    lambda v: f"x = {decimal(v)} (variant {ns.variant})\n", "%r\n".__mod__,
                    lambda v: '{"decimal": "%s", "value": %r}' % (decimal(v), v))
 
 
 def _cmd_euler(ns) -> _Output:
-    inputs = {"a": str(ns.a), "n": ns.n, "x": str(ns.x), "mode": ns.mode}
+    inputs = '"a": "%s", "n": %d, "x": "%s", "mode": "%s"' % (ns.a, ns.n, ns.x, ns.mode)
     return _root_set(inputs, _cli.solve_euler(ns.a, ns.n, ns.x, ns.mode), ns.digits)
 
 
@@ -173,7 +176,7 @@ def _cmd_metallic(ns) -> _Output:
             initial.replace(",", ", "), period.replace(",", ", "),
             "true" if cf.truncated else "false")
         footer = map("continued fraction: {}\n".format, (cf,))  # str(cf) only where text reads it
-    return _Output({"p": ns.p, "q": str(ns.q)}, (mean,),
+    return _Output('"p": %d, "q": "%s"' % (ns.p, ns.q), (mean,),
                    lambda s: f"metallic mean (p={ns.p}, q={ns.q}) = {s} = "
                              f"{_cli.to_decimal(s, ns.digits)}\n",
                    lambda s: tsv % float(s),
@@ -182,7 +185,8 @@ def _cmd_metallic(ns) -> _Output:
 
 
 def _cmd_table1(ns) -> _Output:
-    return _Output({"rows": ns.rows, "side": ns.side}, _cli.table_one(ns.rows, ns.side),
+    return _Output('"rows": %d, "side": "%s"' % (ns.rows, ns.side),
+                   _cli.table_one(ns.rows, ns.side),
                    "%5s  N=%d  m=%d  h=%d  r=%d\n".__mod__, "%s\t%d\t%d\t%d\t%d\n".__mod__,
                    '{"side": "%s", "index": %d, "m": %d, "h": %d, "r": %d}'.__mod__)
 
@@ -190,13 +194,14 @@ def _cmd_table1(ns) -> _Output:
 def _cmd_diophantus(ns) -> _Output:
     # text prints c first, so its triples come as (c, b, a) and every format is one `%`
     triples = _cli.diophantus_triples(ns.count, hypotenuse_first=ns.format == "text")
-    return _Output({"count": ns.count}, triples, "%d^2 = %d^2 + %d^2\n".__mod__,
+    return _Output('"count": %d' % ns.count, triples, "%d^2 = %d^2 + %d^2\n".__mod__,
                    "%d\t%d\t%d\n".__mod__, '{"a": %d, "b": %d, "c": %d}'.__mod__)
 
 
 def _cmd_harmonic(ns) -> _Output:
     table = _cli.build_table(ns.size)
-    inputs = {"size": ns.size, "doublets": ns.doublets, "key": ns.key}
+    inputs = '"size": %d, "doublets": %s, "key": %s' % (
+        ns.size, "true" if ns.doublets else "false", "null" if ns.key is None else ns.key)
     if not ns.doublets and ns.key is None:
         # one format per grid renders a row in text and TSV alike, as "\t".join(map(str, row))
         row = "\t".join(["%d"] * ns.size) + "\n"
@@ -222,10 +227,9 @@ def _emit(ns, out: _Output) -> None:
         stdout.writelines(map(getattr(out, ns.format), out.records))
         stdout.writelines(out.footer if ns.format == "text" else ())
         return
-    import json  # only this format needs it, so a cold start skips it
-    frame = json.dumps({"command": ns.command, "inputs": out.inputs})
     records = map(out.json, out.records)
-    stdout.write(frame[:-1] + ', "results": [' + next(records, ""))
+    stdout.write('{"command": "%s", "inputs": {%s}, "results": [%s' % (
+        ns.command, out.inputs, next(records, "")))
     stdout.writelines(map(", ".__add__, records))
     stdout.write('], "errors": []}\n')
 

@@ -84,7 +84,15 @@ def metallic_mean(p: int, q) -> QuadraticSurd:
     q = _as_fraction(q)
     if q < 0:
         raise ValueError("the metallic family takes q >= 0")
-    return solve_quadratic(QuadraticSpec(p, q, "minus")).x1
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    # solve_quadratic's x1 at s = -1, built alone: for q = a/b the discriminant is
+    # (p^2*b + 4a)/b, and with its root r/c*sqrt(d), x1 = (p*c + r*sqrt(d)) / (2c)
+    b = q.denominator
+    num = p * p * b + 4 * q.numerator
+    g = gcd(num, b)
+    r, c, d = _root_parts(num // g, b // g)
+    return QuadraticSurd._canonical(p * c, r, 2 * c, d)
 
 
 def integer_metallic(q: int) -> tuple[int, int] | None:

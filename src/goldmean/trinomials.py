@@ -25,8 +25,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 # TOLERANCE and RootRecord, at home in _exact, stay importable from here as well
-from ._exact import (TOLERANCE, RootRecord, Sign, _as_fraction, _check_digits, _decimal_text,
-                     _sgn, sign_value)
+from ._exact import (TOLERANCE, RootRecord, Sign, _as_fraction, _check_digits, _check_tolerance,
+                     _decimal_text, _sgn, sign_value)
 from .errors import DegenerateIdentity, InputTooLarge, NoConvergence, NoRealRoot
 
 
@@ -174,12 +174,14 @@ class _Poly:
         q_power = 1 << s * (n - 1) if q == 1 << s else q ** (n - 1)
         return alpha * abs(p) ** j + beta * q_power
 
-    def bounds(self, p: int, q: int, bits: int) -> tuple[int, int, int, int]:
+    def bounds(self, p: int, q: int, bits: int,
+               q_power: tuple[int, int, int] | None = None) -> tuple[int, int, int, int]:
         """(lo, hi, value, slope): lo <= v/2**s <= hi at some scale s, from the powers of
         :meth:`_terms` kept to ``bits`` bits, so where lo and hi have one sign it is v's;
-        value/slope approximates v over dv/dp."""
+        value/slope approximates v over dv/dp.  ``q_power``, if given, is
+        ``_power(q, n - 1, bits)``, made once by a caller with many p over one q."""
         j, v, dv = self._terms(p, q)
-        powers = _power(abs(p), j, bits), _power(q, self.n - 1, bits)
+        powers = _power(abs(p), j, bits), q_power or _power(q, self.n - 1, bits)
         lo, hi, s = _sum(bits, *zip(v, powers))
         _, d_hi, ds = _sum(bits, *zip(dv, powers))
         return lo, hi, hi << max(s - ds, 0), d_hi << max(ds - s, 0)
@@ -260,11 +262,13 @@ class _Poly:
         scale = 10 ** digits
         n = self.n
         bits = 4 * digits + 2 * n.bit_length() + 64 if n * scale.bit_length() > _EXACT_BITS else 0
-        q_power = 0 if bits else scale ** (n - 1)  # N**(n-1), for the exact v alone
+        # N**(n-1), exact or bounded to ``bits``, made by the first point the float tier leaves
+        q_power = None
 
         def at(k: int) -> tuple[float, int | None]:
             """A value of v's sign at k/N, 0 only where v is, and the Newton estimate of
             floor(x*N) - k, or None for a bisection step."""
+            nonlocal q_power
             x = k / scale  # the nearest double; k/N is inside the bracket's finite range
             fx, err, _, dx = self._float(x, True)
             if abs(fx) > err:
@@ -272,8 +276,10 @@ class _Poly:
                     p, q = dx.as_integer_ratio()  # q is a power of 2: floor(dx*N) is a shift
                     return fx, p * scale >> q.bit_length() - 1
                 return fx, None
+            if q_power is None:
+                q_power = _power(scale, n - 1, bits) if bits else scale ** (n - 1)
             if bits:
-                lo, hi, value, slope = self.bounds(k, scale, bits)
+                lo, hi, value, slope = self.bounds(k, scale, bits, q_power)
                 if _sgn(lo) != _sgn(hi):  # v may be 0 here
                     return _sgn(self.exact(*Fraction(k, scale).as_integer_ratio())), None
             else:
@@ -485,8 +491,7 @@ def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
 
 
 def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) -> RootSet:
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tolerance)
     try:
         poly = _Poly(n, c, e, rhs)
         exact_roots, brackets = _seeds(poly)
@@ -519,7 +524,7 @@ def solve_trinomial(spec: TrinomialSpec, *, tolerance: float = TOLERANCE) -> Roo
     """Every real root of ``x**n + s*p*x**e = m/2``, certified.
 
     ``tolerance`` bounds each float root's scaled residual (see :data:`TOLERANCE`);
-    one that is not positive (or NaN) raises ``ValueError``.
+    one that is not positive and finite (NaN, 0 or inf) raises ``ValueError``.
 
     Raises :class:`DegenerateIdentity` when the x terms cancel (n = 1,
     minus sign, p = 1), since silence there would mask a modeling mistake,

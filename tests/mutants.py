@@ -27,6 +27,8 @@ PINNED = "tests/test_exact_digits.py::TestPinned"
 OVERFLOW = "tests/test_trinomials.py::TestOverflowingWalk"
 EXACT_DIGITS = "tests/test_exact_digits.py"
 HARMONIC = "tests/test_harmonic.py"
+SPLIT = ["tests/test_surds.py::TestSplitSquareOverTheWheel",
+         "tests/test_surds.py::TestSplitSquareByGcds"]
 
 #: (name, file under src/goldmean, snippet, replacement, test selection)
 MUTANTS = [
@@ -95,11 +97,18 @@ MUTANTS = [
     ("surds._root_parts: no MAX_RADICAND check", "surds.py",
      "if num > MAX_RADICAND or den > MAX_RADICAND:", "if False:",
      ["tests/test_surds.py::TestRadicandBound"]),
-    ("surds._split_square: the wheel skips 7", "surds.py",
-     "for f in chain((2, 3, 5), accumulate(cycle((4, 2, 4, 2, 4, 6, 2, 6)), initial=7)):",
-     "for f in filter((7).__ne__, chain((2, 3, 5), accumulate(cycle((4, 2, 4, 2, 4, 6, 2, 6)),"
-     " initial=7))):",
-     ["tests/test_surds.py::TestSplitSquareOverTheWheel"]),
+    ("surds._split_square: the primorial misses 7", "surds.py",
+     "_SMALL_PRIMES = _primorial(1 << 10)", "_SMALL_PRIMES = _primorial(1 << 10) // 7", SPLIT),
+    ("surds._split_square: the wheel restarts out of phase", "surds.py",
+     "initial=1027)", "initial=1031)", SPLIT),
+    ("surds._split_square: root and free swapped in the gcd loop", "surds.py",
+     "        free *= s // t\n        root *= t\n", "        root *= s // t\n        free *= t\n",
+     SPLIT),
+    ("_exact._decimal_text: zfill one digit short", "_exact.py",
+     "str(scaled).zfill(digits + 1)", "str(scaled).zfill(digits)",
+     ["tests/test_exact_digits.py::TestDecimalText"]),
+    ("_exact._check_tolerance: an infinite tolerance taken", "_exact.py",
+     "    if tolerance == inf:", "    if False:", ["tests/test_cli.py::TestExitCodes"]),
     ("surds.continued_fraction_of: a period closing at max_terms taken as closed", "surds.py",
      "and big_q == first_q and len(terms) < max_terms:", "and big_q == first_q:",
      ["tests/test_surds.py::TestContinuedFractionByFieldArithmetic"]),
@@ -114,7 +123,7 @@ MUTANTS = [
      "        return EXIT_DOMAIN\n", "        return EXIT_USAGE\n",
      ["tests/test_cli.py::TestExitCodes"]),
     ("cli._cmd_solve: --tol not checked at n = 2", "cli.py",
-     "    if not ns.tol > 0:", "    if False:", ["tests/test_cli.py::TestExitCodes"]),
+     "    _check_tolerance(ns.tol)", "    pass", ["tests/test_cli.py::TestExitCodes"]),
     ("triangles.diophantus_triples: hypotenuse starts at 0", "triangles.py",
      "accumulate(steps, initial=1)", "accumulate(steps, initial=0)",
      ["tests/test_triangles.py::TestStreamedTriples"]),

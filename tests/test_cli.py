@@ -74,6 +74,22 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: invalid-argument: tolerance must be positive\n"
 
+    # an infinite tolerance accepts the first point of a bracket as the root, and JSON
+    # has no Infinity to echo it with
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("tol", ["inf", "1e999", "Infinity"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+    def test_tolerance_must_be_finite(self, capsys, n, tol, fmt):
+        code, out, err = invoke(capsys, "solve", "--n", n, "--m", "2", "--tol", tol,
+                                "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == "error: invalid-argument: tolerance must be finite\n"
+
+    def test_the_largest_finite_tolerance_is_taken(self, capsys):
+        code, out, _ = invoke(capsys, "solve", "--n", "2", "--m", "2",
+                              "--tol", "1.7976931348623157e308", "--format", "json")
+        assert code == 0 and '"tolerance": 1.7976931348623157e+308' in out
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == 0 and "usage" in out
@@ -287,6 +303,57 @@ class TestJsonRoundTrip:
         code, out, _ = invoke(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.dumps(parse_json(out)) + "\n" == out
+
+
+class TestJsonFrame:
+    """The frame of the command and its inputs, written by ``%`` formats, is the bytes
+    ``json.dumps`` makes of them."""
+
+    @pytest.mark.parametrize("argv, inputs", [
+        (("solve", "--n", "2", "--m", "3"), {"n": 2, "m": 3, "tolerance": 1e-12, "r": 7}),
+        (("solve", "--n", "3", "--m", "0", "--tol", "0.5"), {"n": 3, "m": 0, "tolerance": 0.5}),
+        (("solve", "--n", "2", "--m", "12", "--tol", "1e300"),
+         {"n": 2, "m": 12, "tolerance": 1e300, "r": 25}),
+        (("solve", "--n", "3", "--m", "2", "--tol", "5e-324"),
+         {"n": 3, "m": 2, "tolerance": 5e-324}),
+        (("mmf", "--n", "3", "--p", "2", "--sign", "minus", "--m", "2"),
+         {"n": 3, "p": 2, "sign": "minus", "m": 2}),
+        (("mmf", "--n", "4", "--p", "1", "--sign", "plus", "--m", "10"),
+         {"n": 4, "p": 1, "sign": "plus", "m": 10}),
+        (("stakhov", "--n", "3", "--variant", "b"), {"n": 3, "variant": "b"}),
+        (("stakhov", "--n", "1", "--variant", "a"), {"n": 1, "variant": "a"}),
+        (("euler", "--a=-3/2", "--n", "2", "--x", "1", "--mode", "direct"),
+         {"a": "-3/2", "n": 2, "x": "1", "mode": "direct"}),
+        (("euler", "--a", "0.25", "--n", "3", "--x", "6/4", "--mode", "constrained"),
+         {"a": "1/4", "n": 3, "x": "3/2", "mode": "constrained"}),
+        (("metallic", "--p", "1", "--q", "1"), {"p": 1, "q": "1"}),
+        (("metallic", "--p", "3", "--q", "14/10", "--cf-terms", "4"), {"p": 3, "q": "7/5"}),
+        (("metallic", "--p", "2", "--q", "0"), {"p": 2, "q": "0"}),
+        (("table1", "--rows", "3"), {"rows": 3, "side": "both"}),
+        (("table1", "--rows", "2", "--side", "left"), {"rows": 2, "side": "left"}),
+        (("diophantus", "--count", "2"), {"count": 2}),
+        (("harmonic", "--size", "3"), {"size": 3, "doublets": False, "key": None}),
+        (("harmonic", "--size", "3", "--doublets"), {"size": 3, "doublets": True, "key": None}),
+        (("harmonic", "--size", "4", "--key", "0"), {"size": 4, "doublets": False, "key": 0}),
+        (("harmonic", "--size", "4", "--doublets", "--key", "5"),
+         {"size": 4, "doublets": True, "key": 5}),
+    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+    def test_every_command(self, capsys, argv, inputs):
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        frame = json.dumps({"command": argv[0], "inputs": inputs})[:-1]
+        assert out.startswith(frame + ', "results": [')
+        assert parse_json(out)["inputs"] == inputs
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.floats(min_value=5e-324, allow_infinity=False), st.sampled_from([2, 3]))
+    def test_any_finite_tolerance(self, tol, n):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = run(["solve", "--n", str(n), "--m", "2", "--tol", repr(tol), "--format", "json"])
+        out = stdout.getvalue()
+        inputs = {"n": n, "m": 2, "tolerance": tol, **({"r": 5} if n == 2 else {})}
+        assert code == 0
+        assert out.startswith(json.dumps({"command": "solve", "inputs": inputs})[:-1] + ", ")
 
 
 class TestTsvDecidesNoDigits:

@@ -12,8 +12,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldmean import solve_euler
+from goldmean._exact import _decimal_text
 from goldmean.cli import run
 from goldmean.trinomials import _critical_signs, _Poly
 from oracles import has_multiple_root, mp_real_roots, mp_root_in, truncate_mpf
@@ -205,3 +208,42 @@ class TestPinned:
             assert run(argv + ["--format", "json", "--digits", str(digits)]) == 0
             printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
             assert printed == [truncate_mpf(r, digits) for r in roots], digits
+
+
+def _decimal_text_reference(negative: bool, scaled: int, digits: int) -> str:
+    whole, frac = divmod(scaled, 10 ** digits)
+    text = f"{whole}.{frac:0{digits}d}"
+    return f"-{text}" if negative else text
+
+
+class TestDecimalText:
+    """``_decimal_text`` cuts one ``str(scaled)`` where a divmod by 10**digits would split it."""
+
+    @pytest.mark.parametrize("digits", [1, 2, 7, 999, 1000])
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_edges(self, digits, negative):
+        scale = 10 ** digits
+        for scaled in (0, 1, 9, 10, 11, scale // 10 - 1, scale // 10, scale - 1, scale, scale + 1,
+                       7 * scale + 3, 10 ** 300 * scale + 1):
+            assert (_decimal_text(negative, scaled, digits)
+                    == _decimal_text_reference(negative, scaled, digits)), scaled
+
+    def test_pinned(self):
+        assert _decimal_text(False, 0, 1) == "0.0"
+        assert _decimal_text(True, 0, 3) == "-0.000"
+        assert _decimal_text(False, 5, 1) == "0.5"
+        assert _decimal_text(True, 5, 3) == "-0.005"
+        assert _decimal_text(False, 16180339, 7) == "1.6180339"
+        assert _decimal_text(False, 1, 1000) == "0." + "0" * 999 + "1"
+
+    def test_past_the_str_digit_limit(self):
+        # str() refuses more than 4300 digits, where the whole part alone still prints
+        scaled = 10 ** 4000 * 10 ** 1000 + 12345
+        assert _decimal_text(True, scaled, 1000) == _decimal_text_reference(True, scaled, 1000)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.booleans(), st.integers(1, 1000), st.integers(0, 1400), st.data())
+    def test_matches_divmod(self, negative, digits, size, data):
+        scaled = data.draw(st.integers(0, 10 ** size))
+        assert (_decimal_text(negative, scaled, digits)
+                == _decimal_text_reference(negative, scaled, digits))

@@ -148,6 +148,25 @@ class TestMetallicMean:
         with pytest.raises(ValueError):
             metallic_mean(1, -1)
 
+    # metallic_mean builds x1 alone; it is the x1 of solve_quadratic, component by component
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 10 ** 4),
+           st.one_of(st.integers(0, 10 ** 12),
+                     st.fractions(min_value=0, max_value=10 ** 9, max_denominator=10 ** 4),
+                     st.builds(Fraction, st.integers(0, 10 ** 9), st.integers(1, 1000).map(
+                         lambda k: k * k))))
+    def test_is_the_x1_of_solve_quadratic(self, p, q):
+        mean = metallic_mean(p, q)
+        x1 = solve_quadratic(QuadraticSpec(p, q, "minus")).x1
+        assert (mean._p, mean._q, mean._den, mean._d) == (x1._p, x1._q, x1._den, x1._d)
+
+    @pytest.mark.parametrize("p, q", [(1, 0), (7, 0), (3, Fraction(0, 5)), (1, Fraction(1, 4)),
+                                      (2, Fraction(9, 4)), (5, Fraction(7, 16)), (1, 10 ** 12)])
+    def test_zero_and_square_denominators(self, p, q):
+        mean = metallic_mean(p, q)
+        assert mean == solve_quadratic(QuadraticSpec(p, q, "minus")).x1
+        assert mean ** 2 == p * mean + q
+
 
 class TestIntegerMetallic:
     def test_examples(self):
@@ -223,7 +242,10 @@ class TestExactInputs:
         with pytest.raises(TypeError, match="exact types only"):
             _as_fraction(value)
 
+    # q is converted, then its sign checked, then p: the first failing check names the error
     @pytest.mark.parametrize("p, q, error, match", [
+        (0, "1", TypeError, "exact types only"),
+        (-5, -0.5, TypeError, "exact types only"),
         (0, -1, ValueError, "the metallic family takes q >= 0"),
         (0, 1.5, TypeError, "exact types only"),
         (1, -1, ValueError, "the metallic family takes q >= 0"),

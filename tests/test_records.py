@@ -255,6 +255,13 @@ class TestColdImport:
         assert code == "0"
         assert not set(NO_STDLIB[argv]) & set(loaded)
 
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_a_json_run_loads_no_json(self, argv):
+        # the JSON frame and records are % formats of the command's own values
+        code, *loaded = _fresh(RUN_AND_LIST, *argv, "--format", "json", flags=("-S",)).split()
+        assert code == "0"
+        assert "json" not in loaded
+
     @pytest.mark.parametrize("argv", LOADS_A_SURD_LAYER, ids=" ".join)
     def test_a_run_that_uses_a_surd_layer_loads_it_and_prints_its_digits(self, argv):
         layers, expected = LOADS_A_SURD_LAYER[argv]

@@ -721,3 +721,93 @@ class TestSplitSquareOverTheWheel:
         root, free = _split_square(n)
         assert root * root * free == n and _square_free(free)
         assert (root, free) == split_square_reference(n)
+
+
+#: the primes in 1031..1400, the first above 2**10: a product of them is left to the wheel
+_WHEEL_PRIMES = _primes(1031, 1401)
+
+
+def _product(factors: list[tuple[int, int]]) -> tuple[int, tuple[int, int]]:
+    """n and its expected (root, free) from (prime, exponent) pairs of distinct primes."""
+    n = root = free = 1
+    for p, k in factors:
+        n, root, free = n * p ** k, root * p ** (k // 2), free * p ** (k % 2)
+    return n, (root, free)
+
+
+def _wheel_products() -> list[list[tuple[int, int]]]:
+    """Products of two to five wheel primes of every class mod 30, each cubed or not,
+    up to 10**18: the classes rotate so each prime meets each other class."""
+    by_class = {c: [p for p in _WHEEL_PRIMES if p % 30 == c] for c in (1, 7, 11, 13, 17, 19, 23, 29)}
+    cases = []
+    for shift in range(6):
+        classes = list(by_class)
+        for i, c in enumerate(classes):
+            group = [by_class[classes[(i + j) % 8]][shift % len(by_class[classes[(i + j) % 8]])]
+                     for j in range(5)]
+            for exponents in ((1, 1, 1, 0, 0), (3, 1, 0, 0, 0), (2, 1, 0, 0, 0), (1, 2, 3, 0, 0),
+                              (1, 1, 1, 1, 1), (3, 3, 0, 0, 0), (2, 2, 1, 0, 0), (1, 1, 2, 1, 0)):
+                factors = [(p, k) for p, k in zip(group, exponents) if k]
+                if _product(factors)[0] <= MAX_RADICAND:
+                    cases.append(factors)
+    return cases
+
+
+class TestSplitSquareByGcds:
+    """The primes below 2**10 go by gcds with their product, the rest by the wheel from 1027."""
+
+    def test_every_n_up_to_10_to_the_5(self):
+        for n in range(1, 10 ** 5 + 1):
+            assert _split_square(n) == split_square_reference(n), n
+
+    def test_zero(self):
+        assert _split_square(0) == (0, 1)
+        assert QuadraticSurd.sqrt(0) == 0
+
+    def test_the_small_primes_are_those_below_1024(self):
+        product = 1
+        for p in _primes(2, 1024):
+            product *= p
+        assert surds._SMALL_PRIMES == product
+
+    @pytest.mark.parametrize("p", _WHEEL_PRIMES)
+    def test_a_wheel_prime_cubed(self, p):
+        # p**3 > 1024**3, so only the wheel finds p; the cofactor test alone would see no square
+        assert _split_square(p ** 3) == (p, p)
+        assert _split_square(p * p * 1409) == (p, 1409)  # 1409 is prime
+
+    def test_products_in_every_class_mod_30(self):
+        cases = _wheel_products()
+        big = [factors for factors in cases if _product(factors)[0] >= 1024 ** 3]
+        assert len(big) > 200
+        assert {p % 30 for factors in big for p, k in factors if k} == {1, 7, 11, 13, 17, 19, 23, 29}
+        for factors in cases:
+            n, expected = _product(factors)
+            assert _split_square(n) == expected, factors
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_WHEEL_PRIMES), st.integers(1, 3)),
+                    min_size=1, max_size=6, unique_by=lambda pk: pk[0]),
+           st.integers(0, 5), st.integers(0, 3))
+    def test_small_and_wheel_primes_together(self, factors, a, b):
+        n, expected = _product([*factors, (2, a), (3, b)])
+        assume(n <= MAX_RADICAND)
+        assert _split_square(n) == expected
+
+    @pytest.mark.parametrize("n, expected", [
+        (1024 ** 3, (2 ** 15, 1)),
+        (1024 ** 3 - 1, (3, 7 * 11 * 31 * 151 * 331)),           # 3**2 * 7 * 11 * 31 * 151 * 331
+        (1024 ** 3 + 1, (5, 13 * 41 * 61 * 1321)),              # 5**2 * 13 * 41 * 61 * 1321
+        (1031 ** 3, (1031, 1031)),
+        (1031 * 1033 * 1039, (1, 1031 * 1033 * 1039)),
+        (10 ** 18 - 11, (1, 10 ** 18 - 11)),
+        (999999937 ** 2, (999999937, 1)),
+        (1000000007 ** 2, (1000000007, 1)),
+        (1021 ** 6, (1021 ** 3, 1)),                                # the largest small prime
+        (2 ** 59, (2 ** 29, 2)),
+        (2 ** 2 * 3 ** 3 * 5 ** 4 * 7 ** 5 * 1021 ** 6, (2 * 3 * 25 * 49 * 1021 ** 3, 3 * 7)),
+    ])
+    def test_pinned(self, n, expected):
+        root, free = expected
+        assert root * root * free == n
+        assert _split_square(n) == expected

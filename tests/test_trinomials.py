@@ -465,6 +465,11 @@ class TestSolveTrinomial:
         with pytest.raises(ValueError):
             TrinomialSpec(n=0)
 
+    def test_an_infinite_tolerance_is_refused(self):
+        # with it the first point of a bracket would stand for the root
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            solve_trinomial(TrinomialSpec(n=3, m=2), tolerance=float("inf"))
+
 
 class TestGmGeneral:
     def test_sqrt3_positive_root(self):

@@ -3,8 +3,8 @@
 The derivative of ``f(x) = x**n + s*p*x**e - m/2`` (e = 1 or n-1) is a
 binomial, so its real zeros are known in closed form.  Between consecutive
 critical points f is strictly monotone; each sign change there brackets
-exactly one root, and every real root is either such a sign change or an
-exact zero at a critical point.  Signs of f there are certain.
+exactly one root, and every other real root is an exact zero at a critical
+point or a walk point.  Each bracket end, and f's sign there, is decided once.
 
 One float evaluator, :meth:`_Poly._float`, gives f in doubles with a proven
 bound on its rounding error.  Brackets are refined with it to binary64
@@ -245,10 +245,11 @@ class _Poly:
                 return _sgn(lo)
         return _sgn(self.exact(p, q))
 
-    def truncate(self, guess: float, lo: float, hi: float, digits: int) -> tuple[str, int]:
+    def truncate(self, guess: float, lo, hi, orient: int, digits: int) -> tuple[str, int]:
         """The root x in [lo, hi] truncated toward zero to ``digits`` places, and its sign.
 
-        f must be monotone on [lo, hi] with x its only root there.  k =
+        x is the only root in [lo, hi] (ints, floats or Fractions), oriented by ``orient``:
+        +1 where f rises through x, so is negative at lo, and -1 where it falls.  k =
         floor(x*N), N = 10**digits, is decided by the signs of v at grid points
         k/N: Newton steps from ``guess`` under the safeguard of :func:`_refine`.
         Each sign comes from the first tier that decides it.  :meth:`_float` at the
@@ -294,8 +295,6 @@ class _Poly:
         g_p, g_q = guess.as_integer_ratio()
         a, b = (lo_p * scale - 1) // lo_q, hi_p * scale // hi_q + 1
         k, hit = g_p * scale // g_q, False
-        # +1 where f rises through x, from an end where f is not 0
-        orient = self.sign(hi) or -self.sign(lo)
         step = older = b - a
         while b - a > 1:
             if not a < k < b:
@@ -323,17 +322,18 @@ class _Poly:
 class RootSet(namedtuple("RootSet", "roots")):
     """All real roots of ``poly``, ascending.
 
-    A record of its roots alone: ``poly`` is kept for :meth:`truncate` but is
-    not a field, so it takes no part in equality, hashing or the repr.
+    A record of its roots alone: ``poly`` and, parallel to ``roots``, their exact ends
+    (lo, hi, s_lo) from :func:`_seeds` are kept for :meth:`truncate` but are not fields, so
+    they take no part in equality, hashing or the repr.
     """
 
-    def __new__(cls, roots: tuple[RootRecord, ...], poly: _Poly):
+    def __new__(cls, roots: tuple[RootRecord, ...], poly: _Poly, ends: tuple):
         self = super().__new__(cls, roots)
-        self.poly = poly
+        self.poly, self._ends = poly, ends
         return self
 
     def __getnewargs__(self):
-        return self.roots, self.poly
+        return self.roots, self.poly, self._ends
 
     @property
     def values(self) -> list[float]:
@@ -345,21 +345,23 @@ class RootSet(namedtuple("RootSet", "roots")):
             _check_digits(digits)
             p, q = record.exact.as_integer_ratio()
             return _decimal_text(p < 0, abs(p) * 10 ** digits // q, digits), _sgn(p)
-        return self.poly.truncate(record.value, *record.bracket, digits)
+        lo, hi, s_lo = self._ends[self.roots.index(record)]
+        return self.poly.truncate(record.value, lo, hi, -s_lo, digits)
 
 
-def _critical_signs(poly: _Poly) -> list[tuple[float, Fraction | None, int]]:
-    """Real zeros of f', ascending, as (float, exact value or None, exact sign of f there).
+def _critical_signs(poly: _Poly) -> list[tuple]:
+    """Real zeros x* of f', ascending, as (lo, hi, s) with s the exact sign of f at x*.
 
-    The exact value is given whenever f is 0 there.  f'(x) = n*x**(n-1) +
-    c*e*x**(e-1) has at most two real zeros for these families, so f has at
-    most three monotone pieces.
+    lo = hi = x* where s = 0 (an exact root) or x* is a double.  Otherwise lo < hi lie about
+    x*, f has sign s at both and no root lies between either and x*: the double computed for
+    x* and the next one up, or, where a root lies within one ulp of x*, dyadics halved toward
+    x*.  f' is a binomial with at most two real zeros, so f has at most three monotone pieces.
     """
     n, c, e, rhs = poly.n, poly.c, poly.e, poly.rhs
     if e == n - 1 and n >= 3:
-        # f' = x**(n-2) * (n*x + c*(n-1))
+        # f' = x**(n-2) * (n*x + c*(n-1)); t < x* is decided against the rational x*
         stars = sorted((Fraction(-c * (n - 1), n), Fraction(0)))
-        return [(float(x), x, poly.sign(x)) for x in stars]
+        return [_ends(poly, x, float(x), poly.sign(x), x.__gt__) for x in stars]
     k = n - 1  # e = 1: x**k = -c/n
     if k % 2 == 0 and c >= 0:
         return []
@@ -373,76 +375,77 @@ def _critical_signs(poly: _Poly) -> list[tuple[float, Fraction | None, int]]:
         else:
             s = lead * _sgn((abs(c) * k * rhs.denominator) ** k * abs(c)
                             - abs(rhs.numerator) ** k * n ** n)
-        exact = (rhs * n / (c * k) if c else Fraction(0)) if s == 0 else None
-        points.append((side * r, exact, s))
+        def below(t, side=side) -> bool:  # t < x* = side * (|c|/n)**(1/k), or t = x*
+            p, q = t.as_integer_ratio()
+            return (side * p < 0 or abs(p) ** k * n < abs(c) * q ** k) == (side > 0)
+        star = (rhs * n / (c * k) if c else Fraction(0)) if s == 0 else None
+        points.append(_ends(poly, star, side * r, s, below))
     return points
 
 
-def _expand(poly: _Poly, anchor: float, direction: int, inner_sign: int) -> float:
-    """Walk outward geometrically from the anchor until the exact sign of f changes (or f
-    is 0).  f is monotone beyond the anchor, so where it keeps its sign at an x on the
-    walk's side of 0 with |x|**n >= 2**1025, the root lies farther out, where x**n in
-    doubles is inf and f in doubles is not finite: the walk raises ``OverflowError``
-    there.  A step that reaches inf ends in the ``OverflowError`` of :meth:`_Poly.sign`."""
-    step, x = 1.0, None
+def _ends(poly: _Poly, star: Fraction | None, near: float, s: int, below) -> tuple:
+    """(lo, hi, s) of :func:`_critical_signs` for x* at about the double ``near``: ``star`` is
+    x*, or None for e = 1 where s != 0, and ``below(t)`` is t < x*, exactly.  Roots nearer x*
+    than 2**-2099 ulp raise NoConvergence."""
+    if s == 0 or near == star:
+        return star, star, s
+    lo, hi, width = near, math.nextafter(near, math.inf), math.ulp(near)
+    for _ in range(_MAX_ITERATIONS):
+        if poly.sign(lo) == s == poly.sign(hi):
+            return lo, hi, s
+        # a root within an ulp of x*: widen (lo, hi) by doubles to hold x*, then halve it
+        if below(lo) and not below(hi):
+            mid = (Fraction(lo) + Fraction(hi)) / 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        else:
+            lo, hi, width = lo - width, hi + width, 2 * width
+    raise NoConvergence(f"no ends of sign {s} about x* within {_MAX_ITERATIONS} steps")
+
+
+def _expand(poly: _Poly, anchor, direction: int, inner_sign: int) -> tuple:
+    """The mark (x, x, sign of f at x) at the first point x of a geometric walk out from
+    ``float(anchor)`` where the exact sign of f is not ``inner_sign``; a step not past the
+    last point (the anchor first, compared exactly) is skipped.  f is monotone beyond the
+    anchor, so where it keeps its sign at an x on the walk's side of 0 with |x|**n >= 2**1025,
+    the root is where f in doubles is not finite: the walk raises ``OverflowError`` there, as
+    :meth:`_Poly.sign` does at inf."""
+    step, last, start = 1.0, anchor, float(anchor)
     while True:
-        last, x = x, anchor + direction * step
+        x = start + direction * step
         step *= _BRACKET_GROWTH
-        if x == last:  # anchor + step rounds to the last point, whose sign is known
+        if direction * x <= direction * last:
             continue
-        if poly.sign(x) != inner_sign:
-            return x
+        sign = poly.sign(x)
+        if sign != inner_sign:
+            return x, x, sign
         if direction * x > 0 and poly.n * (math.frexp(x)[1] - 1) > 1024:
             raise OverflowError("x**n overflows in doubles before f changes sign")
+        last = x
 
 
-def _pull_off(poly: _Poly, lo: float, hi: float, s_lo: int) -> float:
-    """Point strictly inside (lo, hi) where f keeps its sign ``s_lo`` at lo, by exact sign tests."""
-    width = hi - lo
-    shrink = 0.5
-    for _ in range(60):
-        x = lo + width * shrink
-        if poly.sign(x) == s_lo:
-            return x
-        shrink *= 0.5
-    return lo
-
-
-def _seeds(poly: _Poly) -> tuple[list[Fraction], list[tuple[float, float, int]]]:
-    """Complete root isolation: (exact roots, brackets (lo, hi, exact sign of f left of root))."""
+def _seeds(poly: _Poly) -> list[tuple]:
+    """Complete root isolation, ascending: (x, x, 0) for an exact root x, and (lo, hi, s_lo)
+    for a bracket of one root, f of exact sign s_lo at lo and -s_lo at hi."""
     n, c, e, rhs = poly.n, poly.c, poly.e, poly.rhs
-    if n == 1:
-        if e == 1:
-            coefficient = 1 + c
-            if coefficient == 0:
-                if rhs == 0:
-                    raise DegenerateIdentity("0 = 0: every x solves the equation")
-                raise DegenerateIdentity(f"0 = {rhs}: no x solves the equation")
-            return [Fraction(rhs, coefficient)], []
-        return [rhs - c], []
+    if n == 1:  # (1 + c)*x = rhs, or x + c = rhs
+        if e == 1 and c == -1:
+            raise DegenerateIdentity("0 = 0: every x solves the equation" if rhs == 0 else
+                                     f"0 = {rhs}: no x solves the equation")
+        root = rhs / (1 + c) if e else rhs - c
+        return [(root, root, 0)]
 
     # with no critical points f is strictly increasing (n odd, c >= 0, e = 1): walk from 0
-    points = _critical_signs(poly) or [(0.0, Fraction(0), poly.sign(0))]
-    exact_roots = [exact for _, exact, s in points if s == 0]
-    marks = [(fval, s) for fval, _, s in points]
-    brackets: list[tuple[float, float, int]] = []
-    left_infinity = 1 if n % 2 == 0 else -1
-    first_x, first_s = marks[0]
-    if first_s not in (0, left_infinity):
-        brackets.append((_expand(poly, first_x, -1, first_s), first_x, -first_s))
-    for (xa, sa), (xb, sb) in zip(marks, marks[1:]):
-        if sa != 0 and sb != 0 and sa != sb:
-            brackets.append((xa, xb, sa))
-    last_x, last_s = marks[-1]
-    if last_s not in (0, 1):
-        brackets.append((last_x, _expand(poly, last_x, +1, last_s), last_s))
-
-    # roots are interior, so shared endpoints (critical points) can be pulled apart
-    for i in range(1, len(brackets)):
-        lo, hi, s_lo = brackets[i]
-        if lo == brackets[i - 1][1]:
-            brackets[i] = (_pull_off(poly, lo, hi, s_lo), hi, s_lo)
-    return exact_roots, brackets
+    marks = _critical_signs(poly) or [(Fraction(0), Fraction(0), poly.sign(0))]
+    lo, _, s = marks[0]
+    if s not in (0, 1 if n % 2 == 0 else -1):  # f has the sign of (-1)**n far left
+        marks.insert(0, _expand(poly, lo, -1, s))
+    _, hi, s = marks[-1]
+    if s not in (0, 1):
+        marks.append(_expand(poly, hi, +1, s))
+    # a root at each mark where f is 0, and one between marks where f changes sign
+    return [(lo, hi, 0) if s == 0 else (hi, next_lo, s)
+            for (lo, hi, s), (next_lo, _, next_s) in zip(marks, marks[1:] + [(0, 0, 0)])
+            if s == 0 or s * next_s < 0]
 
 
 def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
@@ -459,9 +462,6 @@ def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
     overflows, err is inf, so the exact sign goes on bisecting there.  Raises
     ``OverflowError`` where f in doubles is not finite at the point it returns.
     """
-    for end in (lo, hi):
-        if poly.sign(end) == 0:
-            return end, 0.0, 0
     x = 0.5 * (lo + hi)
     step = older = hi - lo
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -482,9 +482,8 @@ def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
             nxt = 0.5 * (lo + hi)
         older, step, x = step, abs(nxt - x), nxt
     else:
-        raise NoConvergence(
-            f"no root to tolerance {tolerance} within {_MAX_ITERATIONS} iterations"
-        )
+        raise NoConvergence(f"no root to tolerance {tolerance} within {_MAX_ITERATIONS} "
+                            "iterations")
     if not abs(fx) <= _HUGE:
         raise OverflowError("f in doubles is not finite at the root's float")
     return x, abs(fx), iteration
@@ -494,28 +493,28 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) 
     _check_tolerance(tolerance)
     try:
         poly = _Poly(n, c, e, rhs)
-        exact_roots, brackets = _seeds(poly)
+        seeds = _seeds(poly)
         records = []
-        for root in exact_roots:
-            fv = float(root)
-            p, q = fv.as_integer_ratio()  # |f(fv)|, rounded once
-            residual = abs(poly.exact(p, q)) / (poly.rhs.denominator * q ** n)
-            records.append(RootRecord(fv, (fv, fv), residual, 0, root))
-        for lo, hi, s_lo in brackets:
-            value, residual, iterations = _refine(poly, lo, hi, s_lo, tolerance)
-            records.append(RootRecord(value, (lo, hi), residual, iterations))
+        for lo, hi, s_lo in seeds:
+            if s_lo == 0:  # an exact root
+                fv = float(lo)
+                p, q = fv.as_integer_ratio()  # |f(fv)|, rounded once
+                residual = abs(poly.exact(p, q)) / (poly.rhs.denominator * q ** n)
+                records.append(RootRecord(fv, (fv, fv), residual, 0, Fraction(lo)))
+            else:
+                bracket = float(lo), float(hi)
+                value, residual, iterations = _refine(poly, *bracket, s_lo, tolerance)
+                records.append(RootRecord(value, bracket, residual, iterations))
     except OverflowError as exc:
         raise InputTooLarge("values of the equation exceed the float range (about 1.8e308) "
                             "of the first refinement stage") from exc
-    records.sort(key=lambda record: record.value)
-    return RootSet(tuple(records), poly)
+    return RootSet(tuple(records), poly, tuple(seeds))
 
 
 def isolate_real_roots(spec: TrinomialSpec) -> list[tuple[float, float]]:
-    """Disjoint brackets, one per real root, covering every real root.
-
-    Exactly-known roots (at critical points, or from the linear cases)
-    appear as degenerate (value, value) brackets.
+    """Brackets of doubles, one per real root, covering every real root: disjoint but for
+    roots closer than one ulp, whose brackets may share an end.  Exact roots (at critical
+    points, walk points, or from the linear cases) have degenerate (value, value) brackets.
     """
     return [record.bracket for record in solve_trinomial(spec).roots]
 
@@ -565,7 +564,7 @@ def stakhov_decimal(n: int, variant: str, value: float, digits: int) -> str:
     """
     spec = _stakhov_spec(n, variant)
     poly = _Poly(spec.n, spec.signed_p, spec.exponent, spec.rhs)
-    return poly.truncate(value, 0.0, 1.0, digits)[0]
+    return poly.truncate(value, 0.0, 1.0, 1, digits)[0]
 
 
 def solve_euler(a, n: int, x, mode: str = "constrained") -> RootSet:

@@ -25,6 +25,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BOUNDS = "tests/test_trinomials.py::TestBoundedSigns"
 PINNED = "tests/test_exact_digits.py::TestPinned"
 OVERFLOW = "tests/test_trinomials.py::TestOverflowingWalk"
+CLOSE = ("tests/test_trinomials.py::TestCloseRootFamily::"
+         "test_exact_digits_for_roots_closer_than_one_ulp")
 EXACT_DIGITS = "tests/test_exact_digits.py"
 HARMONIC = "tests/test_harmonic.py"
 SPLIT = ["tests/test_surds.py::TestSplitSquareOverTheWheel",
@@ -52,9 +54,8 @@ MUTANTS = [
      "            return _sgn(lo)\n", [BOUNDS]),
     ("truncate: no exact fallback where bounds straddle 0", "trinomials.py",
      "return _sgn(self.exact(*Fraction(k, scale).as_integer_ratio())), None", "pass", [PINNED]),
-    ("truncate: orientation from lo not flipped", "trinomials.py",
-     "orient = self.sign(hi) or -self.sign(lo)", "orient = self.sign(hi) or self.sign(lo)",
-     [PINNED]),
+    ("RootSet.truncate: orientation flipped", "trinomials.py",
+     "record.value, lo, hi, -s_lo, digits)", "record.value, lo, hi, s_lo, digits)", [PINNED]),
     ("_float: the error bound dropped", "trinomials.py",
      "err = g_n * abs(xn) + g_e * abs(t) + self._rhs_err", "err = 0.0", [BOUNDS]),
     ("_float: no guard for subnormal powers or overflow", "trinomials.py",
@@ -85,7 +86,12 @@ MUTANTS = [
     ("_expand: walks on where x**n overflows", "trinomials.py",
      "        if direction * x > 0 and", "        if False and", ["tests/test_cli.py::TestExitCodes"]),
     ("_expand: a float crossing inside the error bound taken", "trinomials.py",
-     "if poly.sign(x) != inner_sign:", "if inner_sign * poly._float(x, False)[0] <= 0:", [PINNED]),
+     "        sign = poly.sign(x)\n", "        sign = _sgn(poly._float(x, False)[0])\n", [PINNED]),
+    ("_ends: adjacent-double sign check skipped", "trinomials.py",
+     "if poly.sign(lo) == s == poly.sign(hi):", "if True:", [CLOSE]),
+    ("_ends: dyadic halving keeps the wrong half", "trinomials.py",
+     "lo, hi = (mid, hi) if below(mid) else (lo, mid)",
+     "lo, hi = (lo, mid) if below(mid) else (mid, hi)", [CLOSE]),
     ("RootSet.truncate: a negative exact root floored away from 0", "trinomials.py",
      "abs(p) * 10 ** digits // q", "(abs(p) * 10 ** digits + (p < 0) * (q - 1)) // q",
      [EXACT_DIGITS]),

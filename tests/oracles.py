@@ -58,8 +58,10 @@ def truncate_float(value: float, digits: int) -> str:
 
 def split_square_reference(n: int) -> tuple[int, int]:
     """``(root, free)`` with ``n == root**2 * free``, free square-free, from a full
-    factorization by trial division up to sqrt(n).
+    factorization by trial division up to sqrt(n); (0, 1) for n = 0.
     """
+    if n == 0:
+        return 0, 1
     exponents: dict[int, int] = {}
     rest, p = n, 2
     while p * p <= rest:

@@ -51,9 +51,9 @@ GOLDEN = {
     "diophantus-text": "42039465d536fcd6e6358813a5a1de2afd9f7d223de09a8f2d7f764d3ee5ef1a",
     "diophantus-tsv": "80182f420523aab718fe55f41f7346b6aa4b2110eb8b89bf2b1b350f0063f830",
     "domain-degenerate": "7aaff4306af062bdac0380bc70ba6bc431106ce6cd43b6ffb93b0f3d0f957e5c",
-    "euler-json": "4540a57cc1f28f55b4e4a67d9dd023a3f3001d3acad4c732daacd9086830470d",
+    "euler-json": "de299376b272e729ffce4e8834e9bbc6926a4387a369a6a1a0cd142e976a301d",
     "euler-text": "35ca8ddd287ff259a8af5bacedd5c7e148b27ebe493e2433d1c09d08eee9c361",
-    "euler-tsv": "549130dcb54ac908eaaedddb64c45ddcc0a80af0a48c0821f00f50bbd5679a63",
+    "euler-tsv": "d40538cd055de9154b766de4fff323660f413b7eccb1844fc4b938511541a994",
     "harmonic-doublets-json": "c5ac9b3ce4074b6fb50b4f986f0677dbec469b7feabfe6019ea0b03a9d455d7f",
     "harmonic-doublets-key-json": "8324f6d1af13a6eab0e1d80ecea681cfdd58447b89783dfb06137c9eb41b592f",
     "harmonic-doublets-key-text": "c288f9f16d6beff8955cbf3ef0db627814a501e4fc12f57c823833ffa8fd5f41",
@@ -87,9 +87,9 @@ GOLDEN = {
     "metallic-tiny-q-text": "0eed436baaafdc0901789dd162945ab2b72fc48a29ed6d0a7bc9ca26b5235923",
     "metallic-tiny-q-tsv": "9a8f84a73cbd7360d5f4e6947143eafa29510cecf824fbebdf9467183034a470",
     "metallic-tsv": "9eeb19a48f7d00f2e049a663342251c6d3b6996d69ab9e793bbd69585b30f7ad",
-    "mmf-json": "ca36c8d4bf34cd7fdc0d3b11a25908635bf1759954a24873dd47adc9ddc18cd5",
+    "mmf-json": "a7d2d71d778c3e93d36b6b5343ce3927de2118defd29dd95b4aa044f82f36e74",
     "mmf-text": "3c4a344f6b5044d98b3aabfb1509f595085e1a19c79a343344316bf8e5fb70cc",
-    "mmf-tsv": "620731b2b6006d3de74bd0f0b46748fe49625a62a40ba24099582265419cd74d",
+    "mmf-tsv": "5abfe851eba53fc4d8ae860fbfce4967cde9cf1e9a2f97b480e80f27983ee7bb",
     "solve-n2-digits-json": "b3dfe225c8d2bd4a7d273ca15f431d65245551299f1a8a75ac1b55779c866bea",
     "solve-n2-digits-text": "7a16ffebb2ca18782143cfe49cbd74702feb19a0ef440e3e9a189c078dde264d",
     "solve-n2-digits-tsv": "f090332f4e37193bd6b67ffcb472cf219116816e15cd8f5b0341401e106289e9",

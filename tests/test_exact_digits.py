@@ -6,6 +6,7 @@ oracle root truncated toward zero, at widths from 1 to 200 digits.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldmean import solve_euler
+from goldmean import solve_euler, solve_gm_general
 from goldmean._exact import _decimal_text
 from goldmean.cli import run
 from goldmean.trinomials import _critical_signs, _Poly
@@ -87,15 +88,20 @@ def test_signs_at_critical_points_match_mpmath():
     checked = zeros = 0
     with mpmath.workdps(100):
         for n, c, rhs in _critical_cases():
-            for fval, exact, sign in _critical_signs(_Poly(n, c, 1, rhs)):
-                star = mpmath.root(mpmath.mpf(abs(c)) / n, n - 1) * (1 if fval > 0 else -1)
+            poly = _Poly(n, c, 1, rhs)
+            for lo, hi, sign in _critical_signs(poly):
+                star = mpmath.root(mpmath.mpf(abs(c)) / n, n - 1) * (1 if hi > 0 else -1)
                 value = star ** n + c * star - mpmath.mpf(rhs.numerator) / rhs.denominator
                 if abs(value) < mpmath.mpf(10) ** -80:
-                    assert sign == 0 and exact is not None
-                    assert abs(mpmath.mpf(exact.numerator) / exact.denominator - star) < 1e-80
+                    assert sign == 0 and lo == hi
+                    assert abs(mpmath.mpf(lo.numerator) / lo.denominator - star) < 1e-80
                     zeros += 1
                 else:
                     assert sign == (1 if value > 0 else -1), (n, c, rhs)
+                    # ends about x* where f has its sign: f is monotone between each and x*
+                    assert lo < hi and poly.sign(lo) == sign == poly.sign(hi)
+                    assert abs(mpmath.mpf(lo) - star) <= 4 * mpmath.mpf(math.ulp(float(star)))
+                    assert abs(mpmath.mpf(hi) - star) <= 4 * mpmath.mpf(math.ulp(float(star)))
                 checked += 1
     assert checked > 300 and zeros >= 4
 
@@ -117,6 +123,16 @@ class TestPinned:
         # x**9 + x = 2 has the root 1, which the outward search lands on exactly
         out = self._text(capsys, "solve", "--n", "9", "--m", "4")
         assert out == "x1 = 1.0000000000 (satisfactory)\n"
+
+    def test_root_on_a_walk_point_is_exact(self, capsys):
+        # x**3 + x = 2: the walk from 0 lands on the root 1, which is reported exact, with
+        # the degenerate bracket of an exact root and no refinement
+        [record] = solve_gm_general(3, 4).roots
+        assert record == (1.0, (1.0, 1.0), 0.0, 0, 1) and type(record.exact) is Fraction
+        assert run(["solve", "--n", "3", "--m", "4", "--format", "json"]) == 0
+        [root] = json.loads(capsys.readouterr().out)["results"]
+        assert (root["decimal"], root["bracket_lo"], root["bracket_hi"], root["iterations"]) == (
+            "1.0000000000", 1.0, 1.0, 0)
 
     def test_degree_300_at_1000_digits(self, capsys):
         start = time.perf_counter()
@@ -145,12 +161,13 @@ class TestPinned:
 
     def test_root_on_the_end_of_its_bracket(self, capsys):
         # b**10 + b = 10x with x set so that hi, where the bracket walk from the critical
-        # point first finds f >= 0, is an exact root; the refinement returns hi, and
-        # truncate orients itself from the bracket's lo, as f is 0 at hi
+        # point first finds f >= 0, is an exact root: the walk reports it exact, with the
+        # degenerate bracket (hi, hi)
         hi = 1.225736317318873
         x = (Fraction(hi) ** 10 + Fraction(hi)) / 10
         [record] = [r for r in solve_euler(0, 10, x).roots if r.value > 0]
-        assert record.bracket[1] == record.value == hi and _Poly(10, 1, 1, 10 * x).sign(hi) == 0
+        assert record.bracket == (hi, hi) and record.value == hi and record.exact == Fraction(hi)
+        assert _Poly(10, 1, 1, 10 * x).sign(hi) == 0
         assert run(["euler", "--a", "0", "--n", "10", f"--x={x}", "--mode", "constrained",
                     "--digits", "30", "--format", "json"]) == 0
         printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]

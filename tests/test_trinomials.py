@@ -75,9 +75,10 @@ class TestIsolation:
 
 class TestCloseRootFamily:
     """(x + 2s)(x**2 - 2s*x - (8s**2 + 3)) with p and m moved by up to 3: two roots
-    about 1/(2s) apart, on either side of a critical point."""
+    about 1/(2s) apart, on either side of a critical point; above s of about 10**8 they
+    can lie within one ulp of it."""
 
-    _FAMILY = (st.integers(1, 10 ** 12), st.integers(-3, 3), st.integers(-3, 3))
+    _FAMILY = (st.integers(1, 10 ** 13), st.integers(-3, 3), st.integers(-3, 3))
 
     @staticmethod
     def _digits(p, m):
@@ -91,23 +92,38 @@ class TestCloseRootFamily:
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(*_FAMILY)
-    def test_exits_cleanly_with_exact_digits_for_roots_apart(self, s, dp, dm):
+    def test_exits_cleanly_with_exact_digits(self, s, dp, dm):
         p, m = 12 * s * s + 3 + dp, 32 * s ** 3 + 12 * s + dm
         printed = self._digits(p, m)
         if has_multiple_root(3, -p, 1, Fraction(m, 2)):
             return
         roots = mp_real_roots(3, -p, 1, Fraction(m, 2))
-        # digits are certain only where the float brackets can separate the roots
-        ulp = math.ulp(float(2 * s))
-        if all(a - b > ulp for a, b in zip(roots, roots[1:])):
-            assert printed == [truncate_mpf(r, 15) for r in roots]
+        assert printed == [truncate_mpf(r, 15) for r in roots]
 
-    @pytest.mark.xfail(strict=True, reason="both roots lie within one float of the critical "
-                                           "point, so float bracket ends cannot separate them")
-    def test_exact_digits_for_roots_closer_than_one_ulp(self):
-        p, m = 253843251483928431, 98452453218571831816910340
+    @pytest.mark.parametrize("p, m", [
+        # s = 145442787: f is 0 at the double nearest the critical point, x2 = -2s
+        (253843251483928431, 98452453218571831816910340),
+        # s = 3002729937868: x3 is 1.66e-13 below x2 = -2s
+        (108196644957225157684625091, 866360813306492675338775484643730007440),
+    ], ids=["s=145442787", "s=3002729937868"])
+    def test_exact_digits_for_roots_closer_than_one_ulp(self, p, m):
         roots = mp_real_roots(3, -p, 1, Fraction(m, 2))
-        assert self._digits(p, m) == [truncate_mpf(r, 15) for r in roots]
+        printed = self._digits(p, m)
+        assert printed == [truncate_mpf(r, 15) for r in roots]
+        assert len(set(printed)) == 3
+
+    def test_exact_digits_for_roots_within_one_ulp_of_a_rational_critical_point(self):
+        # x**3 + c*x**2 = m/2 with 8c**3 - 27m = 1: f(x*) = 1/54 at the critical point
+        # x* = -2c/3, so two roots lie about (54c)**-1/2 = 4.3e-7 either side of it, well
+        # within its ulp of 7.6e-6
+        c = 100000000004
+        m = (8 * c ** 3 - 1) // 27
+        assert 8 * c ** 3 - 27 * m == 1
+        roots = mp_real_roots(3, c, 2, Fraction(m, 2))
+        assert [float(r) for r in roots].count(float(Fraction(-2 * c, 3))) == 2
+        found = solve_trinomial(TrinomialSpec(3, c, "plus", m, "n_minus_one"))
+        printed = [found.truncate(record, 15)[0] for record in reversed(found.roots)]
+        assert printed == [truncate_mpf(r, 15) for r in roots]
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(*_FAMILY)

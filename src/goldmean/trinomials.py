@@ -127,21 +127,22 @@ def _sum(bits: int, *terms: tuple[int, tuple[int, int, int]]) -> tuple[int, int,
 class _Poly:
     """f(x) = x**n + c*x**e - rhs with float and exact evaluation.
 
-    Exact signs at x = p/q, q > 0, are those of v = f(p/q) * den * q**n, with den the
-    denominator of rhs; :meth:`_terms` alone writes v.  A c or rhs past the float range
+    rhs, an int or Fraction, is kept as its numerator ``num`` and denominator ``den``, so
+    no step compares or converts a Fraction.  Exact signs at x = p/q, q > 0, are those of
+    v = f(p/q) * den * q**n; :meth:`_terms` alone writes v.  A c or rhs past the float range
     raises ``OverflowError`` here."""
 
-    __slots__ = ("n", "c", "e", "rhs", "_rhs_f", "_c_f", "_bits", "_gammas", "_rhs_err",
-                 "_slopes")
+    __slots__ = ("n", "c", "e", "num", "den", "_rhs_f", "_c_f", "_bits", "_gammas",
+                 "_rhs_err", "_slopes")
 
-    def __init__(self, n: int, c: int, e: int, rhs: Fraction):
+    def __init__(self, n: int, c: int, e: int, rhs):
         if n > MAX_DEGREE:
             raise InputTooLarge(f"degree {n} exceeds the bound {MAX_DEGREE}")
         self.n = n
         self.c = c
         self.e = e
-        self.rhs = rhs
-        self._rhs_f = float(rhs)
+        self.num, self.den = rhs.numerator, rhs.denominator
+        self._rhs_f = self.num / self.den  # correctly rounded, as float(rhs) is
         self._c_f = float(c)
         # the square-and-multiply steps of :meth:`_float`'s one power, x**(n-1) or x**n
         self._bits = bin(e if e > 1 else n)[3:]
@@ -157,8 +158,7 @@ class _Poly:
         """Exact (j, (alpha, beta), (d_alpha, d_beta)) with v = alpha * |p|**j + beta * q**(n-1)
         and dv/dp = d_alpha * |p|**j + d_beta * q**(n-1).  The terms of f that cancel where no
         root is near share a coefficient, so bounds on the two powers keep them exact."""
-        n, e, c = self.n, self.e, self.c
-        den, num = self.rhs.denominator, self.rhs.numerator
+        n, e, c, den, num = self.n, self.e, self.c, self.den, self.num
         j = n - 2 if e > 1 else n - 1
         sp = -1 if p < 0 and j % 2 else 1  # p**j = sp * |p|**j
         if e > 1:  # e = n-1: den * p**(n-2) * p * (p + c*q) - num * q * q**(n-1)
@@ -350,18 +350,20 @@ class RootSet(namedtuple("RootSet", "roots")):
 
 
 def _critical_signs(poly: _Poly) -> list[tuple]:
-    """Real zeros x* of f', ascending, as (lo, hi, s) with s the exact sign of f at x*.
+    """Real zeros x* of f', ascending, as marks (lo, hi, s) with s the exact sign of f at x*.
 
     lo = hi = x* where s = 0 (an exact root) or x* is a double.  Otherwise lo < hi lie about
     x*, f has sign s at both and no root lies between either and x*: the double computed for
     x* and the next one up, or, where a root lies within one ulp of x*, dyadics halved toward
-    x*.  f' is a binomial with at most two real zeros, so f has at most three monotone pieces.
+    x*.  A root that one of those ends hits exactly follows or precedes its mark as the mark
+    (z, z, 0) of a root, in order.  f' is a binomial with at most two real zeros, so f has at
+    most three monotone pieces.
     """
-    n, c, e, rhs = poly.n, poly.c, poly.e, poly.rhs
+    n, c, e, num, den = poly.n, poly.c, poly.e, poly.num, poly.den
     if e == n - 1 and n >= 3:
         # f' = x**(n-2) * (n*x + c*(n-1)); t < x* is decided against the rational x*
         stars = sorted((Fraction(-c * (n - 1), n), Fraction(0)))
-        return [_ends(poly, x, float(x), poly.sign(x), x.__gt__) for x in stars]
+        return [mark for x in stars for mark in _ends(poly, x, float(x), poly.sign(x), x.__gt__)]
     k = n - 1  # e = 1: x**k = -c/n
     if k % 2 == 0 and c >= 0:
         return []
@@ -370,29 +372,34 @@ def _critical_signs(poly: _Poly) -> list[tuple]:
     for side in (-1, 1) if k % 2 == 0 else (-_sgn(c) or 1,):
         # there f(x) = c*(n-1)/n * x - rhs; same-sign terms compare as k-th powers
         lead = side * _sgn(c)
-        if lead != _sgn(rhs):
-            s = lead or -_sgn(rhs)
+        if lead != _sgn(num):
+            s = lead or -_sgn(num)
         else:
-            s = lead * _sgn((abs(c) * k * rhs.denominator) ** k * abs(c)
-                            - abs(rhs.numerator) ** k * n ** n)
+            s = lead * _sgn((abs(c) * k * den) ** k * abs(c) - abs(num) ** k * n ** n)
         def below(t, side=side) -> bool:  # t < x* = side * (|c|/n)**(1/k), or t = x*
             p, q = t.as_integer_ratio()
             return (side * p < 0 or abs(p) ** k * n < abs(c) * q ** k) == (side > 0)
-        star = (rhs * n / (c * k) if c else Fraction(0)) if s == 0 else None
-        points.append(_ends(poly, star, side * r, s, below))
+        star = (Fraction(num * n, den * c * k) if c else Fraction(0)) if s == 0 else None
+        points += _ends(poly, star, side * r, s, below)
     return points
 
 
-def _ends(poly: _Poly, star: Fraction | None, near: float, s: int, below) -> tuple:
-    """(lo, hi, s) of :func:`_critical_signs` for x* at about the double ``near``: ``star`` is
-    x*, or None for e = 1 where s != 0, and ``below(t)`` is t < x*, exactly.  Roots nearer x*
-    than 2**-2099 ulp raise NoConvergence."""
+def _ends(poly: _Poly, star: Fraction | None, near: float, s: int, below) -> list[tuple]:
+    """The marks of :func:`_critical_signs` for x* at about the double ``near``: ``star`` is
+    x*, or None for e = 1 where s != 0, and ``below(t)`` is t < x*, exactly.  An end where f
+    is 0 is a root z, on one side of x*, whose mark (z, z, 0) is kept; f is monotone on
+    either side, so there are at most two.  Roots nearer x* than 2**-2099 ulp raise
+    NoConvergence."""
     if s == 0 or near == star:
-        return star, star, s
+        return [(star, star, s)]
     lo, hi, width = near, math.nextafter(near, math.inf), math.ulp(near)
+    zeros = []
     for _ in range(_MAX_ITERATIONS):
-        if poly.sign(lo) == s == poly.sign(hi):
-            return lo, hi, s
+        signs = poly.sign(lo), poly.sign(hi)
+        if signs == (s, s):
+            return ([(z, z, 0) for z in zeros if z < lo] + [(lo, hi, s)]
+                    + [(z, z, 0) for z in zeros if z > hi])
+        zeros += [t for t, sign in zip((lo, hi), signs) if sign == 0 and t not in zeros]
         # a root within an ulp of x*: widen (lo, hi) by doubles to hold x*, then halve it
         if below(lo) and not below(hi):
             mid = (Fraction(lo) + Fraction(hi)) / 2
@@ -426,16 +433,16 @@ def _expand(poly: _Poly, anchor, direction: int, inner_sign: int) -> tuple:
 def _seeds(poly: _Poly) -> list[tuple]:
     """Complete root isolation, ascending: (x, x, 0) for an exact root x, and (lo, hi, s_lo)
     for a bracket of one root, f of exact sign s_lo at lo and -s_lo at hi."""
-    n, c, e, rhs = poly.n, poly.c, poly.e, poly.rhs
+    n, c, e, num, den = poly.n, poly.c, poly.e, poly.num, poly.den
     if n == 1:  # (1 + c)*x = rhs, or x + c = rhs
         if e == 1 and c == -1:
-            raise DegenerateIdentity("0 = 0: every x solves the equation" if rhs == 0 else
-                                     f"0 = {rhs}: no x solves the equation")
-        root = rhs / (1 + c) if e else rhs - c
+            raise DegenerateIdentity("0 = 0: every x solves the equation" if num == 0 else
+                                     f"0 = {Fraction(num, den)}: no x solves the equation")
+        root = Fraction(num, den * (1 + c)) if e else Fraction(num - c * den, den)
         return [(root, root, 0)]
 
     # with no critical points f is strictly increasing (n odd, c >= 0, e = 1): walk from 0
-    marks = _critical_signs(poly) or [(Fraction(0), Fraction(0), poly.sign(0))]
+    marks = _critical_signs(poly) or [(0, 0, poly.sign(0))]
     lo, _, s = marks[0]
     if s not in (0, 1 if n % 2 == 0 else -1):  # f has the sign of (-1)**n far left
         marks.insert(0, _expand(poly, lo, -1, s))
@@ -455,13 +462,21 @@ def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
     Each step evaluates :meth:`_Poly._float` once.  It stops once the scaled residual
     |f|/(1 + |x|**n) and f's error bound, scaled alike, are within ``tolerance``, or the
     bracket is two adjacent floats, where no float lies closer to the root.  Where the
-    bound cannot decide f's sign, the exact sign picks the bracket end that moves.  A
-    Newton step is taken only when it lands inside the bracket and is at most half the
-    step before the previous one (the rule of Numerical Recipes' ``rtsafe``), so a steep
-    convex piece is bisected rather than walked down in steps of about x/n.  Where x**n
-    overflows, err is inf, so the exact sign goes on bisecting there.  Raises
-    ``OverflowError`` where f in doubles is not finite at the point it returns.
+    bound cannot decide f's sign, the exact sign picks the bracket end that moves.
+
+    The step comes from the ``xn`` and ``fx`` of :meth:`_Poly._float`, with w = xn - fx =
+    rhs - c*x**e, so that f = x**n - w.  Where x**n and w are nonzero and share a sign and
+    the x**n term dominates x*f', |b| < n with b = e*(rhs - w)/w, it is Newton's step on
+    ln(x**n) - ln(w), dx = -ln(x**n/w) * x / (n + b), which is nearly linear where f is
+    nearly a pure power, as near 1 at high degree, where a step on f overshoots and the
+    bracket is bisected instead.  Where |b| >= n, w is near its own zero and its logarithm
+    is not nearly linear, so there, and elsewhere, the step is Newton's on f.  A step is taken only when it lands inside the
+    bracket and is at most half the step before the previous one (the rule of Numerical
+    Recipes' ``rtsafe``), and the bracket is bisected otherwise.  Where x**n overflows, err
+    is inf, so the exact sign goes on bisecting there.  Raises ``OverflowError`` where f in
+    doubles is not finite at the point it returns.
     """
+    n, e, rhs = poly.n, poly.e, poly._rhs_f
     x = 0.5 * (lo + hi)
     step = older = hi - lo
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -477,6 +492,12 @@ def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
             lo = x
         else:
             hi = x
+        w = xn - fx
+        ratio = xn / w if w else 0.0
+        if 0.0 < ratio <= _HUGE:  # and so is not nan: x**n and w share a sign
+            b = e * (rhs - w) / w
+            if abs(b) < n:  # and so n + b > 0
+                dx = -math.log(ratio) * x / (n + b)
         nxt = x + dx
         if not (lo < nxt < hi and 2.0 * abs(nxt - x) <= older):
             nxt = 0.5 * (lo + hi)
@@ -499,7 +520,7 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) 
             if s_lo == 0:  # an exact root
                 fv = float(lo)
                 p, q = fv.as_integer_ratio()  # |f(fv)|, rounded once
-                residual = abs(poly.exact(p, q)) / (poly.rhs.denominator * q ** n)
+                residual = abs(poly.exact(p, q)) / (poly.den * q ** n)
                 records.append(RootRecord(fv, (fv, fv), residual, 0, Fraction(lo)))
             else:
                 bracket = float(lo), float(hi)
@@ -545,16 +566,22 @@ def _stakhov_spec(n: int, variant: str) -> TrinomialSpec:
     return TrinomialSpec(n=n, m=2, lower_exponent="one" if variant == "a" else "n_minus_one")
 
 
+def _stakhov_poly(n: int, variant: str) -> _Poly:
+    """f of :func:`_stakhov_spec`, whose right side is 1."""
+    spec = _stakhov_spec(n, variant)
+    return _Poly(n, 1, spec.exponent, 1)
+
+
 def solve_stakhov(n: int, variant: str = "a") -> float:
     """Unique non-negative root of ``x**n + x = 1`` (a) or ``x**n + x**(n-1) = 1`` (b).
 
-    Both left sides are strictly increasing for x >= 0, so the root is
-    unique; variant b at n = 1 degenerates to x + 1 = 1 with root 0.
+    Both left sides are strictly increasing for x >= 0, from 0 at x = 0 to 2 at x = 1, so
+    the root is unique and lies in [0, 1], where f rises from -1 to 1: that bracket is
+    refined alone, with no isolation of the other real roots.  Variant b at n = 1
+    degenerates to x + 1 = 1, with the exact root 0.
     """
-    value = solve_trinomial(_stakhov_spec(n, variant)).roots[-1].value
-    if value < 0:
-        raise NoConvergence("expected a non-negative root")
-    return value
+    poly = _stakhov_poly(n, variant)
+    return _refine(poly, 0.0, 1.0, -1, TOLERANCE)[0] if poly.e else 0.0
 
 
 def stakhov_decimal(n: int, variant: str, value: float, digits: int) -> str:
@@ -562,9 +589,7 @@ def stakhov_decimal(n: int, variant: str, value: float, digits: int) -> str:
 
     The root lies in [0, 1], where both left sides increase: that is its bracket.
     """
-    spec = _stakhov_spec(n, variant)
-    poly = _Poly(spec.n, spec.signed_p, spec.exponent, spec.rhs)
-    return poly.truncate(value, 0.0, 1.0, 1, digits)[0]
+    return _stakhov_poly(n, variant).truncate(value, 0.0, 1.0, 1, digits)[0]
 
 
 def solve_euler(a, n: int, x, mode: str = "constrained") -> RootSet:

@@ -27,6 +27,10 @@ PINNED = "tests/test_exact_digits.py::TestPinned"
 OVERFLOW = "tests/test_trinomials.py::TestOverflowingWalk"
 CLOSE = ("tests/test_trinomials.py::TestCloseRootFamily::"
          "test_exact_digits_for_roots_closer_than_one_ulp")
+CRITICAL_ZERO = ("tests/test_trinomials.py::TestCloseRootFamily::"
+                 "test_a_root_at_the_double_of_a_critical_point_is_exact")
+BUDGET = "tests/test_trinomials.py::TestIterationBudget"
+STAKHOV = "tests/test_trinomials.py::TestStakhov"
 EXACT_DIGITS = "tests/test_exact_digits.py"
 HARMONIC = "tests/test_harmonic.py"
 SPLIT = ["tests/test_surds.py::TestSplitSquareOverTheWheel",
@@ -73,7 +77,7 @@ MUTANTS = [
      "xdf = 2048 * n_s * xn + 2048 * e_s * t\n"
      "        return fx, err, xn, -fx / xdf * x if xdf else math.inf", [OVERFLOW]),
     ("_critical_signs: k-th powers compared the wrong way", "trinomials.py",
-     "- abs(rhs.numerator) ** k * n ** n)", "+ abs(rhs.numerator) ** k * n ** n)",
+     "- abs(num) ** k * n ** n)", "+ abs(num) ** k * n ** n)",
      ["tests/test_trinomials.py::TestSolveTrinomial"]),
     ("_refine: the float sign trusted within its error bound", "trinomials.py",
      "side = fx if abs(fx) > err else poly.sign(x)", "side = fx",
@@ -88,10 +92,18 @@ MUTANTS = [
     ("_expand: a float crossing inside the error bound taken", "trinomials.py",
      "        sign = poly.sign(x)\n", "        sign = _sgn(poly._float(x, False)[0])\n", [PINNED]),
     ("_ends: adjacent-double sign check skipped", "trinomials.py",
-     "if poly.sign(lo) == s == poly.sign(hi):", "if True:", [CLOSE]),
+     "if signs == (s, s):", "if True:", [CLOSE]),
     ("_ends: dyadic halving keeps the wrong half", "trinomials.py",
      "lo, hi = (mid, hi) if below(mid) else (lo, mid)",
      "lo, hi = (lo, mid) if below(mid) else (mid, hi)", [CLOSE]),
+    ("_ends: zero at a critical double ignored", "trinomials.py",
+     "if sign == 0 and t not in zeros]", "if False]", [CRITICAL_ZERO]),
+    ("_refine: log step taken where x**n and w differ in sign", "trinomials.py",
+     "        if 0.0 < ratio <= _HUGE:  # and so is not nan: x**n and w share a sign\n",
+     "        if 0.0 < abs(ratio) <= _HUGE:\n            ratio = abs(ratio)\n", [BUDGET]),
+    ("solve_stakhov: bracket orientation flipped", "trinomials.py",
+     "_refine(poly, 0.0, 1.0, -1, TOLERANCE)", "_refine(poly, 0.0, 1.0, 1, TOLERANCE)",
+     [STAKHOV]),
     ("RootSet.truncate: a negative exact root floored away from 0", "trinomials.py",
      "abs(p) * 10 ** digits // q", "(abs(p) * 10 ** digits + (p < 0) * (q - 1)) // q",
      [EXACT_DIGITS]),

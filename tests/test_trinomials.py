@@ -1,5 +1,6 @@
 """Certified trinomial roots: isolation, refinement, Stakhov and Euler forms."""
 
+import importlib.util
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,8 +27,9 @@ from goldmean import (
     solve_trinomial,
     stakhov_decimal,
 )
+from goldmean import trinomials
 from goldmean.cli import run
-from goldmean.trinomials import MAX_DEGREE, _power, _Poly, _round, _sum
+from goldmean.trinomials import MAX_DEGREE, _power, _Poly, _round, _stakhov_spec, _sum
 from oracles import (bisect_root, grid_sign_changes, has_multiple_root, mp_real_roots,
                      mp_root_in, truncate_mpf)
 
@@ -112,6 +115,26 @@ class TestCloseRootFamily:
         assert printed == [truncate_mpf(r, 15) for r in roots]
         assert len(set(printed)) == 3
 
+    def test_a_root_at_the_double_of_a_critical_point_is_exact(self):
+        # s = 145442787: f is 0 exactly at c = -2s, the double computed for x* = -sqrt(p/3);
+        # x* lies between c and x3, which is 3.4e-9 below c
+        p, m = 253843251483928431, 98452453218571831816910340
+        argv = ["mmf", "--n", "3", "--p", str(p), "--sign", "minus", "--m", str(m),
+                "--format", "json"]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run(argv) == 0
+        x1, x2, x3 = json.loads(out.getvalue())["results"]
+        c = -290885574.0
+        assert (x2["value"], x2["bracket_lo"], x2["bracket_hi"], x2["residual"],
+                x2["iterations"]) == (c, c, c, 0.0, 0)
+        assert x2["decimal"] == "-290885574.0000000000"
+        roots = mp_real_roots(3, -p, 1, Fraction(m, 2))
+        assert [x1["decimal"], x3["decimal"]] == [truncate_mpf(roots[0], 10),
+                                                  truncate_mpf(roots[2], 10)]
+        record = solve_trinomial(TrinomialSpec(3, p, "minus", m)).roots[1]
+        assert record.exact == Fraction(-290885574)
+
     def test_exact_digits_for_roots_within_one_ulp_of_a_rational_critical_point(self):
         # x**3 + c*x**2 = m/2 with 8c**3 - 27m = 1: f(x*) = 1/54 at the critical point
         # x* = -2c/3, so two roots lie about (54c)**-1/2 = 4.3e-7 either side of it, well
@@ -191,9 +214,24 @@ class TestOverflowingWalk:
         d, unit = Fraction(decimal), Fraction(1, 10 ** 10)
         f = lambda x: x ** n + x - Fraction(m, 2)  # noqa: E731
         assert f(d) <= 0 < f(d + unit)
-        # n*x**n overflows before x**n does: the Newton step, from x*f' scaled, is kept there
+        # n*x**n overflows before x**n does: the step, from ln(x**n) - ln(w), is kept there
         [record] = solve_trinomial(TrinomialSpec(n, 1, "plus", m)).roots
         assert record.iterations <= 10
+
+    def test_refinement_bisects_where_x_n_overflows(self):
+        # x**3 + x = 1.25e308: x**3 is past the float range at the first point, 8e102, and
+        # f in doubles is not finite there, so the exact sign moves the bracket's end
+        poly = _Poly(3, 1, 1, Fraction(25 * 10 ** 307, 2))
+        value, residual, _ = trinomials._refine(poly, 0.0, 1.6e103, -1, 1e-12)
+        assert value == pytest.approx(5e102, rel=1e-12) and math.isfinite(residual)
+
+    def test_the_newton_step_where_n_x_n_overflows(self):
+        # at 5.5e102, x**3 is finite but 3*x**3, a term of x*f', is not: scaled, it keeps
+        # the step -f/f'
+        rhs, x = Fraction(25 * 10 ** 307, 2), 5.5e102
+        dx = _Poly(3, 1, 1, rhs)._float(x, False)[3]
+        t = Fraction(x)
+        assert dx == pytest.approx(float(-(t ** 3 + t - rhs) / (3 * t ** 2 + 1)), rel=1e-12)
 
 
 def _points(bound):
@@ -528,6 +566,30 @@ class TestStakhov:
     def test_variant_b_n1_is_zero(self):
         assert solve_stakhov(1, "b") == 0.0
 
+    def test_no_root_isolation(self, monkeypatch):
+        # the root's bracket is [0, 1]: no critical point, walk or other root is needed
+        def refuse(poly):
+            raise AssertionError("solve_stakhov isolated roots")
+
+        monkeypatch.setattr(trinomials, "_seeds", refuse)
+        monkeypatch.setattr(trinomials, "_critical_signs", refuse)
+        assert solve_stakhov(3, "a") == pytest.approx(PLASTICISH, abs=1e-9)
+        assert solve_stakhov(3, "b") == pytest.approx(SUPERGOLDENISH, abs=1e-9)
+        assert (solve_stakhov(1, "a"), solve_stakhov(1, "b")) == (0.5, 0.0)
+        assert 0.99 < solve_stakhov(MAX_DEGREE, "b") < 1.0
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, MAX_DEGREE), st.sampled_from("ab"), st.integers(1, 30))
+    @example(1, "a", 10)
+    @example(1, "b", 10)
+    @example(2, "b", 10)
+    def test_agrees_with_the_root_of_the_full_solver(self, n, variant, digits):
+        value = solve_stakhov(n, variant)
+        assert 0.0 <= value <= 1.0
+        roots = solve_trinomial(_stakhov_spec(n, variant))
+        assert stakhov_decimal(n, variant, value, digits) == roots.truncate(roots.roots[-1],
+                                                                             digits)[0]
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             solve_stakhov(2, "c")
@@ -574,6 +636,45 @@ class TestEuler:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             solve_euler(0, 2, 1, "sideways")
+
+
+class TestIterationBudget:
+    """Refinement steps per root: the step in log coordinates converges in a few where one
+    term of f dominates, as x**n does near 1 at high degree."""
+
+    @staticmethod
+    def _iterations(argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run([*argv.split(), "--format", "json"]) == 0
+        return [r["iterations"] for r in json.loads(out.getvalue())["results"]]
+
+    @pytest.mark.parametrize("argv, budget", [
+        ("solve --n 273 --m 2", 8),
+        ("solve --n 164 --m 3", 10),
+        ("euler --a=0 --n 93 --x=730/93 --mode direct", 8),
+    ])
+    def test_pinned(self, argv, budget):
+        assert max(self._iterations(argv)) <= budget
+
+    def test_benchmark_corpus(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        counts, refine = [], trinomials._refine
+
+        def counted(*args):
+            result = refine(*args)
+            counts.append(result[2])
+            return result
+
+        monkeypatch.setattr(trinomials, "_refine", counted)
+        for argv in sorted({tuple(op["argv"]) for seed in (1, 2, 3)
+                            for op in corpus.generate("trinomial", seed)}):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                run(list(argv))
+        assert len(counts) > 3000 and max(counts) <= 20
 
 
 class TestDegreeBound:

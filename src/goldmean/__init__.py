@@ -12,13 +12,13 @@ Each public name is imported from its submodule on first use (PEP 562), so
 __version__ = "0.1.0"
 
 _HOMES = {
-    "_exact": ("TOLERANCE", "RootRecord"),
+    "_exact": ("TOLERANCE", "RootRecord", "integer_metallic"),
     "errors": ("CrossCheckFailed", "DegenerateIdentity", "DomainError", "InputTooLarge",
                "MixedRadicands", "NoConvergence", "NonPositive", "NoRealRoot", "NoRealRoots"),
     "harmonic": ("DoubletReport", "HarmonicTable", "build_table", "cross_check_integer_means",
                  "find_doublets", "key_rows"),
-    "quadratics": ("QuadraticSpec", "RootPair", "generalized_gm", "integer_metallic",
-                   "metallic_mean", "solve_quadratic"),
+    "quadratics": ("QuadraticSpec", "RootPair", "generalized_gm", "metallic_mean",
+                   "solve_quadratic"),
     "surds": ("ContinuedFraction", "QuadraticSurd", "Rational", "continued_fraction_of",
               "surd_compare", "to_decimal"),
     "triangles": ("PythagoreanTriple", "TableOneRow", "TripletClass", "classify_triplet",

@@ -1,12 +1,12 @@
-"""Signs, exact-type checks, digit strings and the root record shared by the surd, quadratic
-and trinomial layers; :mod:`goldmean.trinomials` takes them from here, so it loads no surd
-arithmetic, and ``solve`` at n = 2 builds its records here, so it loads no trinomial solver.
+"""Signs, exact-type checks, digit strings, the root record and the integer metallic mean test,
+shared by the surd, quadratic, trinomial and harmonic layers: taking them from here, trinomials
+and harmonic doublets load no surd arithmetic, and ``solve`` at n = 2 no trinomial solver.
 ``fractions`` and ``numbers`` load on the first exact input, so a harmonic run skips them."""
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import inf
+from math import inf, isqrt
 
 TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
 if TYPE_CHECKING:
@@ -78,9 +78,19 @@ class RootRecord(namedtuple("RootRecord", "value bracket residual iterations exa
     """One certified root: value, enclosing bracket, |f(value)|, iterations.
 
     A root known exactly keeps its exact value in ``exact`` (a Fraction, or a
-    :class:`~goldmean.surds.QuadraticSurd` for a surd root) and zero iterations;
-    ``value`` is then the double nearest it.  A rational one carries the
-    degenerate bracket (value, value), a surd the two adjacent doubles around it.
+    :class:`~goldmean.surds.QuadraticSurd` for a surd root); ``value`` is then the
+    double nearest it.  One known before refinement has zero iterations and the bracket
+    (value, value), or a surd's two adjacent doubles; one refinement lands on keeps both.
     """
 
     __slots__ = ()
+
+
+def integer_metallic(q: int) -> tuple[int, int] | None:
+    """Detect an integer metallic mean: ``(k, k+1)`` when ``q = k(k+1)`` -- the absolute
+    values of the two roots of ``x**2 - x - q = 0`` -- and ``None`` otherwise.  The test is
+    whether ``1 + 4q`` is a perfect (necessarily odd) square, (2k + 1)**2."""
+    if q < 0:
+        raise ValueError("q must be a non-negative integer")
+    root = isqrt(1 + 4 * q)
+    return (root // 2, root // 2 + 1) if root * root == 1 + 4 * q else None

@@ -3,13 +3,14 @@
 The size x size grid of products i*j repeats each value q = k(k+1) at the
 two cells (k, k+1) and (k+1, k) flanking the main diagonal.  Those q are
 exactly the integer metallic means, which :func:`cross_check_integer_means`
-verifies against the quadratic solver.
+verifies by the quadratics' perfect-square test, :func:`integer_metallic`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+from ._exact import integer_metallic
 from .errors import CrossCheckFailed, InputTooLarge
 
 TYPE_CHECKING = False  # true for a type checker alone, so no run imports typing
@@ -81,10 +82,9 @@ def key_rows(k_max: int) -> Iterator[tuple[int, int, int]]:
 def cross_check_integer_means(table: HarmonicTable) -> Iterator[tuple[int, tuple[int, int]]]:
     """Every doublet q = k(k+1) with its integer metallic mean pair, made when it is read;
     the bound is checked at the call.  Raises :class:`CrossCheckFailed` where the stream
-    reaches a q whose pair from the quadratic side is not (k, k+1) -- that would be an
+    reaches a q whose pair from :func:`integer_metallic` is not (k, k+1) -- that would be an
     implementation bug, not a data condition.
     """
-    from .quadratics import integer_metallic  # only doublets need the quadratic layer
     if table.size > MAX_SIZE:
         raise InputTooLarge(f"size {table.size} exceeds the doublet bound {MAX_SIZE}")
 

@@ -2,7 +2,7 @@
 
 Covers the golden-mean branch (``s = +1``, roots ``(-p ± sqrt(p^2+4q))/2``),
 its generalization to ``q = m/2``, the metallic-means branch (``s = -1``),
-and detection of the integer metallic means ``q = k(k+1)``.
+and detection of the integer metallic means ``q = k(k+1)``, from :mod:`goldmean._exact`.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from ._exact import Sign, _as_fraction, sign_value
+from ._exact import Sign, _as_fraction, integer_metallic, sign_value
 from .errors import NoRealRoots
 from .surds import QuadraticSurd, _root_parts
 
@@ -94,19 +94,3 @@ def metallic_mean(p: int, q) -> QuadraticSurd:
     r, c, d = _root_parts(num // g, b // g)
     return QuadraticSurd._canonical(p * c, r, 2 * c, d)
 
-
-def integer_metallic(q: int) -> tuple[int, int] | None:
-    """Detect an integer metallic mean.
-
-    Returns ``(k, k+1)`` when ``q = k(k+1)`` -- the absolute values of the
-    two roots of ``x**2 - x - q = 0`` -- and ``None`` otherwise.  The test
-    is whether ``1 + 4q`` is a perfect (necessarily odd) square.
-    """
-    if q < 0:
-        raise ValueError("q must be a non-negative integer")
-    disc = 1 + 4 * q
-    root = isqrt(disc)
-    if root * root != disc:
-        return None
-    k = (root - 1) // 2
-    return (k, k + 1)

@@ -2,9 +2,9 @@
 
 The derivative of ``f(x) = x**n + s*p*x**e - m/2`` (e = 1 or n-1) is a
 binomial, so its real zeros are known in closed form.  Between consecutive
-critical points f is strictly monotone; each sign change there brackets
+critical points and 0 f is strictly monotone; each sign change there brackets
 exactly one root, and every other real root is an exact zero at a critical
-point or a walk point.  Each bracket end, and f's sign there, is decided once.
+point or at 0.  Each bracket end, and f's sign there, is decided once.
 
 One float evaluator, :meth:`_Poly._float`, gives f in doubles with a proven
 bound on its rounding error.  Brackets are refined with it to binary64
@@ -70,8 +70,6 @@ class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
 #: float refinement steps per bracket before :class:`NoConvergence`: the halvings that
 #: close any bracket of finite floats, from 2**1025 across to the least spacing 2**-1074
 _MAX_ITERATIONS = 1025 + 1074
-#: geometric factor of the outward bracket search
-_BRACKET_GROWTH = 2.0
 #: largest degree n; at n = 1000, printing 1000 exact digits takes about 0.15 s in a fresh process
 MAX_DEGREE = 1000
 
@@ -350,36 +348,34 @@ class RootSet(namedtuple("RootSet", "roots")):
 
 
 def _critical_signs(poly: _Poly) -> list[tuple]:
-    """Real zeros x* of f', ascending, as marks (lo, hi, s) with s the exact sign of f at x*.
+    """Real zeros x* != 0 of f', ascending, as marks (lo, hi, s), s the exact sign of f at x*.
 
     lo = hi = x* where s = 0 (an exact root) or x* is a double.  Otherwise lo < hi lie about
     x*, f has sign s at both and no root lies between either and x*: the double computed for
     x* and the next one up, or, where a root lies within one ulp of x*, dyadics halved toward
     x*.  A root that one of those ends hits exactly follows or precedes its mark as the mark
-    (z, z, 0) of a root, in order.  f' is a binomial with at most two real zeros, so f has at
-    most three monotone pieces.
+    (z, z, 0) of a root, in order.  f' is a binomial with at most two real zeros besides 0,
+    which :func:`_seeds` marks, so f has at most four monotone pieces between them.
     """
     n, c, e, num, den = poly.n, poly.c, poly.e, poly.num, poly.den
     if e == n - 1 and n >= 3:
         # f' = x**(n-2) * (n*x + c*(n-1)); t < x* is decided against the rational x*
-        stars = sorted((Fraction(-c * (n - 1), n), Fraction(0)))
-        return [mark for x in stars for mark in _ends(poly, x, float(x), poly.sign(x), x.__gt__)]
+        star = Fraction(-c * (n - 1), n)
+        return _ends(poly, star, float(star), poly.sign(star), star.__gt__)
     k = n - 1  # e = 1: x**k = -c/n
-    if k % 2 == 0 and c >= 0:
+    if c == 0 or k % 2 == 0 and c > 0:
         return []
     r = (abs(c) / n) ** (1.0 / k)
     points = []
-    for side in (-1, 1) if k % 2 == 0 else (-_sgn(c) or 1,):
+    for side in (-1, 1) if k % 2 == 0 else (-_sgn(c),):
         # there f(x) = c*(n-1)/n * x - rhs; same-sign terms compare as k-th powers
         lead = side * _sgn(c)
-        if lead != _sgn(num):
-            s = lead or -_sgn(num)
-        else:
-            s = lead * _sgn((abs(c) * k * den) ** k * abs(c) - abs(num) ** k * n ** n)
+        s = lead if lead != _sgn(num) else lead * _sgn(
+            (abs(c) * k * den) ** k * abs(c) - abs(num) ** k * n ** n)
         def below(t, side=side) -> bool:  # t < x* = side * (|c|/n)**(1/k), or t = x*
             p, q = t.as_integer_ratio()
             return (side * p < 0 or abs(p) ** k * n < abs(c) * q ** k) == (side > 0)
-        star = (Fraction(num * n, den * c * k) if c else Fraction(0)) if s == 0 else None
+        star = Fraction(num * n, den * c * k) if s == 0 else None
         points += _ends(poly, star, side * r, s, below)
     return points
 
@@ -409,25 +405,31 @@ def _ends(poly: _Poly, star: Fraction | None, near: float, s: int, below) -> lis
     raise NoConvergence(f"no ends of sign {s} about x* within {_MAX_ITERATIONS} steps")
 
 
-def _expand(poly: _Poly, anchor, direction: int, inner_sign: int) -> tuple:
-    """The mark (x, x, sign of f at x) at the first point x of a geometric walk out from
-    ``float(anchor)`` where the exact sign of f is not ``inner_sign``; a step not past the
-    last point (the anchor first, compared exactly) is skipped.  f is monotone beyond the
-    anchor, so where it keeps its sign at an x on the walk's side of 0 with |x|**n >= 2**1025,
-    the root is where f in doubles is not finite: the walk raises ``OverflowError`` there, as
-    :meth:`_Poly.sign` does at inf."""
-    step, last, start = 1.0, anchor, float(anchor)
-    while True:
-        x = start + direction * step
-        step *= _BRACKET_GROWTH
-        if direction * x <= direction * last:
-            continue
-        sign = poly.sign(x)
-        if sign != inner_sign:
-            return x, x, sign
-        if direction * x > 0 and poly.n * (math.frexp(x)[1] - 1) > 1024:
-            raise OverflowError("x**n overflows in doubles before f changes sign")
-        last = x
+def _least(a: int, b: int, d: int, strict: bool):
+    """The least int t with 2**(t*d) * a > b (``strict``) or >= b, for a, d >= 1, or -inf where
+    b <= 0: bit lengths leave the least k = t*d one of two, one exact comparison picks it."""
+    if b <= 0:
+        return -math.inf
+    k = b.bit_length() - a.bit_length()
+    v = (a << k) - b if k >= 0 else a - (b << -k)  # of the sign of 2**k * a - b
+    return -(-(k + (v < strict)) // d)
+
+
+def _outer(poly: _Poly, side: int) -> tuple:
+    """The mark (U, U, s), U = side * 2**t past every critical point, where f has the sign s of
+    U**n by the inequality below (Fujiwara's bound), with no evaluation; t is the least it
+    allows, but >= -1074.  A U past the float range raises OverflowError, as then the root's
+    x**n is past it too."""
+    n, c, e, num, den = poly.n, poly.c, poly.e, poly.num, poly.den
+    if c * side ** (n - e) >= 0:  # x**n and c*x**e share a sign on this side of 0
+        # |U**n| >= |rhs| where c != 0 (> where c = 0), or |c*U**e| > |rhs|
+        r = abs(num)
+        t = min(_least(den, r, n, not c), _least(abs(c) * den, r, e, True) if c else math.inf)
+    else:
+        # |U|**n >= 2*|c*U**e| and |U|**n > 2*|rhs|: |c*U**e| + |rhs| < |U**n|
+        t = max(_least(1, 2 * abs(c), n - e, False), _least(den, 2 * abs(num), n, True))
+    u = math.ldexp(side, max(t, -1074))
+    return u, u, 1 if side > 0 or n % 2 == 0 else -1
 
 
 def _seeds(poly: _Poly) -> list[tuple]:
@@ -441,18 +443,40 @@ def _seeds(poly: _Poly) -> list[tuple]:
         root = Fraction(num, den * (1 + c)) if e else Fraction(num - c * den, den)
         return [(root, root, 0)]
 
-    # with no critical points f is strictly increasing (n odd, c >= 0, e = 1): walk from 0
-    marks = _critical_signs(poly) or [(0, 0, poly.sign(0))]
-    lo, _, s = marks[0]
-    if s not in (0, 1 if n % 2 == 0 else -1):  # f has the sign of (-1)**n far left
-        marks.insert(0, _expand(poly, lo, -1, s))
-    _, hi, s = marks[-1]
-    if s not in (0, 1):
-        marks.append(_expand(poly, hi, +1, s))
+    # f is monotone between critical points and 0, whose mark splits the bracket about 0, so
+    # no bracket crosses 0 and a root at 0 is exact; f(0) = -rhs is read off, as e >= 1
+    marks = _critical_signs(poly)
+    if not any(lo <= 0 <= hi for lo, hi, _ in marks):
+        marks = sorted(marks + [(0, 0, -_sgn(num))])
+    if marks[0][2] not in (0, 1 if n % 2 == 0 else -1):  # f has the sign of (-1)**n far left
+        marks.insert(0, _outer(poly, -1))
+    if marks[-1][2] not in (0, 1):
+        marks.append(_outer(poly, +1))
     # a root at each mark where f is 0, and one between marks where f changes sign
     return [(lo, hi, 0) if s == 0 else (hi, next_lo, s)
             for (lo, hi, s), (next_lo, _, next_s) in zip(marks, marks[1:] + [(0, 0, 0)])
             if s == 0 or s * next_s < 0]
+
+
+def _first_point(poly: _Poly, lo: float, hi: float) -> float:
+    """Three fixed-point steps of x**n + c*x**e = rhs from the midpoint, by the map that
+    contracts by 4 there: y <- root_n(rhs - c*y**e), of relative slope e*|c*y**e| /
+    (n*|rhs - c*y**e|), or y <- root_e((rhs - y**n)/c), of n*|y**n| / (e*|rhs - y**n|).
+    With neither, or a point outside (lo, hi), the first point is the midpoint."""
+    n, e, c, rhs = poly.n, poly.e, poly._c_f, poly._rhs_f
+    y = mid = 0.5 * (lo + hi)
+    try:
+        t, xn = c * y ** e, y ** n
+        k = (n if 4 * e * abs(t) <= n * abs(rhs - t) else
+             e if 4 * n * abs(xn) <= e * abs(rhs - xn) else 0)
+        for _ in range(3 if k else 0):
+            v = rhs - c * y ** e if k == n else (rhs - y ** n) / c
+            if v < 0 and k % 2 == 0:
+                break
+            y = math.copysign(abs(v) ** (1.0 / k), v if k % 2 else y)
+    except OverflowError:  # y**n is past the float range
+        return mid
+    return y if lo < y < hi else mid
 
 
 def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
@@ -470,14 +494,14 @@ def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
     ln(x**n) - ln(w), dx = -ln(x**n/w) * x / (n + b), which is nearly linear where f is
     nearly a pure power, as near 1 at high degree, where a step on f overshoots and the
     bracket is bisected instead.  Where |b| >= n, w is near its own zero and its logarithm
-    is not nearly linear, so there, and elsewhere, the step is Newton's on f.  A step is taken only when it lands inside the
-    bracket and is at most half the step before the previous one (the rule of Numerical
-    Recipes' ``rtsafe``), and the bracket is bisected otherwise.  Where x**n overflows, err
-    is inf, so the exact sign goes on bisecting there.  Raises ``OverflowError`` where f in
-    doubles is not finite at the point it returns.
+    is not nearly linear, so there, and elsewhere, the step is Newton's on f.  A step is
+    taken only when it lands inside the bracket and is at most half the step before the
+    previous one (the rule of Numerical Recipes' ``rtsafe``), and the bracket is bisected
+    otherwise.  Where x**n overflows, err is inf, so the exact sign goes on bisecting there.
+    Raises ``OverflowError`` where f in doubles is not finite at the point it returns.
     """
     n, e, rhs = poly.n, poly.e, poly._rhs_f
-    x = 0.5 * (lo + hi)
+    x = _first_point(poly, lo, hi)
     step = older = hi - lo
     for iteration in range(1, _MAX_ITERATIONS + 1):
         fx, err, xn, dx = poly._float(x, False)
@@ -525,7 +549,9 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) 
             else:
                 bracket = float(lo), float(hi)
                 value, residual, iterations = _refine(poly, *bracket, s_lo, tolerance)
-                records.append(RootRecord(value, bracket, residual, iterations))
+                # f in doubles is 0 at value: one exact sign tells whether it is the root
+                exact = Fraction(value) if residual == 0.0 and poly.sign(value) == 0 else None
+                records.append(RootRecord(value, bracket, residual, iterations, exact))
     except OverflowError as exc:
         raise InputTooLarge("values of the equation exceed the float range (about 1.8e308) "
                             "of the first refinement stage") from exc
@@ -534,8 +560,8 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) 
 
 def isolate_real_roots(spec: TrinomialSpec) -> list[tuple[float, float]]:
     """Brackets of doubles, one per real root, covering every real root: disjoint but for
-    roots closer than one ulp, whose brackets may share an end.  Exact roots (at critical
-    points, walk points, or from the linear cases) have degenerate (value, value) brackets.
+    roots closer than one ulp, whose brackets may share an end.  Roots exact before refinement
+    (at critical points, at 0, or from the linear cases) have brackets (value, value).
     """
     return [record.bracket for record in solve_trinomial(spec).roots]
 

@@ -24,7 +24,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BOUNDS = "tests/test_trinomials.py::TestBoundedSigns"
 PINNED = "tests/test_exact_digits.py::TestPinned"
-OVERFLOW = "tests/test_trinomials.py::TestOverflowingWalk"
+OVERFLOW = "tests/test_trinomials.py::TestOverflowingPowers"
+OUTER = "tests/test_trinomials.py::TestOuterEnds"
 CLOSE = ("tests/test_trinomials.py::TestCloseRootFamily::"
          "test_exact_digits_for_roots_closer_than_one_ulp")
 CRITICAL_ZERO = ("tests/test_trinomials.py::TestCloseRootFamily::"
@@ -87,10 +88,13 @@ MUTANTS = [
      ["tests/test_cli.py::TestExitCodes"]),
     ("_refine: stops where x**n overflows", "trinomials.py",
      "err <= min(scale, _HUGE)", "err <= scale", [OVERFLOW]),
-    ("_expand: walks on where x**n overflows", "trinomials.py",
-     "        if direction * x > 0 and", "        if False and", ["tests/test_cli.py::TestExitCodes"]),
-    ("_expand: a float crossing inside the error bound taken", "trinomials.py",
-     "        sign = poly.sign(x)\n", "        sign = _sgn(poly._float(x, False)[0])\n", [PINNED]),
+    ("_least: t one short in the power-of-two bound", "trinomials.py",
+     "return -(-(k + (v < strict)) // d)", "return -(-(k + (v < strict)) // d) - 1", [OUTER]),
+    ("_seeds: the read-off sign of f(0) flipped", "trinomials.py",
+     "marks + [(0, 0, -_sgn(num))]", "marks + [(0, 0, _sgn(num))]", [OUTER]),
+    ("_first_point: the regime test's factor 4 dropped", "trinomials.py",
+     "n if 4 * e * abs(t) <= n * abs(rhs - t) else", "n if e * abs(t) <= n * abs(rhs - t) else",
+     [BUDGET]),
     ("_ends: adjacent-double sign check skipped", "trinomials.py",
      "if signs == (s, s):", "if True:", [CLOSE]),
     ("_ends: dyadic halving keeps the wrong half", "trinomials.py",

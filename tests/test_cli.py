@@ -105,8 +105,8 @@ class TestExitCodes:
         ("euler", "--a", "0", "--n", "1000000", "--x", "1/1000000", "--mode", "direct"),
         # the root 2e154 squares past the float range, so f in doubles there is not finite
         ("mmf", "--n", "2", "--p", "2" + "0" * 154, "--sign", "minus", "--m", "0"),
-        # the roots 2**1000 and 10**300 square past it: the bracket walk stops where x**n
-        # overflows, before the exact root 2**1000 ends it
+        # the roots 2**1000 and 10**300 square past it: refinement ends where f in doubles is
+        # not finite, though 2**1000 is an exact root
         ("mmf", "--n", "2", "--p", str(2 ** 1000), "--sign", "minus", "--m", "0"),
         ("mmf", "--n", "2", "--p", "1" + "0" * 300, "--sign", "minus", "--m", "0"),
     ])

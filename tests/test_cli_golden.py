@@ -51,9 +51,9 @@ GOLDEN = {
     "diophantus-text": "42039465d536fcd6e6358813a5a1de2afd9f7d223de09a8f2d7f764d3ee5ef1a",
     "diophantus-tsv": "80182f420523aab718fe55f41f7346b6aa4b2110eb8b89bf2b1b350f0063f830",
     "domain-degenerate": "7aaff4306af062bdac0380bc70ba6bc431106ce6cd43b6ffb93b0f3d0f957e5c",
-    "euler-json": "4f013fb7e923d2faa5e6fe453408054593634134cc2bc68c6948421b6ac8f8f0",
+    "euler-json": "47f2303558ea6c24b3797f7e921367564ffa4062a120f6fbe3f3e99f8fabf30e",
     "euler-text": "35ca8ddd287ff259a8af5bacedd5c7e148b27ebe493e2433d1c09d08eee9c361",
-    "euler-tsv": "9ec3b433ee2fa75c35fa0e72ac6deae2c04cad0564db40c23e86a2ecf1563e45",
+    "euler-tsv": "244cb89fe348b85289102748c32b6004b48be00a5485032ec93b5579b9d80728",
     "harmonic-doublets-json": "c5ac9b3ce4074b6fb50b4f986f0677dbec469b7feabfe6019ea0b03a9d455d7f",
     "harmonic-doublets-key-json": "8324f6d1af13a6eab0e1d80ecea681cfdd58447b89783dfb06137c9eb41b592f",
     "harmonic-doublets-key-text": "c288f9f16d6beff8955cbf3ef0db627814a501e4fc12f57c823833ffa8fd5f41",
@@ -87,9 +87,9 @@ GOLDEN = {
     "metallic-tiny-q-text": "0eed436baaafdc0901789dd162945ab2b72fc48a29ed6d0a7bc9ca26b5235923",
     "metallic-tiny-q-tsv": "9a8f84a73cbd7360d5f4e6947143eafa29510cecf824fbebdf9467183034a470",
     "metallic-tsv": "9eeb19a48f7d00f2e049a663342251c6d3b6996d69ab9e793bbd69585b30f7ad",
-    "mmf-json": "529ebfa0a9a97a209af039ceeb2260749f7cc9d2a0a3322340cbd3d7d73cf04d",
+    "mmf-json": "298da74bbe3d3bfc17adecc86b25b51a91ad81253720efe10bd2779d0f8eb508",
     "mmf-text": "3c4a344f6b5044d98b3aabfb1509f595085e1a19c79a343344316bf8e5fb70cc",
-    "mmf-tsv": "60db56978ffd42247a8cea9c29f74c39a2715106594c3fa9b4da562ddb5fb385",
+    "mmf-tsv": "5682c271e5b208624679aa90b01139bad92379fd47ddbe42e9f4963f28897701",
     "solve-n2-digits-json": "b3dfe225c8d2bd4a7d273ca15f431d65245551299f1a8a75ac1b55779c866bea",
     "solve-n2-digits-text": "7a16ffebb2ca18782143cfe49cbd74702feb19a0ef440e3e9a189c078dde264d",
     "solve-n2-digits-tsv": "f090332f4e37193bd6b67ffcb472cf219116816e15cd8f5b0341401e106289e9",
@@ -102,9 +102,9 @@ GOLDEN = {
     "solve-n3-json": "dd04d0e626d0601c806d65ed38162732b23c2a82da1884aa16c31a9b165906f6",
     "solve-n3-text": "8351e3a0ebd7159e11d4cebba51d5efd71b7b5f29ee12f6c197b13692d4828c5",
     "solve-n3-tsv": "a6766346b3c56d1832b7ce37b21b880a3154c3c27a080d5c000b7319d0ffea65",
-    "stakhov-json": "a914bf1b89bc282c92d07df6e08230fa99c4dfe6506fd0a8431800b783045a49",
+    "stakhov-json": "c5106f9b95948ff306902f3917154b1881e3d3cb5345ebaf776d128db37c82f3",
     "stakhov-text": "59586fbc3bdae62bccb2ea54fa49630d9831c4b6c8870286222f7bcae409c13c",
-    "stakhov-tsv": "1e0eea4cb0cbb9db054f4d972d49c1defb6c118187307a49970dc65818999d2b",
+    "stakhov-tsv": "b38a5c79e651d0f12cc910fb3e7112467c504466a592b506bf9070376df1575d",
     "table1-json": "d079dcfb2d062d674baae3f1fd75c6eac0bb317f10370f1534c47dae116a0fe1",
     "table1-right-json": "ebf5f25f2344babf10ee1f072fd82a4154c3def99f8c74fb72ce4e713629f1e0",
     "table1-right-text": "83ed81b6838a83d4d5a5f4910efe9a68ef37ac8975c1143225c627bae173190b",

@@ -120,19 +120,21 @@ class TestPinned:
         assert "x2 = 0.0000000000\n" in out
 
     def test_root_on_a_bracket_end(self, capsys):
-        # x**9 + x = 2 has the root 1, which the outward search lands on exactly
+        # x**9 + x = 2 has the root 1, the midpoint of its bracket (0, 2), where refinement
+        # starts
         out = self._text(capsys, "solve", "--n", "9", "--m", "4")
         assert out == "x1 = 1.0000000000 (satisfactory)\n"
 
-    def test_root_on_a_walk_point_is_exact(self, capsys):
-        # x**3 + x = 2: the walk from 0 lands on the root 1, which is reported exact, with
-        # the degenerate bracket of an exact root and no refinement
+    def test_root_refinement_lands_on_is_exact(self, capsys):
+        # x**3 + x = 2: refinement starts at 1, the midpoint of the bracket (0, 2), where f in
+        # doubles is 0; the exact sign there is 0 too, so the root is reported exact, with
+        # the bracket and the one step of its refinement
         [record] = solve_gm_general(3, 4).roots
-        assert record == (1.0, (1.0, 1.0), 0.0, 0, 1) and type(record.exact) is Fraction
+        assert record == (1.0, (0.0, 2.0), 0.0, 1, 1) and type(record.exact) is Fraction
         assert run(["solve", "--n", "3", "--m", "4", "--format", "json"]) == 0
         [root] = json.loads(capsys.readouterr().out)["results"]
         assert (root["decimal"], root["bracket_lo"], root["bracket_hi"], root["iterations"]) == (
-            "1.0000000000", 1.0, 1.0, 0)
+            "1.0000000000", 0.0, 2.0, 1)
 
     def test_degree_300_at_1000_digits(self, capsys):
         start = time.perf_counter()
@@ -152,36 +154,47 @@ class TestPinned:
         assert printed == [truncate_mpf(r, 1000, dps=1050) for r in roots]
 
     def test_root_on_the_grid(self, capsys):
-        # b**300 = 2**-300: f is 0 at the grid points of ±1/2, where no bounds decide a
-        # sign, so the exact value must
+        # b**300 = 2**-300: refinement lands on the roots ±1/2, which are doubles, and the
+        # exact sign there makes them exact roots, floored by integer division
         out = self._text(capsys, "euler", "--a", "0", "--n", "300", f"--x=1/{300 * 2 ** 300}",
                          "--mode", "direct", "--digits", "40")
         assert out == ("x1 = 0.5000000000000000000000000000000000000000 (satisfactory)\n"
                        "x2 = -0.5000000000000000000000000000000000000000\n")
 
-    def test_root_on_the_end_of_its_bracket(self, capsys):
-        # b**10 + b = 10x with x set so that hi, where the bracket walk from the critical
-        # point first finds f >= 0, is an exact root: the walk reports it exact, with the
-        # degenerate bracket (hi, hi)
+    def test_root_on_the_grid_that_no_double_is(self, capsys):
+        # b**300 = 10**-300: f is 0 at the grid points of ±1/10, which refinement cannot
+        # land on; no bounds decide a sign there, so the exact value must
+        out = self._text(capsys, "euler", "--a", "0", "--n", "300", f"--x=1/{300 * 10 ** 300}",
+                         "--mode", "direct", "--digits", "40")
+        assert out == ("x1 = 0.1000000000000000000000000000000000000000 (satisfactory)\n"
+                       "x2 = -0.1000000000000000000000000000000000000000\n")
+
+    def test_root_on_a_double(self, capsys):
+        # b**10 + b = 10x with x set so that the double hi is an exact root: refinement in
+        # (0, 2) ends on it, where f in doubles is 1.8e-15, not 0, so it is reported as a
+        # float root, whose digits the exact signs still decide
         hi = 1.225736317318873
         x = (Fraction(hi) ** 10 + Fraction(hi)) / 10
         [record] = [r for r in solve_euler(0, 10, x).roots if r.value > 0]
-        assert record.bracket == (hi, hi) and record.value == hi and record.exact == Fraction(hi)
+        assert record == (hi, (0.0, 2.0), record.residual, 3, None) and record.residual > 0
         assert _Poly(10, 1, 1, 10 * x).sign(hi) == 0
         assert run(["euler", "--a", "0", "--n", "10", f"--x={x}", "--mode", "constrained",
                     "--digits", "30", "--format", "json"]) == 0
         printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
         assert f"{Fraction(hi) * 10 ** 30 // 1}" in [d.replace(".", "") for d in printed]
 
-    def test_root_just_inside_a_walk_point(self, capsys):
-        # the walk above with the root 2**-56 below hi: f is positive at hi, but f in doubles
-        # there is negative and inside its error bound, so only the exact sign ends the walk
+    def test_root_just_below_a_double(self, capsys):
+        # the equation above with the root 2**-56 below hi: f is positive at hi, but f in
+        # doubles there is negative and inside its error bound; refinement ends on hi, the
+        # nearest double, and the digits below it are decided by exact signs
         hi = 1.225736317318873
         root = Fraction(hi) - Fraction(1, 2 ** 56)
         x = (root ** 10 + root) / 10
         poly = _Poly(10, 1, 1, 10 * x)
         fx, err = poly._float(hi, False)[:2]
         assert -err < fx < 0 < poly.sign(hi)
+        [record] = [r for r in solve_euler(0, 10, x).roots if r.value > 0]
+        assert record == (hi, (0.0, 2.0), record.residual, 3, None)
         assert run(["euler", "--a", "0", "--n", "10", f"--x={x}", "--mode", "constrained",
                     "--digits", "30", "--format", "json"]) == 0
         printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
@@ -191,10 +204,13 @@ class TestPinned:
         (["euler", "--a", "0", "--n", "1000", "--x=1/1000", "--mode", "direct"], (1, -1)),
         (["solve", "--n", "1000", "--m", "4"], (1,)),  # x2 = -1.0010995828... is off the grid
         (["mmf", "--n", "999", "--p", "1", "--sign", "minus", "--m", "0"], (1, 0, -1)),
-    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+        (["euler", "--a", "0", "--n", "1000", f"--x=1/{1000 * 10 ** 1000}", "--mode", "direct"],
+         (Fraction(1, 10), Fraction(-1, 10))),
+    ], ids=lambda value: " ".join(value)[:60] if isinstance(value, list) else None)
     def test_roots_on_the_grid_at_the_degree_bound(self, capsys, argv, roots):
-        # f(k/N) is 0 at these grid points, where no bounds decide a sign: the exact sign
-        # at the reduced fraction k/N does, with no integer of n * 3322 bits
+        # f(k/N) is 0 at these grid points.  Refinement lands on ±1 and 0 is a bracket end,
+        # so those roots are exact; at ±1/10 no bounds decide a sign, and the exact sign at
+        # the reduced fraction k/N does, with no integer of n * 3322 bits
         start = time.perf_counter()
         out = self._text(capsys, *argv, "--digits", "1000")
         assert time.perf_counter() - start < 0.3

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldmean.harmonic
 import goldmean.quadratics
 from goldmean import (CrossCheckFailed, DoubletReport, HarmonicTable, InputTooLarge, build_table,
                       cross_check_integer_means, find_doublets, key_rows)
@@ -173,9 +174,12 @@ class TestStreamsFromTheClosedForm:
         assert next(cross_check_integer_means(table)) == (0, (0, 1))
         assert next(key_rows(MAX_SIZE)) == (0, 0, 0)
 
+    def test_the_quadratic_layer_keeps_the_same_test(self):
+        assert goldmean.quadratics.integer_metallic is goldmean.harmonic.integer_metallic
+
     def test_a_wrong_pair_raises_where_the_stream_reaches_it(self, monkeypatch):
-        right = goldmean.quadratics.integer_metallic
-        monkeypatch.setattr(goldmean.quadratics, "integer_metallic",
+        right = goldmean.harmonic.integer_metallic
+        monkeypatch.setattr(goldmean.harmonic, "integer_metallic",
                             lambda q: (3, 5) if q == 12 else right(q))
         pairs = cross_check_integer_means(build_table(10))
         assert [next(pairs) for _ in range(3)] == [(0, (0, 1)), (2, (1, 2)), (6, (2, 3))]

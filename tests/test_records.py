@@ -173,7 +173,8 @@ print(code, *sys.modules)
 #: needs typing, and a harmonic grid or key run reads no rational, so it skips fractions and
 #: the modules fractions imports
 NO_STDLIB = {**{tuple(argv): ("typing",) for argv in WELL_FORMED}, **dict.fromkeys(
-    [("harmonic", "--size", "3"), ("harmonic", "--size", "3", "--key", "2")],
+    [("harmonic", "--size", "3"), ("harmonic", "--size", "3", "--key", "2"),
+     ("harmonic", "--size", "4", "--doublets")],
     ("typing", "fractions", "decimal", "numbers", "re"))}
 
 #: ``cli.run(sys.argv[1:])``'s stdout, then its exit code and goldmean's submodules loaded
@@ -189,7 +190,8 @@ print(code, *sorted(m for m in sys.modules if m.startswith("goldmean.")))
 #: the surd and quadratic layers, which a trinomial run or a harmonic grid does not use
 SURD_LAYERS = ("surds", "quadratics")
 
-#: library modules a command's cold run must not load
+#: library modules a command's cold run must not load, for the argv of ``WELL_FORMED`` and
+#: those below; the harmonic doublets' perfect-square test needs no surd arithmetic
 NOT_LOADED = {
     **dict.fromkeys(("solve", "mmf", "stakhov", "euler"), ("triangles", "harmonic", *SURD_LAYERS)),
     "metallic": ("trinomials", "triangles", "harmonic"),
@@ -197,6 +199,7 @@ NOT_LOADED = {
     "diophantus": ("trinomials", "harmonic", *SURD_LAYERS),
     "harmonic": ("trinomials", "triangles", *SURD_LAYERS),
 }
+ALSO_ALONE = [("harmonic", "--size", "4", "--doublets")]
 
 #: argv whose run does use a surd layer: the layers it loads, and its stdout; ``solve`` at
 #: n = 2 takes its roots from the surds alone and loads no trinomial solver
@@ -205,9 +208,6 @@ LOADS_A_SURD_LAYER = {
         "x1 = 0.6180339887 (satisfactory)   [(-1 + √5)/2]\n"
         "x2 = -1.6180339887   [(-1 - √5)/2]\n"
         "r = 5\n")),
-    ("harmonic", "--size", "3", "--doublets"): (SURD_LAYERS, (
-        "doublet q=0 at (0,1)/(1,0) -> integer pair (0, 1)\n"
-        "doublet q=2 at (1,2)/(2,1) -> integer pair (1, 2)\n")),
     ("metallic", "--p", "1", "--q", "1"): (SURD_LAYERS, (
         "metallic mean (p=1, q=1) = (1 + √5)/2 = 1.6180339887\n")),
     # each right-side row checks its h and r against the roots of x^2 + x = m/2
@@ -241,7 +241,7 @@ class TestColdImport:
                 "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
         assert _fresh(code) == "\n"
 
-    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    @pytest.mark.parametrize("argv", [*WELL_FORMED, *ALSO_ALONE], ids=" ".join)
     def test_a_well_formed_run_loads_its_command_alone(self, argv):
         code, *loaded = _fresh(RUN_AND_LIST, *argv).split()
         assert code == "0"

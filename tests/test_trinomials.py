@@ -76,6 +76,71 @@ class TestIsolation:
             assert hi < lo
 
 
+def _least_reference(holds) -> int:
+    """The least t in [-1074, 1100] where the monotone predicate ``holds`` is true."""
+    lo, hi = -1075, 1100  # holds(hi), and lo stands below the range
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
+class TestOuterEnds:
+    """Outer bracket ends U = ±2**t, where the sign of f is read off an inequality between
+    the terms at U, with no evaluation: t is the least that the inequality allows."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(2, 40), st.integers(-10 ** 40, 10 ** 40), st.booleans(),
+           st.fractions(-10 ** 40, 10 ** 40, max_denominator=10 ** 20), st.sampled_from([-1, 1]))
+    def test_the_least_end_whose_sign_the_terms_decide(self, n, c, linear, rhs, side):
+        e = 1 if linear or n == 2 else n - 1
+        shared = c * side ** (n - e) >= 0  # x**n and c*x**e share a sign beyond 0
+        if shared and rhs * side ** n <= 0:
+            return  # f has the sign of x**n on all that side, where no end is needed
+        poly = _Poly(n, c, e, rhs)
+        u, u_again, s = trinomials._outer(poly, side)
+        assert u == u_again and s == (1 if side > 0 or n % 2 == 0 else -1)
+        assert poly.sign(u) == s  # the exact sign agrees with the one read off
+
+        def holds(t):
+            power, lower = Fraction(2) ** (t * n), abs(c) * Fraction(2) ** (t * e)
+            if shared:  # |U**n| >= |rhs| with c != 0, > |rhs| with c = 0, or |c*U**e| > |rhs|
+                return power > abs(rhs) or c != 0 and (power == abs(rhs) or lower > abs(rhs))
+            return power >= 2 * lower and power > 2 * abs(rhs)
+
+        assert u == side * Fraction(2) ** max(_least_reference(holds), -1074)
+
+    @pytest.mark.parametrize("argv, bracket", [
+        # x**273 + x = 1: at U = 1, U**273 >= 1 and U > 0
+        ("solve --n 273 --m 2", (0.0, 1.0)),
+        # x**3 + 10**296 * x = 1/2: 10**296 * 2**-984 > 1/2
+        ("mmf --n 3 --p 1" + "0" * 296 + " --sign plus --m 1", (0.0, 2.0 ** -984)),
+        # x**2 - 65x = 777/2: right of 0, where the terms differ in sign, U >= 2 * 65 = 130
+        # and U**2 > 777 at U = 2**8, not 2**7; left of it, where they share one,
+        # 65 * 8 > 777/2 where 65 * 4 is not
+        ("mmf --n 2 --p 65 --sign minus --m 777", (32.50000000000001, 256.0)),
+        ("mmf --n 2 --p 65 --sign minus --m 777", (-8.0, 0.0)),
+    ])
+    def test_pinned(self, argv, bracket):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run([*argv.split(), "--format", "json"]) == 0
+        results = json.loads(out.getvalue())["results"]
+        assert bracket in [(r["bracket_lo"], r["bracket_hi"]) for r in results]
+
+    @pytest.mark.parametrize("spec", [
+        # x**3 - 3x = 0 and x**4 + x = 0: 0 lies between critical points, or between one and
+        # the outer end, and f(0) = -rhs = 0 is read off
+        TrinomialSpec(3, 3, "minus", 0),
+        TrinomialSpec(4, 1, "plus", 0),
+        # x**3 + x**2 = 0: 0 is a critical point of the x**(n-1) family
+        TrinomialSpec(3, 1, "plus", 0, "n_minus_one"),
+    ])
+    def test_a_root_at_0_is_exact(self, spec):
+        assert (0.0, (0.0, 0.0), 0.0, 0, 0) in solve_trinomial(spec).roots
+        assert all(lo >= 0 or hi <= 0 for lo, hi in isolate_real_roots(spec))
+
+
 class TestCloseRootFamily:
     """(x + 2s)(x**2 - 2s*x - (8s**2 + 3)) with p and m moved by up to 3: two roots
     about 1/(2s) apart, on either side of a critical point; above s of about 10**8 they
@@ -163,10 +228,10 @@ class TestCloseRootFamily:
             assert abs(value - root) <= math.ulp(root)
 
 
-class TestOverflowingWalk:
+class TestOverflowingPowers:
     """Roots whose bracket holds points where x**n overflows in doubles, and so f in doubles
-    is not finite: near ±1 at degrees where that happens at x = 3, the bracket walk's third
-    point, and near 5e102 at n = 3 and 4e61 at n = 5.  The exact sign decides there."""
+    is not finite: near ±1 at degrees where that happens at x = 2, the outer end, and near
+    5e102 at n = 3 and 4e61 at n = 5.  The exact sign decides there."""
 
     @staticmethod
     def _run(argv):
@@ -374,9 +439,9 @@ class TestRootsBelowTheNewtonTarget:
     @pytest.mark.parametrize("exponent", [92, 128, 296])
     def test_digits_change_sign(self, exponent):
         p, digits = 10 ** exponent, 400
-        [decimal] = TestOverflowingWalk._run(["mmf", "--n", "3", "--p", str(p), "--sign", "plus",
-                                              "--m", "1", "--digits", str(digits),
-                                              "--format", "json"])
+        [decimal] = TestOverflowingPowers._run(["mmf", "--n", "3", "--p", str(p), "--sign",
+                                                "plus", "--m", "1", "--digits", str(digits),
+                                                "--format", "json"])
         d = Fraction(decimal)
         f = lambda x: x ** 3 + p * x - Fraction(1, 2)  # noqa: E731
         # the digits are exact: f rises through the root, in [d, d + 10**-digits)
@@ -447,10 +512,12 @@ class TestSolveTrinomial:
         assert roots.values == pytest.approx([-2.0, 1.0], abs=1e-12)
 
     def test_even_multiplicity_root_is_reported(self):
-        # x^3 + x^2 = 0 has roots -1 and 0 (0 with even multiplicity)
+        # x^3 + x^2 = 0 has roots -1 and 0 (0 with even multiplicity, and exact)
         spec = TrinomialSpec(n=3, p=1, p_sign="plus", m=0, lower_exponent="n_minus_one")
-        roots = solve_trinomial(spec)
-        assert roots.values == pytest.approx([-1.0, 0.0], abs=1e-15)
+        minus_one, zero = solve_trinomial(spec).roots
+        assert zero == (0.0, (0.0, 0.0), 0.0, 0, 0)
+        assert scaled_residual_ok(spec, minus_one)
+        assert minus_one.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_residual_contract_across_family(self):
         for n in range(1, 6):
@@ -567,7 +634,7 @@ class TestStakhov:
         assert solve_stakhov(1, "b") == 0.0
 
     def test_no_root_isolation(self, monkeypatch):
-        # the root's bracket is [0, 1]: no critical point, walk or other root is needed
+        # the root's bracket is [0, 1]: no critical point, outer end or other root is needed
         def refuse(poly):
             raise AssertionError("solve_stakhov isolated roots")
 
@@ -657,6 +724,31 @@ class TestIterationBudget:
     def test_pinned(self, argv, budget):
         assert max(self._iterations(argv)) <= budget
 
+    @pytest.mark.parametrize("argv", [
+        # roots near 5e-297 and 5e-129, within a factor 2 of the outer end 2**t, where the
+        # map x <- (rhs - x**3)/c lands from the midpoint (933 and 376 steps by bisection)
+        "mmf --n 3 --p 1" + "0" * 296 + " --sign plus --m 1",
+        "mmf --n 3 --p 1" + "0" * 128 + " --sign plus --m 1",
+        # x**222 underflows at the midpoint of the positive root's bracket, where the map
+        # x <- (1 - x)**(1/222) starts; from the negative one's it contracts by about 400
+        "solve --n 222 --m 2",
+    ])
+    def test_first_points_from_fixed_point_maps(self, argv):
+        assert max(self._iterations(argv)) <= 4
+
+    def test_the_log_step_needs_x_n_and_w_of_one_sign(self):
+        # x**297 + 80x = 57 has its root near 57/80, where w = 57 - 80x changes sign while
+        # x**297 is about 1e-44 > 0; a step from ln|x**297/w| there costs 6 more iterations
+        assert max(self._iterations("mmf --n 297 --p 80 --sign plus --m 114")) <= 4
+
+    def test_a_map_that_contracts_by_less_than_4_is_not_taken(self):
+        # x**16 + 44x**15 = 333/2 has a root near 1.09, where 44x**15 dominates and the map
+        # x <- ((333/2 - x**16)/44)**(1/15) contracts by about 40.  At 1, the midpoint of the
+        # root's bracket (0, 2), the power's map contracts by only 3
+        spec = TrinomialSpec(16, 44, "plus", 333, "n_minus_one")
+        [root] = [r for r in solve_trinomial(spec).roots if r.value > 0]
+        assert root.bracket == (0.0, 2.0) and root.iterations <= 3
+
     def test_benchmark_corpus(self, monkeypatch):
         spec = importlib.util.spec_from_file_location(
             "corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
@@ -674,7 +766,7 @@ class TestIterationBudget:
                             for op in corpus.generate("trinomial", seed)}):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 run(list(argv))
-        assert len(counts) > 3000 and max(counts) <= 20
+        assert len(counts) > 3000 and max(counts) <= 10
 
 
 class TestDegreeBound:

@@ -87,10 +87,17 @@ class RootRecord(namedtuple("RootRecord", "value bracket residual iterations exa
 
 
 def integer_metallic(q: int) -> tuple[int, int] | None:
-    """Detect an integer metallic mean: ``(k, k+1)`` when ``q = k(k+1)`` -- the absolute
-    values of the two roots of ``x**2 - x - q = 0`` -- and ``None`` otherwise.  The test is
-    whether ``1 + 4q`` is a perfect (necessarily odd) square, (2k + 1)**2."""
+    """Detect an integer metallic mean.
+
+    Returns ``(k, k+1)`` when ``q = k(k+1)`` -- the absolute values of the
+    two roots of ``x**2 - x - q = 0`` -- and ``None`` otherwise.  The test
+    is whether ``1 + 4q`` is a perfect (necessarily odd) square.
+    """
     if q < 0:
         raise ValueError("q must be a non-negative integer")
-    root = isqrt(1 + 4 * q)
-    return (root // 2, root // 2 + 1) if root * root == 1 + 4 * q else None
+    disc = 1 + 4 * q
+    root = isqrt(disc)
+    if root * root != disc:
+        return None
+    k = (root - 1) // 2
+    return (k, k + 1)

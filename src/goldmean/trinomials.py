@@ -416,10 +416,9 @@ def _least(a: int, b: int, d: int, strict: bool):
 
 
 def _outer(poly: _Poly, side: int) -> tuple:
-    """The mark (U, U, s), U = side * 2**t past every critical point, where f has the sign s of
-    U**n by the inequality below (Fujiwara's bound), with no evaluation; t is the least it
-    allows, but >= -1074.  A U past the float range raises OverflowError, as then the root's
-    x**n is past it too."""
+    """The mark (U, U, s), U = side * 2**t past every critical point, s the sign of U**n and
+    of f there by the inequality below (Fujiwara's bound); t is the least it allows, >= -1074.
+    A U past the float range raises OverflowError, as the root's x**n is past it too."""
     n, c, e, num, den = poly.n, poly.c, poly.e, poly.num, poly.den
     if c * side ** (n - e) >= 0:  # x**n and c*x**e share a sign on this side of 0
         # |U**n| >= |rhs| where c != 0 (> where c = 0), or |c*U**e| > |rhs|
@@ -443,8 +442,7 @@ def _seeds(poly: _Poly) -> list[tuple]:
         root = Fraction(num, den * (1 + c)) if e else Fraction(num - c * den, den)
         return [(root, root, 0)]
 
-    # f is monotone between critical points and 0, whose mark splits the bracket about 0, so
-    # no bracket crosses 0 and a root at 0 is exact; f(0) = -rhs is read off, as e >= 1
+    # f(0) = -rhs (e >= 1) is read off: a mark at 0 keeps brackets off 0, and a root there exact
     marks = _critical_signs(poly)
     if not any(lo <= 0 <= hi for lo, hi, _ in marks):
         marks = sorted(marks + [(0, 0, -_sgn(num))])
@@ -461,8 +459,8 @@ def _seeds(poly: _Poly) -> list[tuple]:
 def _first_point(poly: _Poly, lo: float, hi: float) -> float:
     """Three fixed-point steps of x**n + c*x**e = rhs from the midpoint, by the map that
     contracts by 4 there: y <- root_n(rhs - c*y**e), of relative slope e*|c*y**e| /
-    (n*|rhs - c*y**e|), or y <- root_e((rhs - y**n)/c), of n*|y**n| / (e*|rhs - y**n|).
-    With neither, or a point outside (lo, hi), the first point is the midpoint."""
+    (n*|rhs - c*y**e|), or y <- root_e((rhs - y**n)/c), of n*|y**n| / (e*|rhs - y**n|).  A y
+    on lo or hi moves one ulp inside; with neither map, or y outside, it is the midpoint."""
     n, e, c, rhs = poly.n, poly.e, poly._c_f, poly._rhs_f
     y = mid = 0.5 * (lo + hi)
     try:
@@ -476,12 +474,13 @@ def _first_point(poly: _Poly, lo: float, hi: float) -> float:
             y = math.copysign(abs(v) ** (1.0 / k), v if k % 2 else y)
     except OverflowError:  # y**n is past the float range
         return mid
-    return y if lo < y < hi else mid
+    return y if lo < y < hi else math.nextafter(y, mid) if y in (lo, hi) else mid
 
 
 def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
-            tolerance: float) -> tuple[float, float, int]:
-    """Bisection with a safeguarded Newton step inside a sign-change bracket.
+            tolerance: float) -> tuple[float, float, int, Fraction | None]:
+    """Bisection with a safeguarded Newton step inside a sign-change bracket: (x, |f(x)|,
+    iterations, and the Fraction x where x is the exact root, or None).
 
     Each step evaluates :meth:`_Poly._float` once.  It stops once the scaled residual
     |f|/(1 + |x|**n) and f's error bound, scaled alike, are within ``tolerance``, or the
@@ -531,7 +530,11 @@ def _refine(poly: _Poly, lo: float, hi: float, s_lo: int,
                             "iterations")
     if not abs(fx) <= _HUGE:
         raise OverflowError("f in doubles is not finite at the root's float")
-    return x, abs(fx), iteration
+    z = x + dx if abs(dx) <= _HUGE else x  # a rational root p/q has q | den: test such a z
+    p, q = z.as_integer_ratio()
+    if lo < z < hi and poly.den % q == 0 and poly.exact(p, q) == 0:
+        return z, 0.0, iteration, Fraction(p, q)
+    return x, abs(fx), iteration, None
 
 
 def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) -> RootSet:
@@ -548,9 +551,7 @@ def _solve(n: int, c: int, e: int, rhs: Fraction, tolerance: float = TOLERANCE) 
                 records.append(RootRecord(fv, (fv, fv), residual, 0, Fraction(lo)))
             else:
                 bracket = float(lo), float(hi)
-                value, residual, iterations = _refine(poly, *bracket, s_lo, tolerance)
-                # f in doubles is 0 at value: one exact sign tells whether it is the root
-                exact = Fraction(value) if residual == 0.0 and poly.sign(value) == 0 else None
+                value, residual, iterations, exact = _refine(poly, *bracket, s_lo, tolerance)
                 records.append(RootRecord(value, bracket, residual, iterations, exact))
     except OverflowError as exc:
         raise InputTooLarge("values of the equation exceed the float range (about 1.8e308) "

@@ -95,6 +95,10 @@ MUTANTS = [
     ("_first_point: the regime test's factor 4 dropped", "trinomials.py",
      "n if 4 * e * abs(t) <= n * abs(rhs - t) else", "n if e * abs(t) <= n * abs(rhs - t) else",
      [BUDGET]),
+    ("_first_point: a y on lo or hi left to the midpoint", "trinomials.py",
+     "else math.nextafter(y, mid) if y in (lo, hi) else mid", "else mid", [BUDGET]),
+    ("_refine: the double of the Newton step not tested exactly", "trinomials.py",
+     "if lo < z < hi and poly.den % q == 0 and poly.exact(p, q) == 0:", "if False:", [PINNED]),
     ("_ends: adjacent-double sign check skipped", "trinomials.py",
      "if signs == (s, s):", "if True:", [CLOSE]),
     ("_ends: dyadic halving keeps the wrong half", "trinomials.py",

@@ -171,17 +171,21 @@ class TestPinned:
 
     def test_root_on_a_double(self, capsys):
         # b**10 + b = 10x with x set so that the double hi is an exact root: refinement in
-        # (0, 2) ends on it, where f in doubles is 1.8e-15, not 0, so it is reported as a
-        # float root, whose digits the exact signs still decide
+        # (0, 2) ends on it, where f in doubles is -1.8e-15, not 0; hi's denominator divides
+        # that of 10x, so one exact value tests hi, and the root is reported exact.  The digit
+        # search from hi, by the exact signs on the grid, finds the same digits
         hi = 1.225736317318873
         x = (Fraction(hi) ** 10 + Fraction(hi)) / 10
         [record] = [r for r in solve_euler(0, 10, x).roots if r.value > 0]
-        assert record == (hi, (0.0, 2.0), record.residual, 3, None) and record.residual > 0
-        assert _Poly(10, 1, 1, 10 * x).sign(hi) == 0
+        assert record == (hi, (0.0, 2.0), 0.0, 3, Fraction(hi))
+        poly = _Poly(10, 1, 1, 10 * x)
+        assert poly._float(hi, False)[0] != 0 and poly.sign(hi) == 0
+        digits = f"{Fraction(hi) * 10 ** 30 // 1}"
+        assert poly.truncate(hi, 0.0, 2.0, 1, 30)[0].replace(".", "") == digits
         assert run(["euler", "--a", "0", "--n", "10", f"--x={x}", "--mode", "constrained",
                     "--digits", "30", "--format", "json"]) == 0
         printed = [r["decimal"] for r in json.loads(capsys.readouterr().out)["results"]]
-        assert f"{Fraction(hi) * 10 ** 30 // 1}" in [d.replace(".", "") for d in printed]
+        assert digits in [d.replace(".", "") for d in printed]
 
     def test_root_just_below_a_double(self, capsys):
         # the equation above with the root 2**-56 below hi: f is positive at hi, but f in

@@ -287,7 +287,7 @@ class TestOverflowingPowers:
         # x**3 + x = 1.25e308: x**3 is past the float range at the first point, 8e102, and
         # f in doubles is not finite there, so the exact sign moves the bracket's end
         poly = _Poly(3, 1, 1, Fraction(25 * 10 ** 307, 2))
-        value, residual, _ = trinomials._refine(poly, 0.0, 1.6e103, -1, 1e-12)
+        value, residual = trinomials._refine(poly, 0.0, 1.6e103, -1, 1e-12)[:2]
         assert value == pytest.approx(5e102, rel=1e-12) and math.isfinite(residual)
 
     def test_the_newton_step_where_n_x_n_overflows(self):
@@ -514,10 +514,9 @@ class TestSolveTrinomial:
     def test_even_multiplicity_root_is_reported(self):
         # x^3 + x^2 = 0 has roots -1 and 0 (0 with even multiplicity, and exact)
         spec = TrinomialSpec(n=3, p=1, p_sign="plus", m=0, lower_exponent="n_minus_one")
-        minus_one, zero = solve_trinomial(spec).roots
-        assert zero == (0.0, (0.0, 0.0), 0.0, 0, 0)
-        assert scaled_residual_ok(spec, minus_one)
-        assert minus_one.value == pytest.approx(-1.0, abs=1e-12)
+        roots = solve_trinomial(spec)
+        assert roots.values == pytest.approx([-1.0, 0.0], abs=1e-15)
+        assert roots.roots[1] == (0.0, (0.0, 0.0), 0.0, 0, 0)
 
     def test_residual_contract_across_family(self):
         for n in range(1, 6):
@@ -720,6 +719,10 @@ class TestIterationBudget:
         ("solve --n 273 --m 2", 8),
         ("solve --n 164 --m 3", 10),
         ("euler --a=0 --n 93 --x=730/93 --mode direct", 8),
+        # x3 lies 3.4e-9 below the exact root x2 = -290885574, within an ulp of it, so f is
+        # nearly (x - x2)**2 * (x - x1) between the midpoint of (-2**30, x2) and x3: each
+        # Newton step halves the distance to x3, and the stop rule takes 21 of them
+        ("mmf --n 3 --p 253843251483928431 --sign minus --m 98452453218571831816910340", 21),
     ])
     def test_pinned(self, argv, budget):
         assert max(self._iterations(argv)) <= budget
@@ -748,6 +751,13 @@ class TestIterationBudget:
         spec = TrinomialSpec(16, 44, "plus", 333, "n_minus_one")
         [root] = [r for r in solve_trinomial(spec).roots if r.value > 0]
         assert root.bracket == (0.0, 2.0) and root.iterations <= 3
+
+    def test_a_first_point_on_a_bracket_end_moves_one_ulp_inside(self):
+        # x**151 + x**150 = 1 on (0, 1): the power's map from the midpoint rounds onto the end
+        # 1, so refinement starts from the double below it; from the midpoint it takes 8 steps
+        poly = trinomials._stakhov_poly(151, "b")
+        assert trinomials._first_point(poly, 0.0, 1.0) == math.nextafter(1.0, 0.0)
+        assert trinomials._refine(poly, 0.0, 1.0, -1, trinomials.TOLERANCE)[2] <= 6
 
     def test_benchmark_corpus(self, monkeypatch):
         spec = importlib.util.spec_from_file_location(

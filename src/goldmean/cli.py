@@ -6,10 +6,11 @@ output.  Three formats are supported everywhere: ``text`` (human-readable),
 (tab-separated, one record per line).  The JSON ``errors`` key is reserved
 and always ``[]``.  Exit codes: 0 success, 1 usage error, 2 domain error;
 domain errors print a single ``error: <code>: ...`` line to stderr and
-nothing to stdout.  A command imports only the modules its answer runs:
-each library layer on its first use, and ``fractions`` and ``argparse``
-inside the functions that need them; JSON is written by ``%`` formats, so
-no command imports ``json``.
+nothing to stdout.  Compiled option readers parse a well-formed argv, and
+argparse the rest.  A command imports only the modules its answer runs:
+each library layer once, on its first use, and ``fractions`` and ``argparse``
+inside the functions that need them.  JSON is written by ``%`` formats, its
+inputs for JSON alone, so no command imports ``json``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ if TYPE_CHECKING:
 
 #: this module; handlers call ``_cli.<name>``, so a wrapper set here by ``setattr`` is called
 _cli = sys.modules[__name__]
+_doubles = None  # surds._doubles, bound by the first solve at n = 2, the one command using it
 
 
 def __getattr__(name: str):
@@ -58,10 +60,11 @@ MAX_EXPONENT = 1000
 class _Output(namedtuple("_Output", "inputs records text tsv json footer", defaults=((),))):
     """A command's records, made as they are read, and each format's line of one record.
     Text writes ``text(record)`` lines and then those of ``footer``, an iterable, lazy where
-    a line costs work, that no other format reads; TSV ``tsv(record)`` lines, and JSON each ``json(record)``, joined by
-    ", ", inside a frame of the command, its ``inputs`` and the empty errors, so no format
-    holds the whole result.  ``inputs`` is the members of the JSON inputs object as text:
-    ints, finite floats, flags, null, and ASCII words and rationals, which need no escape.
+    a line costs work, that no other format reads; TSV ``tsv(record)`` lines, and JSON each
+    ``json(record)``, joined by ", ", in a frame of the command, its inputs and the empty
+    errors, so no format holds the whole result.  ``inputs`` is a ``%`` format of the JSON
+    inputs' members and its values, which JSON alone formats: ints, finite floats, flags,
+    null, and ASCII words and rationals, which need no escape.
     A record is a library value, such as a catalog's tuple or a root's
     ``(index, RootRecord)``, and a line computes only what its format prints: TSV prints
     floats and decides no digits.
@@ -84,7 +87,7 @@ def _surd_fields(surd: QuadraticSurd) -> str:
             + ', "surd": "%s"' % str(surd).replace("√", "\\u221a"))
 
 
-def _roots(inputs: str, records: Iterable[RootRecord],
+def _roots(inputs: tuple[str, tuple], records: Iterable[RootRecord],
            decide: Callable[[RootRecord], tuple[str, int]], footer: tuple[str, ...] = (),
            surds: bool = False) -> _Output:
     """Each root as (index, RootRecord), from ``records`` largest first.  Text and JSON take
@@ -110,17 +113,19 @@ def _roots(inputs: str, records: Iterable[RootRecord],
                    as_json, footer)
 
 
-def _root_set(inputs: str, roots: RootSet, digits: int) -> _Output:
+def _root_set(inputs: tuple[str, tuple], roots: RootSet, digits: int) -> _Output:
     """A solver's roots, their digits and signs decided by ``RootSet.truncate``."""
     return _roots(inputs, reversed(roots.roots), lambda root: roots.truncate(root, digits))
 
 
 def _cmd_solve(ns) -> _Output:
-    inputs = '"n": %d, "m": %d, "tolerance": %r' % (ns.n, ns.m, ns.tol)
+    global _doubles
+    inputs = '"n": %d, "m": %d, "tolerance": %r', (ns.n, ns.m, ns.tol)
     if ns.n != 2:
         return _root_set(inputs, _cli.solve_gm_general(ns.n, ns.m, tolerance=ns.tol), ns.digits)
     _check_tolerance(ns.tol)  # as the solver checks it, though the surds need no tolerance
-    from .surds import _doubles  # only this branch needs the surd layer, so it is loaded here
+    if _doubles is None:  # only this branch needs the surd layer, so it is loaded here
+        _doubles = __import__(f"{__package__}.surds", fromlist=["_doubles"])._doubles
     pair = _cli.generalized_gm(ns.m)
     r = 2 * ns.m + 1
 
@@ -140,29 +145,29 @@ def _cmd_solve(ns) -> _Output:
         whole, _, frac = x1_text.partition(".")
         return f"-{int(whole) + 1}.{frac}", -1
 
-    return _roots(f'{inputs}, "r": {r}', map(record, (pair.x1, pair.x2)), decide, (f"r = {r}\n",),
-                  surds=True)
+    return _roots((inputs[0] + ', "r": %d', (*inputs[1], r)), map(record, (pair.x1, pair.x2)),
+                  decide, (f"r = {r}\n",), surds=True)
 
 
 def _cmd_mmf(ns) -> _Output:
     spec = _cli.TrinomialSpec(n=ns.n, p=ns.p, p_sign=ns.sign, m=ns.m, lower_exponent="one")
-    inputs = '"n": %d, "p": %d, "sign": "%s", "m": %d' % (ns.n, ns.p, ns.sign, ns.m)
-    return _root_set(inputs, _cli.solve_trinomial(spec), ns.digits)
+    return _root_set(('"n": %d, "p": %d, "sign": "%s", "m": %d', (ns.n, ns.p, ns.sign, ns.m)),
+                     _cli.solve_trinomial(spec), ns.digits)
 
 
 def _cmd_stakhov(ns) -> _Output:
     def decimal(root: float) -> str:
         return _cli.stakhov_decimal(ns.n, ns.variant, root, ns.digits)
 
-    return _Output('"n": %d, "variant": "%s"' % (ns.n, ns.variant),
+    return _Output(('"n": %d, "variant": "%s"', (ns.n, ns.variant)),
                    (_cli.solve_stakhov(ns.n, ns.variant),),
                    lambda v: f"x = {decimal(v)} (variant {ns.variant})\n", "%r\n".__mod__,
                    lambda v: '{"decimal": "%s", "value": %r}' % (decimal(v), v))
 
 
 def _cmd_euler(ns) -> _Output:
-    inputs = '"a": "%s", "n": %d, "x": "%s", "mode": "%s"' % (ns.a, ns.n, ns.x, ns.mode)
-    return _root_set(inputs, _cli.solve_euler(ns.a, ns.n, ns.x, ns.mode), ns.digits)
+    return _root_set(('"a": "%s", "n": %d, "x": "%s", "mode": "%s"', (ns.a, ns.n, ns.x, ns.mode)),
+                     _cli.solve_euler(ns.a, ns.n, ns.x, ns.mode), ns.digits)
 
 
 def _cmd_metallic(ns) -> _Output:
@@ -176,7 +181,7 @@ def _cmd_metallic(ns) -> _Output:
             initial.replace(",", ", "), period.replace(",", ", "),
             "true" if cf.truncated else "false")
         footer = map("continued fraction: {}\n".format, (cf,))  # str(cf) only where text reads it
-    return _Output('"p": %d, "q": "%s"' % (ns.p, ns.q), (mean,),
+    return _Output(('"p": %d, "q": "%s"', (ns.p, ns.q)), (mean,),
                    lambda s: f"metallic mean (p={ns.p}, q={ns.q}) = {s} = "
                              f"{_cli.to_decimal(s, ns.digits)}\n",
                    lambda s: tsv % float(s),
@@ -185,7 +190,7 @@ def _cmd_metallic(ns) -> _Output:
 
 
 def _cmd_table1(ns) -> _Output:
-    return _Output('"rows": %d, "side": "%s"' % (ns.rows, ns.side),
+    return _Output(('"rows": %d, "side": "%s"', (ns.rows, ns.side)),
                    _cli.table_one(ns.rows, ns.side),
                    "%5s  N=%d  m=%d  h=%d  r=%d\n".__mod__, "%s\t%d\t%d\t%d\t%d\n".__mod__,
                    '{"side": "%s", "index": %d, "m": %d, "h": %d, "r": %d}'.__mod__)
@@ -194,14 +199,14 @@ def _cmd_table1(ns) -> _Output:
 def _cmd_diophantus(ns) -> _Output:
     # text prints c first, so its triples come as (c, b, a) and every format is one `%`
     triples = _cli.diophantus_triples(ns.count, hypotenuse_first=ns.format == "text")
-    return _Output('"count": %d' % ns.count, triples, "%d^2 = %d^2 + %d^2\n".__mod__,
+    return _Output(('"count": %d', (ns.count,)), triples, "%d^2 = %d^2 + %d^2\n".__mod__,
                    "%d\t%d\t%d\n".__mod__, '{"a": %d, "b": %d, "c": %d}'.__mod__)
 
 
 def _cmd_harmonic(ns) -> _Output:
     table = _cli.build_table(ns.size)
-    inputs = '"size": %d, "doublets": %s, "key": %s' % (
-        ns.size, "true" if ns.doublets else "false", "null" if ns.key is None else ns.key)
+    inputs = ('"size": %d, "doublets": %s, "key": %s',
+              (ns.size, "true" if ns.doublets else "false", "null" if ns.key is None else ns.key))
     if not ns.doublets and ns.key is None:
         # one format per grid renders a row in text and TSV alike, as "\t".join(map(str, row))
         row = "\t".join(["%d"] * ns.size) + "\n"
@@ -227,9 +232,9 @@ def _emit(ns, out: _Output) -> None:
         stdout.writelines(map(getattr(out, ns.format), out.records))
         stdout.writelines(out.footer if ns.format == "text" else ())
         return
-    records = map(out.json, out.records)
+    records, (inputs, values) = map(out.json, out.records), out.inputs
     stdout.write('{"command": "%s", "inputs": {%s}, "results": [%s' % (
-        ns.command, out.inputs, next(records, "")))
+        ns.command, inputs % values, next(records, "")))
     stdout.writelines(map(", ".__add__, records))
     stdout.write('], "errors": []}\n')
 
@@ -317,7 +322,7 @@ _COMMANDS = {
         "--count": dict(type=_positive_int, required=True)}),
     "harmonic": (_cmd_harmonic, "harmonic multiplication table, doublets and key", {
         "--size": dict(type=_positive_int, required=True),
-        "--doublets": dict(action="store_true",
+        "--doublets": dict(action="store_true", default=False,
                            help="list diagonal doublets with their integer mean pairs"),
         "--key": dict(type=_nonneg_int, default=None, metavar="K",
                       help="print key rows (k, k^2 + k, k(k+1)) for k in 0..K")}),
@@ -342,63 +347,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plan(options: dict) -> tuple[dict, frozenset, dict]:
-    """A command's options as flag -> (attribute name, type, choices, is a flag), the
-    attributes of its required options, and the value argparse gives each attribute whose
-    option is not on the command line."""
-    flags, required, defaults = {}, set(), {}
+def _plan(command: str, options: dict) -> tuple[dict, set, dict]:
+    """A command's options compiled once: flag -> (attribute, reader), the attributes of its
+    required options, and the values argparse gives the command and each other attribute
+    whose option is not on the command line.  A reader is the option's type, or the lookup
+    of its choices (no option has both); a store_true flag has none."""
+    flags, defaults = {}, {"command": command}
     for flag, keywords in {**_COMMON, **options}.items():
-        attr, is_flag = flag[2:].replace("-", "_"), "action" in keywords  # a store_true flag
-        flags[flag] = (attr, keywords.get("type", str), keywords.get("choices"), is_flag)
-        defaults[attr] = keywords.get("default", False if is_flag else None)
-        if keywords.get("required"):
-            required.add(attr)
-    return flags, frozenset(required), defaults
+        attr, read = flag[2:].replace("-", "_"), keywords.get("type", str)
+        if "choices" in keywords:  # a lookup that raises KeyError on any other word
+            read = {choice: choice for choice in keywords["choices"]}.__getitem__
+        flags[flag] = (attr, None if "action" in keywords else read)  # store_true: no value
+        if not keywords.get("required"):
+            defaults[attr] = keywords.get("default")
+    return flags, {attr for attr, _ in flags.values()} - defaults.keys(), defaults
 
 
-#: each command's option plan, made once; the handler is read from ``_COMMANDS`` per call
-_PLANS = {command: _plan(options) for command, (_, _, options) in _COMMANDS.items()}
+#: each command's compiled options, made once; its handler is read from ``_COMMANDS`` per call
+_PLANS = {command: _plan(command, options) for command, (_, _, options) in _COMMANDS.items()}
 
 
 def _strict(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse makes of a well-formed argv, read from the command table.
+    """The namespace argparse makes of a well-formed argv, read by the compiled options.
 
-    It reads exact ``--opt value`` pairs whose value does not start with '-',
-    ``--opt=value`` and flags, calls each option's type and checks its choices.
-    Anything else is None, and argparse reads it: help, a prefix, '--', a value
-    starting with '-', a bad value, a missing option, an unknown or extra word.
+    A token is looked up whole, as a flag or the option of an ``--opt value`` pair whose
+    value does not start with '-', and split as ``--opt=value`` on a miss alone.  Each value
+    is one call of its reader, set in a copy of the defaults.  Anything else is None, and
+    argparse reads it: help, a prefix, '--', a value starting with '-', a flag given a
+    value, a bad value, a missing option, an unknown or extra word.
     """
     if not argv or argv[0] not in _PLANS:
         return None
-    flags, required, defaults = _PLANS[argv[0]]
-    given = {}
-    tokens = iter(argv[1:])
+    flags, required, values = _PLANS[argv[0]]
+    values, tokens = values.copy(), iter(argv[1:])
     for token in tokens:
-        flag, eq, value = token.partition("=")
-        entry = flags.get(flag)
-        if entry is None:
-            return None
-        attr, kind, choices, is_flag = entry
-        if is_flag:
-            if eq:
+        attr, read = flags.get(token, (None, None))
+        if attr is None:  # --opt=value, or a word argparse reads
+            flag, _, value = token.partition("=")
+            attr, read = flags.get(flag, (None, None))
+            if read is None:  # not an option, or a flag given a value
                 return None
-            given[attr] = True
+        elif read is None:  # a flag
+            values[attr] = True
             continue
-        if not eq:
-            value = next(tokens, None)
-            if value is None or value.startswith("-"):
-                return None
+        elif (value := next(tokens, None)) is None or value.startswith("-"):
+            return None
         try:
-            value = kind(value)
+            values[attr] = read(value)
         except Exception:  # whatever it raises, argparse calls it again and reports it
             return None
-        if choices is not None and value not in choices:
-            return None
-        given[attr] = value
-    if not required <= given.keys():
-        return None
-    return SimpleNamespace(command=argv[0], handler=_COMMANDS[argv[0]][0],
-                           **{**defaults, **given})
+    if required <= values.keys():
+        return SimpleNamespace(handler=_COMMANDS[argv[0]][0], **values)
+    return None
 
 
 _parser: argparse.ArgumentParser | None = None  # built by the first argv argparse reads

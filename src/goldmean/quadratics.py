@@ -82,7 +82,7 @@ def metallic_mean(p: int, q) -> QuadraticSurd:
     bronze mean, (1, 2) the copper mean, (1, 3) the nickel mean.
     """
     q = _as_fraction(q)
-    if q < 0:
+    if q.numerator < 0:  # q's sign, read with no comparison of Fractions
         raise ValueError("the metallic family takes q >= 0")
     if p < 1:
         raise ValueError("p must be a positive integer")

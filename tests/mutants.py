@@ -36,6 +36,7 @@ EXACT_DIGITS = "tests/test_exact_digits.py"
 HARMONIC = "tests/test_harmonic.py"
 SPLIT = ["tests/test_surds.py::TestSplitSquareOverTheWheel",
          "tests/test_surds.py::TestSplitSquareByGcds"]
+DISPATCH = "tests/test_cli_dispatch.py::TestSameAsFullParser"
 
 #: (name, file under src/goldmean, snippet, replacement, test selection)
 MUTANTS = [
@@ -161,6 +162,17 @@ MUTANTS = [
      "lambda r: tsv[len(r)] % r",
      "lambda r: tsv[len(r)] % (r[1::-1] + r[2:] if len(r) == 8 else r)",
      ["tests/test_cli.py::TestFormatsAgree"]),
+    ("cli._plan: a choices option reads any word", "cli.py",
+     '            read = {choice: choice for choice in keywords["choices"]}.__getitem__\n',
+     "            pass\n", [DISPATCH]),
+    ("cli._strict: --flag=value read as the flag", "cli.py",
+     "            if read is None:  # not an option, or a flag given a value\n"
+     "                return None\n",
+     "            if attr is None:\n                return None\n            read = read or bool\n",
+     [DISPATCH]),
+    ("cli._strict: a value starting with '-' read as a value", "cli.py",
+     '(value := next(tokens, None)) is None or value.startswith("-"):',
+     "(value := next(tokens, None)) is None:", [DISPATCH]),
     ("cli.__getattr__: no name guard", "cli.py",
      "    if name not in _HOME:\n        raise AttributeError(f\"module {__name__!r} has no attribute "
      "{name!r}\")\n", "",

@@ -56,6 +56,14 @@ EDGE_ARGV = [
     ["metallic", "--p", "1", "--q", "-1/5"],
     ["solve", "--n", "3", "--m", "2", "--tol", "-1e-3"],
     ["harmonic", "--size", "3", "--doublets=yes"],
+    # forms a whole-token lookup misses, split at '=' alone
+    ["solve", "--n", "3", "--m", "2", "--format=json"],
+    ["table1", "--rows", "2", "--side=both"],
+    ["stakhov", "--n", "3", "--variant=a"],
+    ["harmonic", "--size", "3", "--doublets="],
+    ["metallic", "--p", "1", "--q="],
+    ["solve", "--n", "3", "--m", "2", "--digits=5", "--digits", "6"],
+    ["metallic", "--p", "1", "--q", "1", "--cf-terms=-1"],
 ]
 
 

@@ -7,7 +7,10 @@ roots alone: the polynomial it keeps for :meth:`RootSet.truncate` is not a
 field.
 """
 
+import builtins
+import contextlib
 import importlib
+import io
 import os
 import pickle
 import subprocess
@@ -15,7 +18,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from test_cli_dispatch import WELL_FORMED
+from test_cli_dispatch import WELL_FORMED, corpus
 
 import goldmean
 from goldmean import (
@@ -36,6 +39,7 @@ from goldmean import (
     solve_gm_general,
     table_one,
 )
+from goldmean import cli
 from goldmean.cli import _Output
 from goldmean.quadratics import solve_quadratic
 
@@ -307,7 +311,32 @@ class TestColdImport:
         assert not {"goldmean.trinomials", "goldmean.triangles", "goldmean.harmonic"} & set(loaded)
 
 
-class TestLazyPackage:
+class TestWarmRun:
+    """A warm ``cli.run`` runs no import statement of the package: each library layer, and
+    the one private helper of a layer that a handler calls, is bound on its first use."""
+
+    def test_a_second_run_of_each_perfbench_argv_imports_nothing_of_the_package(
+            self, monkeypatch):
+        distinct = sorted({tuple(op["argv"]) for workload in corpus.GENERATORS
+                           for seed in (1, 2, 3) for op in corpus.generate(workload, seed)})
+        real, imports = builtins.__import__, []
+
+        def counted(name, globals=None, locals=None, fromlist=(), level=0):
+            if level > 0 or name.split(".")[0] == "goldmean":
+                imports.append((name, level))
+            return real(name, globals, locals, fromlist, level)
+
+        offenders = {}
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in distinct:
+                cli.run(list(argv))  # the first run binds what the command uses
+                monkeypatch.setattr(builtins, "__import__", counted)
+                cli.run(list(argv))
+                monkeypatch.setattr(builtins, "__import__", real)
+                if imports:
+                    offenders[" ".join(argv)] = imports[:]
+                    imports.clear()
+        assert offenders == {}
     def test_the_package_alone_loads_no_submodule(self):
         code = "import goldmean, sys; print(*sorted(m for m in sys.modules if 'goldmean' in m))"
         assert _fresh(code) == "goldmean\n"

@@ -6,11 +6,10 @@ output.  Three formats are supported everywhere: ``text`` (human-readable),
 (tab-separated, one record per line).  The JSON ``errors`` key is reserved
 and always ``[]``.  Exit codes: 0 success, 1 usage error, 2 domain error;
 domain errors print a single ``error: <code>: ...`` line to stderr and
-nothing to stdout.  Compiled option readers parse a well-formed argv, and
-argparse the rest.  A command imports only the modules its answer runs:
-each library layer once, on its first use, and ``fractions`` and ``argparse``
-inside the functions that need them.  JSON is written by ``%`` formats, its
-inputs for JSON alone, so no command imports ``json``.
+nothing to stdout.  Compiled option readers parse a well-formed argv, argparse
+the rest.  A command imports only the modules its answer runs, each library
+layer once, on first use, and ``fractions`` and ``argparse`` where needed; JSON,
+its inputs for JSON alone, is written by ``%`` formats, so none imports ``json``.
 """
 
 from __future__ import annotations
@@ -64,10 +63,9 @@ class _Output(namedtuple("_Output", "inputs records text tsv json footer", defau
     ``json(record)``, joined by ", ", in a frame of the command, its inputs and the empty
     errors, so no format holds the whole result.  ``inputs`` is a ``%`` format of the JSON
     inputs' members and its values, which JSON alone formats: ints, finite floats, flags,
-    null, and ASCII words and rationals, which need no escape.
-    A record is a library value, such as a catalog's tuple or a root's
-    ``(index, RootRecord)``, and a line computes only what its format prints: TSV prints
-    floats and decides no digits.
+    null, and ASCII words and rationals, which need no escape.  A record is a library value,
+    such as a catalog's tuple or a root's ``(index, RootRecord)``, and a line computes only
+    what its format prints: TSV decides no digits, and text finds no double of a surd.
     """
 
     __slots__ = ()
@@ -130,6 +128,8 @@ def _cmd_solve(ns) -> _Output:
     r = 2 * ns.m + 1
 
     def record(surd: QuadraticSurd) -> RootRecord:
+        if ns.format == "text":  # text prints a root's digits and surd, and none of its doubles
+            return RootRecord(None, None, None, 0, surd)
         lo, value, hi = _doubles(surd)
         return RootRecord(value, (lo, hi), abs(value ** 2 + value - ns.m / 2), 0, surd)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from goldmean import QuadraticSurd, cli
 from goldmean.cli import run
-from goldmean.surds import MAX_CF_TERMS
+from goldmean.surds import MAX_CF_TERMS, _doubles
 from goldmean.trinomials import RootSet
 from oracles import strict_json
 
@@ -383,6 +383,20 @@ class TestTsvDecidesNoDigits:
         assert calls == []
         assert invoke(capsys, *argv, "--format", "text")[0] == 0
         assert calls
+
+
+class TestTextFindsNoDoubles:
+    """Text prints the digits and surds of ``solve`` at n = 2, so it finds none of the roots'
+    doubles, which JSON and TSV print."""
+
+    def test_doubles_calls(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_doubles", lambda surd: calls.append(surd) or _doubles(surd))
+        counts = []
+        for fmt in ("text", "tsv", "json"):
+            assert invoke(capsys, "solve", "--n", "2", "--m", "3", "--format", fmt)[0] == 0
+            counts.append(len(calls))
+        assert counts == [0, 2, 4]
 
 
 class TestFormatsAgree:

@@ -36,7 +36,6 @@ if TYPE_CHECKING:
 
 #: this module; handlers call ``_cli.<name>``, so a wrapper set here by ``setattr`` is called
 _cli = sys.modules[__name__]
-_doubles = None  # surds._doubles, bound by the first solve at n = 2, the one command using it
 
 
 def __getattr__(name: str):
@@ -71,18 +70,13 @@ class _Output(namedtuple("_Output", "inputs records text tsv json footer", defau
     __slots__ = ()
 
 
-def _surd_json(surd: QuadraticSurd) -> dict:
-    """``rat`` and ``coeff`` in lowest terms: ``p/den`` and ``q/den``, each cut by a gcd."""
+def _surd_fields(surd: QuadraticSurd) -> str:
+    """JSON members ``exact``, the lowest terms of ``rat`` = p/den and ``coeff`` = q/den and
+    the radicand, and ``surd``, the text with ``√`` escaped as json.dumps escapes it."""
     p, q, den = surd._p, surd._q, surd._den
     g, h = gcd(p, den), gcd(q, den)
-    return {"a_num": p // g, "a_den": den // g, "b_num": q // h, "b_den": den // h, "d": surd._d}
-
-
-def _surd_fields(surd: QuadraticSurd) -> str:
-    """A surd's ``exact`` and ``surd`` JSON members; json.dumps writes ``√`` as its escape."""
-    return ('"exact": {"a_num": %(a_num)d, "a_den": %(a_den)d, "b_num": %(b_num)d, '
-            '"b_den": %(b_den)d, "d": %(d)d}' % _surd_json(surd)
-            + ', "surd": "%s"' % str(surd).replace("√", "\\u221a"))
+    return ('"exact": {"a_num": %d, "a_den": %d, "b_num": %d, "b_den": %d, "d": %d}, "surd": "%s"'
+            % (p // g, den // g, q // h, den // h, surd._d, str(surd).replace("√", "\\u221a")))
 
 
 def _roots(inputs: tuple[str, tuple], records: Iterable[RootRecord],
@@ -117,20 +111,17 @@ def _root_set(inputs: tuple[str, tuple], roots: RootSet, digits: int) -> _Output
 
 
 def _cmd_solve(ns) -> _Output:
-    global _doubles
     inputs = '"n": %d, "m": %d, "tolerance": %r', (ns.n, ns.m, ns.tol)
     if ns.n != 2:
         return _root_set(inputs, _cli.solve_gm_general(ns.n, ns.m, tolerance=ns.tol), ns.digits)
     _check_tolerance(ns.tol)  # as the solver checks it, though the surds need no tolerance
-    if _doubles is None:  # only this branch needs the surd layer, so it is loaded here
-        _doubles = __import__(f"{__package__}.surds", fromlist=["_doubles"])._doubles
     pair = _cli.generalized_gm(ns.m)
     r = 2 * ns.m + 1
 
     def record(surd: QuadraticSurd) -> RootRecord:
         if ns.format == "text":  # text prints a root's digits and surd, and none of its doubles
             return RootRecord(None, None, None, 0, surd)
-        lo, value, hi = _doubles(surd)
+        lo, value, hi = surd._doubles()
         return RootRecord(value, (lo, hi), abs(value ** 2 + value - ns.m / 2), 0, surd)
 
     x1_text = ""
@@ -172,21 +163,25 @@ def _cmd_euler(ns) -> _Output:
 
 def _cmd_metallic(ns) -> _Output:
     mean = _cli.metallic_mean(ns.p, ns.q)
-    tsv, cf_json, footer = "%r\n", "}", ()
-    if ns.cf_terms is not None:
-        cf = _cli.continued_fraction_of(mean, ns.cf_terms)
-        initial, period = ",".join(map(str, cf.initial)), ",".join(map(str, cf.period))
-        tsv = f"%r\t{initial}\t{period}\n"
-        cf_json = ', "cf_initial": [%s], "cf_period": [%s], "cf_truncated": %s}' % (
-            initial.replace(",", ", "), period.replace(",", ", "),
-            "true" if cf.truncated else "false")
-        footer = map("continued fraction: {}\n".format, (cf,))  # str(cf) only where text reads it
+    # expanded here, so a bound or sign error exits before any output; text reads str(cf) alone
+    cf = None if ns.cf_terms is None else _cli.continued_fraction_of(mean, ns.cf_terms)
+
+    def terms(sep: str) -> tuple[str, str]:
+        return sep.join(map(str, cf.initial)), sep.join(map(str, cf.period))
+
+    def as_json(s: QuadraticSurd) -> str:
+        line = '{"decimal": "%s", "value": %r, %s' % (
+            _cli.to_decimal(s, ns.digits), float(s), _surd_fields(s))
+        return line + "}" if cf is None else line + (
+            ', "cf_initial": [%s], "cf_period": [%s], "cf_truncated": %s}'
+            % (*terms(", "), "true" if cf.truncated else "false"))
+
     return _Output(('"p": %d, "q": "%s"', (ns.p, ns.q)), (mean,),
                    lambda s: f"metallic mean (p={ns.p}, q={ns.q}) = {s} = "
                              f"{_cli.to_decimal(s, ns.digits)}\n",
-                   lambda s: tsv % float(s),
-                   lambda s: '{"decimal": "%s", "value": %r, %s%s' % (
-                       _cli.to_decimal(s, ns.digits), float(s), _surd_fields(s), cf_json), footer)
+                   lambda s: "%r\n" % float(s) if cf is None
+                   else "%r\t%s\t%s\n" % (float(s), *terms(",")), as_json,
+                   () if cf is None else map("continued fraction: {}\n".format, (cf,)))
 
 
 def _cmd_table1(ns) -> _Output:

@@ -344,8 +344,39 @@ class QuadraticSurd:
     # -- conversions -----------------------------------------------------
 
     def __float__(self) -> float:
-        """The double nearest the value (see :func:`_doubles`)."""
-        return _doubles(self)[1]
+        """The double nearest the value (see :meth:`_doubles`)."""
+        return self._doubles()[1]
+
+    def _doubles(self) -> tuple[float, float, float]:
+        """``(lo, nearest, hi)``: the double nearest the value v, ``float(v)``, and for an
+        irrational v the adjacent doubles ``lo < v < hi``; a rational v gives its double thrice.
+
+        One floor decides all three: ``a = floor(|v| * 2**shift)`` in [2**53, 2**54) counts
+        half-ulps and |v| lies strictly inside (a, a + 1), so ``a >> 1`` ulps is the double
+        below |v| and ``(a + 1) >> 1`` the nearest, with no tie.  Below 2**-1022 the grid stays
+        that of the least subnormal; past the float range ``ldexp`` raises ``OverflowError``.
+        """
+        if self._q == 0:
+            x = self._p / self._den  # int / int is correctly rounded
+            return x, x, x
+        # the larger of |p| and |q|*sqrt(d) has about `top` bits, so a starts with 55 to 58 bits
+        # (more when |v| >= 2**56) unless they cancel; then a pass refines by the bits a lacks
+        top = max(self._p.bit_length(), self._q.bit_length() + (self._d.bit_length() + 1) // 2)
+        shift = max(56 + self._den.bit_length() - top, 0)
+        while True:
+            a = _floor_scaled(self, 1 << shift)
+            negative = a < 0
+            if negative:  # v is irrational: floor(|v| * 2**shift) == -a - 1
+                a = ~a
+            extra = a.bit_length() - 54
+            if extra >= 0 or shift >= 1075:
+                break
+            shift = min(shift - extra, 1075)
+        drop = max(extra, shift - 1075)  # floor(floor(x) / 2**drop) == floor(x / 2**drop)
+        a, shift = a >> drop, shift - drop
+        lo, hi = ldexp(a >> 1, 1 - shift), ldexp((a >> 1) + 1, 1 - shift)
+        nearest = hi if a & 1 else lo
+        return (-hi, -nearest, -lo) if negative else (lo, nearest, hi)
 
     def __bool__(self) -> bool:
         return self._p != 0 or self._q != 0
@@ -413,7 +444,7 @@ def _compare(x: QuadraticSurd, y: QuadraticSurd) -> int:
 
 def _floor_scaled(v: QuadraticSurd, scale: int) -> int:
     """``floor(v * scale)`` for an integer ``scale`` >= 1, exact via integer square root:
-    :func:`to_decimal` passes ``10**digits``, :func:`_doubles` a power of two."""
+    :func:`to_decimal` passes ``10**digits``, :meth:`QuadraticSurd._doubles` a power of two."""
     whole, radical, den = v._p * scale, v._q * scale, v._den
     big = radical * radical * v._d
     t = isqrt(big)
@@ -422,38 +453,6 @@ def _floor_scaled(v: QuadraticSurd, scale: int) -> int:
         return (whole + t) // den
     # radical != 0 means d is square-free and >= 2, so big is no square: sqrt(big) is in (t, t+1)
     return (whole - t - 1) // den
-
-
-def _doubles(v: QuadraticSurd) -> tuple[float, float, float]:
-    """``(lo, nearest, hi)``: the double nearest ``v`` and, for an irrational v, the adjacent
-    doubles ``lo < v < hi``; a rational v gives its nearest double three times.
-
-    One floor decides all three: ``a = floor(|v| * 2**shift)`` in [2**53, 2**54) counts
-    half-ulps and |v| lies strictly inside (a, a + 1), so ``a >> 1`` ulps is the double
-    below |v| and ``(a + 1) >> 1`` the nearest, with no tie.  Below 2**-1022 the grid stays
-    that of the least subnormal; past the float range ``ldexp`` raises ``OverflowError``.
-    """
-    if v._q == 0:
-        x = v._p / v._den  # int / int is correctly rounded
-        return x, x, x
-    # the larger of |p| and |q|*sqrt(d) has about `top` bits, so a starts with 55 to 58 bits
-    # (more when |v| >= 2**56) unless they cancel; then a pass refines by the bits a lacks
-    top = max(v._p.bit_length(), v._q.bit_length() + (v._d.bit_length() + 1) // 2)
-    shift = max(56 + v._den.bit_length() - top, 0)
-    while True:
-        a = _floor_scaled(v, 1 << shift)
-        negative = a < 0
-        if negative:  # v is irrational: floor(|v| * 2**shift) == -a - 1
-            a = ~a
-        extra = a.bit_length() - 54
-        if extra >= 0 or shift >= 1075:
-            break
-        shift = min(shift - extra, 1075)
-    drop = max(extra, shift - 1075)  # floor(floor(x) / 2**drop) == floor(x / 2**drop)
-    a, shift = a >> drop, shift - drop
-    lo, hi = ldexp(a >> 1, 1 - shift), ldexp((a >> 1) + 1, 1 - shift)
-    nearest = hi if a & 1 else lo
-    return (-hi, -nearest, -lo) if negative else (lo, nearest, hi)
 
 
 def to_decimal(value, digits: int) -> str:

@@ -72,6 +72,9 @@ class TrinomialSpec(namedtuple("TrinomialSpec", "n p p_sign m lower_exponent")):
 _MAX_ITERATIONS = 1025 + 1074
 #: largest degree n; at n = 1000, printing 1000 exact digits takes about 0.15 s in a fresh process
 MAX_DEGREE = 1000
+#: the scale of x*f' in :meth:`_Poly._float`: n and e times it are at most 1/2, so
+#: x*f' = n*x**n + e*c*x**e scaled by it is finite wherever both terms are
+_SLOPE_SCALE = 2.0 ** -(MAX_DEGREE.bit_length() + 1)
 
 
 #: size n * bitlen(p or q) above which the sign of f(p/q) is first decided by bounds: about
@@ -148,9 +151,8 @@ class _Poly:
         # rounded to one, and on rhs plus what rounds below the normal range
         self._gammas = (((n + 2) * _U, (e + 4) * _U), ((2 * n + 2) * _U, (2 * e + 4) * _U))
         self._rhs_err = 3 * _U * abs(self._rhs_f) + 2.0 ** -1073
-        # n and e times 2**-11: x*f' = n*x**n + e*c*x**e scaled so is finite wherever both
-        # terms are, as e <= n <= MAX_DEGREE < 2**10
-        self._slopes = n * 2.0 ** -11, e * 2.0 ** -11
+        # n and e times _SLOPE_SCALE, as e <= n <= MAX_DEGREE
+        self._slopes = n * _SLOPE_SCALE, e * _SLOPE_SCALE
 
     def _terms(self, p: int, q: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
         """Exact (j, (alpha, beta), (d_alpha, d_beta)) with v = alpha * |p|**j + beta * q**(n-1)
@@ -187,9 +189,9 @@ class _Poly:
     def _float(self, x: float, rounded: bool) -> tuple[float, float, float, float]:
         """(f, err, x**n, dx) in doubles at the double x, where f is within err of f at the
         point x stands for, so f decides that sign where |f| > err; err is inf where the
-        bound does not hold.  dx = -f/f' is the Newton step, from x*f' scaled by 2**-11 so
-        that it is lost only where x**n or c*x**e overflows; it is inf or nan where there
-        is none.
+        bound does not hold.  dx = -f/f' is the Newton step, from x*f' scaled by
+        :data:`_SLOPE_SCALE` so that it is lost only where x**n or c*x**e overflows; it is
+        inf or nan where there is none.
 
         The point is x itself, or, where ``rounded``, one that x is the nearest double to.
         The one power is x**(n-1) (e = n-1) or x**n by square-and-multiply, within k - 1
@@ -221,8 +223,8 @@ class _Poly:
         elif abs(xn) < _NORMAL:
             err = err + 2.0 ** -1020 if e <= 1 and abs(x) >= _NORMAL else math.inf
         n_s, e_s = self._slopes
-        xdf = n_s * xn + e_s * t  # x*f' * 2**-11
-        return fx, err, xn, -fx / xdf * (x * 2.0 ** -11) if xdf else math.inf
+        xdf = n_s * xn + e_s * t  # x*f' * _SLOPE_SCALE
+        return fx, err, xn, -fx / xdf * (x * _SLOPE_SCALE) if xdf else math.inf
 
     def sign(self, x) -> int:
         """Exact sign of f(x) for an int, float or Fraction x, in three tiers: :meth:`_float`
@@ -586,17 +588,13 @@ def solve_gm_general(n: int, m: int, *, tolerance: float = TOLERANCE) -> RootSet
     return solve_trinomial(TrinomialSpec(n=n, p=1, p_sign="plus", m=m), tolerance=tolerance)
 
 
-def _stakhov_spec(n: int, variant: str) -> TrinomialSpec:
-    """``x**n + x = 1`` (variant a) or ``x**n + x**(n-1) = 1`` (variant b)."""
+def _stakhov_poly(n: int, variant: str) -> _Poly:
+    """f of ``x**n + x = 1`` (variant a) or ``x**n + x**(n-1) = 1`` (variant b)."""
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    return TrinomialSpec(n=n, m=2, lower_exponent="one" if variant == "a" else "n_minus_one")
-
-
-def _stakhov_poly(n: int, variant: str) -> _Poly:
-    """f of :func:`_stakhov_spec`, whose right side is 1."""
-    spec = _stakhov_spec(n, variant)
-    return _Poly(n, 1, spec.exponent, 1)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _Poly(n, 1, 1 if variant == "a" else n - 1, 1)
 
 
 def solve_stakhov(n: int, variant: str = "a") -> float:

@@ -74,8 +74,8 @@ MUTANTS = [
     ("_float: no term for a rounded x", "trinomials.py",
      "((2 * n + 2) * _U, (2 * e + 4) * _U)", "((n + 2) * _U, (e + 4) * _U)", [BOUNDS]),
     ("_float: x*f' not scaled, so it overflows with n*x**n", "trinomials.py",
-     "xdf = n_s * xn + e_s * t  # x*f' * 2**-11\n"
-     "        return fx, err, xn, -fx / xdf * (x * 2.0 ** -11) if xdf else math.inf",
+     "xdf = n_s * xn + e_s * t  # x*f' * _SLOPE_SCALE\n"
+     "        return fx, err, xn, -fx / xdf * (x * _SLOPE_SCALE) if xdf else math.inf",
      "xdf = 2048 * n_s * xn + 2048 * e_s * t\n"
      "        return fx, err, xn, -fx / xdf * x if xdf else math.inf", [OVERFLOW]),
     ("_critical_signs: k-th powers compared the wrong way", "trinomials.py",
@@ -119,7 +119,7 @@ MUTANTS = [
     ("surds._floor_scaled: floor of a negative radical off by one", "surds.py",
      "return (whole - t - 1) // den", "return (whole - t) // den",
      ["tests/test_surds.py", "tests/test_nearest_double.py"]),
-    ("surds._doubles: the double below taken as the nearest", "surds.py",
+    ("surds.QuadraticSurd._doubles: the double below taken as the nearest", "surds.py",
      "nearest = hi if a & 1 else lo", "nearest = lo", ["tests/test_nearest_double.py"]),
     ("surds._root_parts: no MAX_RADICAND check", "surds.py",
      "if num > MAX_RADICAND or den > MAX_RADICAND:", "if False:",
@@ -142,6 +142,8 @@ MUTANTS = [
     ("cli._cmd_solve: x2's whole part not one larger than x1's", "cli.py",
      'f"-{int(whole) + 1}.{frac}"', 'f"-{int(whole)}.{frac}"',
      ["tests/test_cli.py::TestSolveTwoRootsDigits"]),
+    ("cli._surd_fields: rat not cut by its gcd", "cli.py", "p // g", "p",
+     ["tests/test_cli.py::TestSurdJson"]),
     ("cli._fraction: 0/0 read as 0", "cli.py",
      "fractions.Fraction(int(num), int(den) if slash else 1)",
      "fractions.Fraction(int(num), int(den) or 1 if slash else 1)",

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from goldmean import QuadraticSurd, cli
 from goldmean.cli import run
-from goldmean.surds import MAX_CF_TERMS, _doubles
+from goldmean.surds import MAX_CF_TERMS, ContinuedFraction
 from goldmean.trinomials import RootSet
 from oracles import strict_json
 
@@ -390,8 +390,9 @@ class TestTextFindsNoDoubles:
     doubles, which JSON and TSV print."""
 
     def test_doubles_calls(self, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "_doubles", lambda surd: calls.append(surd) or _doubles(surd))
+        calls, doubles = [], QuadraticSurd._doubles
+        monkeypatch.setattr(QuadraticSurd, "_doubles",
+                            lambda surd: calls.append(surd) or doubles(surd))
         counts = []
         for fmt in ("text", "tsv", "json"):
             assert invoke(capsys, "solve", "--n", "2", "--m", "3", "--format", fmt)[0] == 0
@@ -550,14 +551,39 @@ class TestSurdJson:
            st.sampled_from([0, 2, 3, 5, 6, 7, 10, 30]))
     def test_fields_of_the_rationals(self, rat, coeff, d):
         surd = QuadraticSurd(rat, coeff, d)
-        assert cli._surd_json(surd) == {
+        assert json.loads("{%s}" % cli._surd_fields(surd))["exact"] == {
             "a_num": surd.rat.numerator, "a_den": surd.rat.denominator,
             "b_num": surd.coeff.numerator, "b_den": surd.coeff.denominator, "d": surd.radicand}
 
     def test_reducible_negative_parts(self):
         surd = QuadraticSurd(Fraction(-3, 4), Fraction(-1, 6), 5)  # (-9 - 2*sqrt5)/12
         assert (surd._p, surd._q, surd._den) == (-9, -2, 12)
-        assert cli._surd_json(surd) == {"a_num": -3, "a_den": 4, "b_num": -1, "b_den": 6, "d": 5}
+        assert json.loads("{%s}" % cli._surd_fields(surd))["exact"] == {
+            "a_num": -3, "a_den": 4, "b_num": -1, "b_den": 6, "d": 5}
+
+
+class TestMetallicBuildsOnlyWhatItPrints:
+    """``metallic --cf-terms`` expands the continued fraction once, before any output, and
+    each format's line reads only what it prints: TSV has no ``cf_truncated`` member."""
+
+    def test_truncated_read_by_json_alone(self, capsys, monkeypatch):
+        reads = []
+
+        class Counted(ContinuedFraction):
+            @property
+            def truncated(self):
+                reads.append(self)
+                return self[2]
+
+        expand = cli.continued_fraction_of
+        monkeypatch.setattr(cli, "continued_fraction_of",
+                            lambda mean, terms: Counted(*expand(mean, terms)))
+        counts = []
+        for fmt in ("tsv", "json"):
+            argv = ("metallic", "--p", "11", "--q", "1/24", "--cf-terms", "5", "--format", fmt)
+            assert invoke(capsys, *argv)[0] == 0
+            counts.append(len(reads))
+        assert counts == [0, 1]
 
 
 class TestCfTermsBound:

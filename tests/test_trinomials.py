@@ -29,7 +29,7 @@ from goldmean import (
 )
 from goldmean import trinomials
 from goldmean.cli import run
-from goldmean.trinomials import MAX_DEGREE, _power, _Poly, _round, _stakhov_spec, _sum
+from goldmean.trinomials import MAX_DEGREE, _SLOPE_SCALE, _power, _Poly, _round, _sum
 from oracles import (bisect_root, grid_sign_changes, has_multiple_root, mp_real_roots,
                      mp_root_in, truncate_mpf)
 
@@ -297,6 +297,11 @@ class TestOverflowingPowers:
         dx = _Poly(3, 1, 1, rhs)._float(x, False)[3]
         t = Fraction(x)
         assert dx == pytest.approx(float(-(t ** 3 + t - rhs) / (3 * t ** 2 + 1)), rel=1e-12)
+
+    def test_the_slope_scale_holds_to_the_degree_bound(self):
+        # n and e times the scale are at most 1/2, so the scaled x*f', a sum of two terms
+        # each at most half a finite double, is finite wherever x**n and c*x**e are
+        assert 2 * MAX_DEGREE * _SLOPE_SCALE <= 1
 
 
 def _points(bound):
@@ -652,7 +657,8 @@ class TestStakhov:
     def test_agrees_with_the_root_of_the_full_solver(self, n, variant, digits):
         value = solve_stakhov(n, variant)
         assert 0.0 <= value <= 1.0
-        roots = solve_trinomial(_stakhov_spec(n, variant))
+        roots = solve_trinomial(TrinomialSpec(
+            n=n, m=2, lower_exponent="one" if variant == "a" else "n_minus_one"))
         assert stakhov_decimal(n, variant, value, digits) == roots.truncate(roots.roots[-1],
                                                                              digits)[0]
 

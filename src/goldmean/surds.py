@@ -515,13 +515,12 @@ class ContinuedFraction(namedtuple("ContinuedFraction", "initial period truncate
 def continued_fraction_of(value, max_terms: int) -> ContinuedFraction:
     """Simple continued fraction of a positive rational or quadratic surd.
 
-    For irrational values the period starts at the first reduced ``(P, Q)``
-    state of the standard ``(P + sqrt(N))/Q`` recurrence after the integer
-    part (Galois: a complete quotient is purely periodic exactly when it is
-    reduced) and ends when that state comes back.  The
-    integer part always stays in ``initial``, so the golden mean comes out
-    as ``[1; (1)]`` rather than the purely periodic ``[(1)]``.  A ``max_terms``
-    that is not an integer raises :class:`TypeError`.
+    For irrational values one pass of the standard ``(P + sqrt(N))/Q`` recurrence makes
+    each term.  The period starts at the first reduced ``(P, Q)`` state after the integer
+    part (Galois: a complete quotient is purely periodic exactly when it is reduced) and
+    ends when that state comes back.  The integer part always stays in ``initial``, so the
+    golden mean comes out as ``[1; (1)]`` rather than the purely periodic ``[(1)]``.  A
+    ``max_terms`` that is not an integer raises :class:`TypeError`.
     """
     max_terms = operator.index(max_terms)
     if max_terms < 1:
@@ -554,27 +553,21 @@ def continued_fraction_of(value, max_terms: int) -> ContinuedFraction:
 
     t = isqrt(big_n)  # big_n is never a perfect square here
     terms = []
-    # past the integer part a complete quotient exceeds 1, so it is reduced (its
-    # conjugate (P - sqrt(N))/Q in (-1, 0)) exactly when P < sqrt(N) < P + Q
-    while not terms or not big_p <= t < big_p + big_q:
-        if len(terms) == max_terms:
-            return ContinuedFraction(tuple(terms), (), True)
+    start = None
+    while len(terms) < max_terms:
         if big_q > 0:
             term = (big_p + t) // big_q
         else:
-            term = -((big_p + t) // -big_q + 1)
+            term = -((big_p + t) // -big_q + 1)  # -ceil((P + sqrt(N))/-Q), never an integer
         terms.append(term)
         big_p = term * big_q - big_p
         big_q = (big_n - big_p * big_p) // big_q
-    # the period starts at this first reduced state; every later state is reduced too, so
-    # Q > 0 and the floor needs no sign rule, and the period closes when this state is back
-    start, first_p, first_q = len(terms), big_p, big_q
-    while len(terms) < max_terms:
-        term = (big_p + t) // big_q
-        terms.append(term)
-        big_p = term * big_q - big_p
-        big_q = (big_n - big_p * big_p) // big_q
-        # a period that closes with the last term allowed is reported truncated
-        if big_p == first_p and big_q == first_q and len(terms) < max_terms:
+        # past the integer part a complete quotient exceeds 1, so it is reduced (its conjugate
+        # (P - sqrt(N))/Q in (-1, 0)) exactly when P < sqrt(N) < P + Q; a period that closes
+        # with the last term allowed is reported truncated
+        if start is None:
+            if big_p <= t < big_p + big_q:
+                start, first_p, first_q = len(terms), big_p, big_q
+        elif big_p == first_p and big_q == first_q and len(terms) < max_terms:
             return ContinuedFraction(tuple(terms[:start]), tuple(terms[start:]), False)
     return ContinuedFraction(tuple(terms), (), True)

@@ -96,8 +96,6 @@ def _power(b: int, k: int, bits: int) -> tuple[int, int, int]:
     """(lo, hi, s) with lo * 2**s <= b**k <= hi * 2**s for b, k >= 0, by square-and-multiply."""
     z = (b & -b).bit_length() - 1 if b else 0  # powers of two are shifts
     b >>= z
-    if b.bit_length() * k <= bits:
-        return b ** k, b ** k, z * k
     b_lo, b_hi, b_s = _round(b, b, 0, bits)
     lo, hi, s = 1, 1, 0
     for bit in bin(k)[2:]:
@@ -352,18 +350,19 @@ class RootSet(namedtuple("RootSet", "roots")):
 def _critical_signs(poly: _Poly) -> list[tuple]:
     """Real zeros x* != 0 of f', ascending, as marks (lo, hi, s), s the exact sign of f at x*.
 
-    lo = hi = x* where s = 0 (an exact root) or x* is a double.  Otherwise lo < hi lie about
-    x*, f has sign s at both and no root lies between either and x*: the double computed for
-    x* and the next one up, or, where a root lies within one ulp of x*, dyadics halved toward
-    x*.  A root that one of those ends hits exactly follows or precedes its mark as the mark
-    (z, z, 0) of a root, in order.  f' is a binomial with at most two real zeros besides 0,
-    which :func:`_seeds` marks, so f has at most four monotone pieces between them.
+    lo = hi = x* where s = 0 (an exact root) or x* is a double (for e = 1, only one that a
+    root lies within an ulp of).  Otherwise lo < hi lie about x*, f has sign s at both and no
+    root lies between either and x*: the double computed for x* and the next one up, or,
+    where a root lies within one ulp of x*, dyadics halved toward x*.  A root that one of
+    those ends hits exactly follows or precedes its mark as the mark (z, z, 0) of a root, in
+    order.  f' is a binomial with at most two real zeros besides 0, which :func:`_seeds`
+    marks, so f has at most four monotone pieces between them.
     """
     n, c, e, num, den = poly.n, poly.c, poly.e, poly.num, poly.den
     if e == n - 1 and n >= 3:
-        # f' = x**(n-2) * (n*x + c*(n-1)); t < x* is decided against the rational x*
+        # f' = x**(n-2) * (n*x + c*(n-1))
         star = Fraction(-c * (n - 1), n)
-        return _ends(poly, star, float(star), poly.sign(star), star.__gt__)
+        return _ends(poly, star, float(star), poly.sign(star), lambda t: (t > star) - (t < star))
     k = n - 1  # e = 1: x**k = -c/n
     if c == 0 or k % 2 == 0 and c > 0:
         return []
@@ -374,20 +373,20 @@ def _critical_signs(poly: _Poly) -> list[tuple]:
         lead = side * _sgn(c)
         s = lead if lead != _sgn(num) else lead * _sgn(
             (abs(c) * k * den) ** k * abs(c) - abs(num) ** k * n ** n)
-        def below(t, side=side) -> bool:  # t < x* = side * (|c|/n)**(1/k), or t = x*
+        def versus(t, side=side) -> int:  # the sign of t - x*, x* = side * (|c|/n)**(1/k)
             p, q = t.as_integer_ratio()
-            return (side * p < 0 or abs(p) ** k * n < abs(c) * q ** k) == (side > 0)
+            return -side if side * p <= 0 else side * _sgn(abs(p) ** k * n - abs(c) * q ** k)
         star = Fraction(num * n, den * c * k) if s == 0 else None
-        points += _ends(poly, star, side * r, s, below)
+        points += _ends(poly, star, side * r, s, versus)
     return points
 
 
-def _ends(poly: _Poly, star: Fraction | None, near: float, s: int, below) -> list[tuple]:
+def _ends(poly: _Poly, star: Fraction | None, near: float, s: int, versus) -> list[tuple]:
     """The marks of :func:`_critical_signs` for x* at about the double ``near``: ``star`` is
-    x*, or None for e = 1 where s != 0, and ``below(t)`` is t < x*, exactly.  An end where f
-    is 0 is a root z, on one side of x*, whose mark (z, z, 0) is kept; f is monotone on
-    either side, so there are at most two.  Roots nearer x* than 2**-2099 ulp raise
-    NoConvergence."""
+    x*, or None for e = 1 where s != 0, and ``versus(t)`` is the exact sign of t - x*.  An
+    end where f is 0 is a root z, on one side of x*, whose mark (z, z, 0) is kept; f is
+    monotone on either side, so there are at most two.  Roots nearer x* than 2**-2099 ulp
+    raise NoConvergence."""
     if s == 0 or near == star:
         return [(star, star, s)]
     lo, hi, width = near, math.nextafter(near, math.inf), math.ulp(near)
@@ -395,16 +394,22 @@ def _ends(poly: _Poly, star: Fraction | None, near: float, s: int, below) -> lis
     for _ in range(_MAX_ITERATIONS):
         signs = poly.sign(lo), poly.sign(hi)
         if signs == (s, s):
-            return ([(z, z, 0) for z in zeros if z < lo] + [(lo, hi, s)]
-                    + [(z, z, 0) for z in zeros if z > hi])
+            break
         zeros += [t for t, sign in zip((lo, hi), signs) if sign == 0 and t not in zeros]
+        at = versus(lo), versus(hi)
+        if 0 in at:  # x* is an end, so a double: its mark is exact
+            lo = hi = lo if at[0] == 0 else hi
+            break
         # a root within an ulp of x*: widen (lo, hi) by doubles to hold x*, then halve it
-        if below(lo) and not below(hi):
+        if at == (-1, 1):
             mid = (Fraction(lo) + Fraction(hi)) / 2
-            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+            lo, hi = (mid, hi) if versus(mid) < 0 else (lo, mid)
         else:
             lo, hi, width = lo - width, hi + width, 2 * width
-    raise NoConvergence(f"no ends of sign {s} about x* within {_MAX_ITERATIONS} steps")
+    else:
+        raise NoConvergence(f"no ends of sign {s} about x* within {_MAX_ITERATIONS} steps")
+    return ([(z, z, 0) for z in zeros if z < lo] + [(lo, hi, s)]
+            + [(z, z, 0) for z in zeros if z > hi])
 
 
 def _least(a: int, b: int, d: int, strict: bool):

@@ -30,6 +30,8 @@ CLOSE = ("tests/test_trinomials.py::TestCloseRootFamily::"
          "test_exact_digits_for_roots_closer_than_one_ulp")
 CRITICAL_ZERO = ("tests/test_trinomials.py::TestCloseRootFamily::"
                  "test_a_root_at_the_double_of_a_critical_point_is_exact")
+DOUBLE_CRITICAL = ("tests/test_trinomials.py::TestCloseRootFamily::"
+                   "test_roots_within_an_ulp_of_a_critical_point_that_is_a_double")
 BUDGET = "tests/test_trinomials.py::TestIterationBudget"
 STAKHOV = "tests/test_trinomials.py::TestStakhov"
 EXACT_DIGITS = "tests/test_exact_digits.py"
@@ -37,6 +39,7 @@ HARMONIC = "tests/test_harmonic.py"
 SPLIT = ["tests/test_surds.py::TestSplitSquareOverTheWheel",
          "tests/test_surds.py::TestSplitSquareByGcds"]
 DISPATCH = "tests/test_cli_dispatch.py::TestSameAsFullParser"
+CONTINUED_FRACTION = "tests/test_surds.py::TestContinuedFractionByFieldArithmetic"
 
 #: (name, file under src/goldmean, snippet, replacement, test selection)
 MUTANTS = [
@@ -103,10 +106,12 @@ MUTANTS = [
     ("_ends: adjacent-double sign check skipped", "trinomials.py",
      "if signs == (s, s):", "if True:", [CLOSE]),
     ("_ends: dyadic halving keeps the wrong half", "trinomials.py",
-     "lo, hi = (mid, hi) if below(mid) else (lo, mid)",
-     "lo, hi = (lo, mid) if below(mid) else (mid, hi)", [CLOSE]),
+     "lo, hi = (mid, hi) if versus(mid) < 0 else (lo, mid)",
+     "lo, hi = (lo, mid) if versus(mid) < 0 else (mid, hi)", [CLOSE]),
     ("_ends: zero at a critical double ignored", "trinomials.py",
      "if sign == 0 and t not in zeros]", "if False]", [CRITICAL_ZERO]),
+    ("_ends: without the exact mark of an x* that is an end", "trinomials.py",
+     "if 0 in at:", "if False:", [DOUBLE_CRITICAL]),
     ("_refine: log step taken where x**n and w differ in sign", "trinomials.py",
      "        if 0.0 < ratio <= _HUGE:  # and so is not nan: x**n and w share a sign\n",
      "        if 0.0 < abs(ratio) <= _HUGE:\n            ratio = abs(ratio)\n", [BUDGET]),
@@ -138,7 +143,10 @@ MUTANTS = [
      "    if tolerance == inf:", "    if False:", ["tests/test_cli.py::TestExitCodes"]),
     ("surds.continued_fraction_of: a period closing at max_terms taken as closed", "surds.py",
      "and big_q == first_q and len(terms) < max_terms:", "and big_q == first_q:",
-     ["tests/test_surds.py::TestContinuedFractionByFieldArithmetic"]),
+     [CONTINUED_FRACTION]),
+    ("surds.continued_fraction_of: period start recorded one state late", "surds.py",
+     "start, first_p, first_q = len(terms), big_p, big_q",
+     "start, first_p, first_q = len(terms) + 1, big_p, big_q", [CONTINUED_FRACTION]),
     ("cli._cmd_solve: x2's whole part not one larger than x1's", "cli.py",
      'f"-{int(whole) + 1}.{frac}"', 'f"-{int(whole)}.{frac}"',
      ["tests/test_cli.py::TestSolveTwoRootsDigits"]),

@@ -3,13 +3,17 @@
 Each case pins the sha256 of the exit code, stdout and stderr, so a change
 to the rendering code that alters one byte of one format fails here.  To
 see what a case prints, run ``PYTHONPATH=src python -m goldmean.cli <argv>``.
+One more digest pins every distinct argv of the benchmark corpora at once.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from goldmean.cli import run
+from test_cli_dispatch import corpus
 
 FORMATS = ("text", "json", "tsv")
 
@@ -141,3 +145,33 @@ def test_golden_output(name, capsys, monkeypatch):
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+#: the benchmark corpora the byte-identity digest covers, (workload, seeds)
+CORPORA = (("closed_form", (1, 2, 3)), ("trinomial", (1, 2, 3)), ("cold_start", (1, 2, 3)),
+           ("catalog", (1,)))
+
+#: sha256 over (argv, exit code, stdout, stderr) of every distinct corpus argv in every
+#: format; a change that alters output re-pins it and says why
+CORPUS_DIGEST = "4bbe0d9e36d34682168d4c32bda258059da6ccbad3030d30ec0c985f51e6ba2a"
+
+
+def _without_format(argv: list[str]) -> tuple[str, ...]:
+    at = argv.index("--format")
+    return tuple(argv[:at] + argv[at + 2:])
+
+
+def test_every_corpus_argv_prints_its_pinned_bytes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    bases = sorted({_without_format(op["argv"]) for workload, seeds in CORPORA
+                    for seed in seeds for op in corpus.generate(workload, seed)})
+    blob = hashlib.sha256()
+    for base in bases:
+        for fmt in FORMATS:
+            argv = base + ("--format", fmt)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(list(argv))
+            blob.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\x00{err.getvalue()}\x00"
+                        .encode())
+    assert (len(bases) * len(FORMATS), blob.hexdigest()) == (18435, CORPUS_DIGEST)

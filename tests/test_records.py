@@ -312,8 +312,8 @@ class TestColdImport:
 
 
 class TestWarmRun:
-    """A warm ``cli.run`` runs no import statement of the package: each library layer, and
-    the one private helper of a layer that a handler calls, is bound on its first use."""
+    """A warm ``cli.run`` runs no import statement of the package: each library layer is
+    bound on its first use."""
 
     def test_a_second_run_of_each_perfbench_argv_imports_nothing_of_the_package(
             self, monkeypatch):

@@ -670,7 +670,8 @@ _POSITIVE = st.one_of(
 
 
 class TestContinuedFractionByFieldArithmetic:
-    """The two-loop recurrence against complete quotients computed in the surd field."""
+    """The (P + sqrt(N))/Q recurrence, one pass per term, against complete quotients computed
+    in the surd field."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_POSITIVE, st.integers(1, 120))

@@ -213,6 +213,37 @@ class TestCloseRootFamily:
         printed = [found.truncate(record, 15)[0] for record in reversed(found.roots)]
         assert printed == [truncate_mpf(r, 15) for r in roots]
 
+    def test_roots_within_an_ulp_of_a_critical_point_that_is_a_double(self, monkeypatch):
+        # x**999 - p*x = m/2 with p = 999 * 2**998 and m = 2 * 998 * 2**999 - 1: f(x*) = 1/2 at
+        # the critical point x* = -2, so two roots lie about 2**-499 either side of it.  x* is
+        # the end (-2.0, -2.0) of its own mark, where ends halved toward it took 924 signs
+        p, m = 999 * 2 ** 998, 2 * 998 * 2 ** 999 - 1
+        sign, in_ends = _Poly.sign, []
+        def counted(poly, x):
+            in_ends.append(sys._getframe(1).f_code is trinomials._ends.__code__)
+            return sign(poly, x)
+        monkeypatch.setattr(_Poly, "sign", counted)
+        argv = ["mmf", "--n", "999", "--p", str(p), "--sign", "minus", "--m", str(m)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run(argv + ["--format", "json"]) == 0
+        assert sum(in_ends) <= 8
+        assert json.loads(out.getvalue())["results"] == [
+            {"label": "x1", "decimal": "2.0152797253", "value": 2.015279725354198,
+             "bracket_lo": 2.0, "bracket_hi": 4.0, "residual": 8.782964252774249e+290,
+             "iterations": 9, "satisfactory": True},
+            {"label": "x2", "decimal": "-1.9999999999", "value": -1.9999999986610675,
+             "bracket_lo": -2.0, "bracket_hi": 0.0, "residual": 1.218164251425e+288,
+             "iterations": 22, "satisfactory": False},
+            {"label": "x3", "decimal": "-2.0000000000", "value": -2.000000001694531,
+             "bracket_lo": -4.0, "bracket_hi": -2.0, "residual": 1.8272463771374998e+288,
+             "iterations": 27, "satisfactory": False}]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run(argv) == 0
+        assert out.getvalue() == ("x1 = 2.0152797253 (satisfactory)\nx2 = -1.9999999999\n"
+                                  "x3 = -2.0000000000\n")
+
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(*_FAMILY)
     def test_values_below_float_noise_are_within_one_ulp(self, s, dp, dm):
